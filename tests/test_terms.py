@@ -126,6 +126,27 @@ def test_nodematch_matches_brute_force(seed):
         assert b2 == pytest.approx(
             ref.nodematch_beta_mode2(net.n1, net.n2, edges, cats2, expo), abs=1e-10
         )
+        # per-level (diff) components against the reference restricted to a level
+        for mode, column, cats, refs in (
+            (1, "group", cats1, (ref.nodematch_alpha, ref.nodematch_beta)),
+            (2, "kind", cats2, (ref.nodematch_alpha_mode2, ref.nodematch_beta_mode2)),
+        ):
+            levels = attrs.table_for(mode).categorical(column).levels
+            for which, reference in zip(("alpha", "beta"), refs):
+                diff_term = term(f"b{mode}nodematch", attribute=column, diff=True, **{which: expo})
+                per_level = eval_stats(spec_of(diff_term), net, attrs)
+                expected = [
+                    reference(net.n1, net.n2, edges, cats, expo, level=lev) for lev in levels
+                ]
+                assert per_level.tolist() == pytest.approx(expected, abs=1e-10)
+        # keep_levels against the reference restricted to the kept levels
+        keep = attrs.table_for(1).categorical("group").levels[:-1]
+        for which, reference in (("alpha", ref.nodematch_alpha), ("beta", ref.nodematch_beta)):
+            kept_term = term("b1nodematch", attribute="group", keep_levels=keep, **{which: expo})
+            kept = eval_stats(spec_of(kept_term), net, attrs)[0]
+            assert kept == pytest.approx(
+                reference(net.n1, net.n2, edges, cats1, expo, keep=set(keep)), abs=1e-10
+            )
 
 
 @pytest.mark.parametrize("seed", range(10))
