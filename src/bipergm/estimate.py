@@ -569,7 +569,8 @@ def profile(
 ) -> list[ProfilePoint]:
     """One fit per grid value of the unbound nodematch exponent.
 
-    Per-point failures are recorded on the point and the grid continues.
+    Per-point estimation failures are recorded on the point and the grid
+    continues; program faults such as an IndexError propagate.
     All log-likelihoods share the zero-parameter bridge reference, so
     they are comparable across points and across exponent kinds.
     """
@@ -598,7 +599,7 @@ def profile(
                 ctl = replace(control, sampler=replace(control.sampler, seed=point_seed))
                 fit = mcmcmle(spec_g, net, attrs, control=ctl)
             points.append(ProfilePoint(kind=which, value=value, fit=fit))
-        except Exception as exc:  # per-point failures must not kill the grid
+        except (RuntimeError, np.linalg.LinAlgError) as exc:  # program faults propagate
             points.append(
                 ProfilePoint(
                     kind=which,

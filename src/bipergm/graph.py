@@ -2,8 +2,9 @@
 
 Nodes are 1-based integers: mode-1 nodes are 1..n1, mode-2 nodes are
 n1+1..n1+n2.  Edges are only permitted between modes.  The structure keeps
-neighbor sets on both sides plus an indexed edge list so that samplers can
-pick a uniformly random edge in O(1).
+one node-indexed list of neighbor sets, `adj[node]` for either mode (`adj[0]`
+is unused), plus an indexed edge list so that samplers can pick a uniformly random edge in O(1).
+`shared_partners` is the one walk over all two-paths of a network.
 """
 
 from __future__ import annotations
@@ -23,17 +24,16 @@ class ColumnTypeError(TypeError):
 
 
 class BipartiteNetwork:
-    """Binary two-mode network on n1 + n2 nodes."""
+    """Binary two-mode network on n1 + n2 nodes; hot paths read `adj` directly."""
 
-    __slots__ = ("n1", "n2", "_nbr1", "_nbr2", "_edge_list", "_edge_pos")
+    __slots__ = ("n1", "n2", "adj", "_edge_list", "_edge_pos")
 
     def __init__(self, n1: int, n2: int):
         if n1 < 0 or n2 < 0:
             raise ValueError(f"node counts must be nonnegative, got n1={n1} n2={n2}")
         self.n1 = n1
         self.n2 = n2
-        self._nbr1: list[set[int]] = [set() for _ in range(n1)]
-        self._nbr2: list[set[int]] = [set() for _ in range(n2)]
+        self.adj: list[set[int]] = [set() for _ in range(n1 + n2 + 1)]
         self._edge_list: list[tuple[int, int]] = []
         self._edge_pos: dict[tuple[int, int], int] = {}
 
@@ -60,7 +60,7 @@ class BipartiteNetwork:
 
     def has_edge(self, i: int, k: int) -> bool:
         self.check_dyad(i, k)
-        return k in self._nbr1[i - 1]
+        return k in self.adj[i]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate current edges in insertion order."""
@@ -71,11 +71,10 @@ class BipartiteNetwork:
         return self._edge_list[index]
 
     def neighbors(self, node: int) -> set[int]:
-        """Neighbor set of a node (mode-2 partners of a mode-1 node and
-        vice versa).  The returned set is live; do not mutate it."""
-        if self.is_mode1(node):
-            return self._nbr1[node - 1]
-        return self._nbr2[node - self.n1 - 1]
+        """Validated `adj[node]`: the mode-2 partners of a mode-1 node and
+        vice versa.  The returned set is live; do not mutate it."""
+        self._check_node(node)
+        return self.adj[node]
 
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))
@@ -104,21 +103,21 @@ class BipartiteNetwork:
         Returns True if the edge is present after the toggle.
         """
         self.check_dyad(i, k)
-        if k in self._nbr1[i - 1]:
+        if k in self.adj[i]:
             self._remove(i, k)
             return False
         self._add(i, k)
         return True
 
     def _add(self, i: int, k: int) -> None:
-        self._nbr1[i - 1].add(k)
-        self._nbr2[k - self.n1 - 1].add(i)
+        self.adj[i].add(k)
+        self.adj[k].add(i)
         self._edge_pos[(i, k)] = len(self._edge_list)
         self._edge_list.append((i, k))
 
     def _remove(self, i: int, k: int) -> None:
-        self._nbr1[i - 1].discard(k)
-        self._nbr2[k - self.n1 - 1].discard(i)
+        self.adj[i].discard(k)
+        self.adj[k].discard(i)
         pos = self._edge_pos.pop((i, k))
         last = self._edge_list.pop()
         if last != (i, k):
@@ -127,8 +126,7 @@ class BipartiteNetwork:
 
     def copy(self) -> "BipartiteNetwork":
         dup = BipartiteNetwork(self.n1, self.n2)
-        dup._nbr1 = [set(s) for s in self._nbr1]
-        dup._nbr2 = [set(s) for s in self._nbr2]
+        dup.adj = [set(s) for s in self.adj]
         dup._edge_list = list(self._edge_list)
         dup._edge_pos = dict(self._edge_pos)
         return dup
@@ -142,12 +140,14 @@ class BipartiteNetwork:
 
     def check_consistency(self) -> None:
         """Debug-level audit that all internal views agree."""
-        deg1 = sum(len(s) for s in self._nbr1)
-        deg2 = sum(len(s) for s in self._nbr2)
+        if len(self.adj) != self.n + 1 or self.adj[0]:
+            raise AssertionError("adjacency list must hold n + 1 sets with adj[0] empty")
+        deg1 = sum(len(s) for s in self.adj[1 : self.n1 + 1])
+        deg2 = sum(len(s) for s in self.adj[self.n1 + 1 :])
         if not deg1 == deg2 == len(self._edge_list) == len(self._edge_pos):
             raise AssertionError("edge bookkeeping out of sync")
         for i, k in self._edge_list:
-            if k not in self._nbr1[i - 1] or i not in self._nbr2[k - self.n1 - 1]:
+            if k not in self.adj[i] or i not in self.adj[k]:
                 raise AssertionError(f"edge ({i},{k}) missing from a neighbor set")
 
     def __eq__(self, other: object) -> bool:
@@ -169,7 +169,6 @@ def from_edge_list(
     """Build a network from a dyad list; duplicates collapse silently."""
     net = BipartiteNetwork(n1, n2)
     for i, k in dyads:
-        net.check_dyad(i, k)
         if not net.has_edge(i, k):
             net._add(i, k)
     return net
@@ -203,12 +202,7 @@ def two_paths_between(
             raise ModeViolationError(
                 f"excluded node {excluding} must be in the opposite mode of {a}"
             )
-    if len(na) > len(nb):
-        na, nb = nb, na
-    count = 0
-    for x in na:
-        if x in nb:
-            count += 1
+    count = len(na & nb)
     if excluding is not None and excluding in na and excluding in nb:
         count -= 1
     return count
@@ -340,18 +334,10 @@ def matching_edges_at(
     swap: mode-2 nodes k' != k tied to i matching k's category.
     """
     net.check_dyad(i, k)
-    col = attrs.categorical(column)
-    if attrs.mode == 1:
-        ci = col.codes[i - 1]
-        return sum(
-            1 for j in net.neighbors(k) if j != i and col.codes[j - 1] == ci
-        )
-    ck = col.codes[k - net.n1 - 1]
-    return sum(
-        1
-        for k2 in net.neighbors(i)
-        if k2 != k and col.codes[k2 - net.n1 - 1] == ck
-    )
+    codes = attrs.categorical(column).codes
+    focal, shared, first = (i, k, 1) if attrs.mode == 1 else (k, i, net.n1 + 1)
+    cf = codes[focal - first]
+    return sum(1 for j in net.adj[shared] if j != focal and codes[j - first] == cf)
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +359,47 @@ class WeightedProjection:
         return self.weights.get((a, b), 0)
 
 
+def shared_partners(
+    net: BipartiteNetwork, mode: int, group: Sequence[int]
+) -> tuple[dict[tuple[int, int], int], dict[int, dict[int, int]]]:
+    """Two-path structure among the mode-`mode` nodes, within groups.
+
+    `group[node]` is a node-indexed group code for the nodes of that mode;
+    -1 leaves a node out.  Each node of the other mode is visited once and
+    its neighbors are bucketed by group.  Returns two things:
+
+    - pairs: each same-group pair (a, b), a < b, with at least one
+      two-path, mapped to its two-path count;
+    - spectra: each group mapped to {u: number of edges with exactly u
+      matching co-edges}, for u >= 1.
+    """
+    adj = net.adj
+    centers = range(net.n1 + 1, net.n + 1) if mode == 1 else range(1, net.n1 + 1)
+    pairs: dict[tuple[int, int], int] = {}
+    spectra: dict[int, dict[int, int]] = {}
+    for center in centers:
+        buckets: dict[int, list[int]] = {}
+        for node in sorted(adj[center]):
+            g = group[node]
+            if g >= 0:
+                buckets.setdefault(g, []).append(node)
+        for g, nodes in buckets.items():
+            size = len(nodes)
+            if size < 2:
+                continue
+            spectrum = spectra.setdefault(g, {})
+            spectrum[size - 1] = spectrum.get(size - 1, 0) + size
+            for x in range(size - 1):
+                a = nodes[x]
+                for b in nodes[x + 1 :]:
+                    pairs[(a, b)] = pairs.get((a, b), 0) + 1
+    return pairs, spectra
+
+
 def project(net: BipartiteNetwork, mode: int) -> WeightedProjection:
     """Project onto one mode; pairs without a two-path are omitted."""
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    weights: dict[tuple[int, int], int] = {}
-    if mode == 1:
-        centers = range(net.n1 + 1, net.n + 1)
-    else:
-        centers = range(1, net.n1 + 1)
-    for center in centers:
-        around = sorted(net.neighbors(center))
-        for s, a in enumerate(around):
-            for b in around[s + 1 :]:
-                key = (a, b)
-                weights[key] = weights.get(key, 0) + 1
+    weights, _ = shared_partners(net, mode, [0] * (net.n + 1))
     count = net.n1 if mode == 1 else net.n2
     return WeightedProjection(mode=mode, node_count=count, weights=weights)

@@ -122,20 +122,20 @@ class Chain:
         self.last_dyad: tuple[int, int] | None = None
 
     def _pick_empty_dyad(self, n1: int, n2: int, D: int) -> tuple[int, int]:
-        nbr1 = self.net._nbr1
+        adj = self.net.adj
         take = self._u.take
         for _ in range(64):
             d = int(take() * D)
             i = d // n2 + 1
             k = n1 + 1 + d % n2
-            if k not in nbr1[i - 1]:
+            if k not in adj[i]:
                 return i, k
         # dense fallback: enumerate the complement once
         empties = [
             (i, k)
             for i in range(1, n1 + 1)
             for k in range(n1 + 1, n1 + n2 + 1)
-            if k not in nbr1[i - 1]
+            if k not in adj[i]
         ]
         return empties[int(take() * len(empties))]
 
@@ -151,7 +151,7 @@ class Chain:
             d = int(take() * D)
             i = d // n2 + 1
             k = n1 + 1 + d % n2
-            adding = k not in net._nbr1[i - 1]
+            adding = k not in net.adj[i]
             log_q = 0.0
         else:
             E = net.edge_count

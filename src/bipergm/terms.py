@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Attributes, BipartiteNetwork, CategoricalColumn
+from .graph import Attributes, BipartiteNetwork, CategoricalColumn, shared_partners
 
 TERM_KINDS = (
     "edges",
@@ -130,8 +130,11 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _offset(node: int, mode: int, n1: int) -> int:
-    return node - 1 if mode == 1 else node - n1 - 1
+def _by_node(values: list, mode: int, n1: int, fill) -> list:
+    """A per-mode column laid out by node id, so evaluators index it by node:
+    entry `node` holds that node's value, entries before the mode's first
+    node hold `fill`."""
+    return [fill] * (1 if mode == 1 else n1 + 1) + values
 
 
 class _Evaluator:
@@ -166,20 +169,18 @@ class _Cov(_Evaluator):
 
     def __init__(self, term: ModelTerm, n1: int, attrs: Attributes):
         self.mode = 1 if term.kind == "b1cov" else 2
-        self.n1 = n1
-        self.values = attrs.table_for(self.mode).numeric(term.attribute).values
+        values = attrs.table_for(self.mode).numeric(term.attribute).values
+        self.values = _by_node(values.tolist(), self.mode, n1, 0.0)
         self.names = [f"{term.kind}.{term.attribute}"]
 
     def stats(self, net):
         total = 0.0
         for i, k in net.edges():
-            node = i if self.mode == 1 else k
-            total += self.values[_offset(node, self.mode, self.n1)]
+            total += self.values[i if self.mode == 1 else k]
         return np.array([total])
 
     def delta_into(self, net, i, k, out):
-        node = i if self.mode == 1 else k
-        out[self.offset] = self.values[_offset(node, self.mode, self.n1)]
+        out[self.offset] = self.values[i if self.mode == 1 else k]
 
 
 class _Factor(_Evaluator):
@@ -187,33 +188,27 @@ class _Factor(_Evaluator):
 
     def __init__(self, term: ModelTerm, n1: int, attrs: Attributes):
         self.mode = 1 if term.kind == "b1factor" else 2
-        self.n1 = n1
         col = attrs.table_for(self.mode).categorical(term.attribute)
         if len(col.levels) < 2:
             raise ValueError(
                 f"{term.kind}({term.attribute!r}): needs at least two levels, "
                 f"got {list(col.levels)}"
             )
-        self.codes = col.codes
-        kept = list(range(1, len(col.levels)))  # drop first sorted level
-        self.slot_of_code = np.full(len(col.levels), -1, dtype=np.int64)
-        for slot, code in enumerate(kept):
-            self.slot_of_code[code] = slot
-        self.width = len(kept)
-        self.names = [f"{term.kind}.{term.attribute}.{col.levels[c]}" for c in kept]
+        # level code c has slot c - 1, so the first sorted level (slot -1) is dropped
+        self.slot = _by_node([c - 1 for c in col.codes.tolist()], self.mode, n1, -1)
+        self.width = len(col.levels) - 1
+        self.names = [f"{term.kind}.{term.attribute}.{lev}" for lev in col.levels[1:]]
 
     def stats(self, net):
         out = np.zeros(self.width)
         for i, k in net.edges():
-            node = i if self.mode == 1 else k
-            slot = self.slot_of_code[self.codes[_offset(node, self.mode, self.n1)]]
+            slot = self.slot[i if self.mode == 1 else k]
             if slot >= 0:
                 out[slot] += 1.0
         return out
 
     def delta_into(self, net, i, k, out):
-        node = i if self.mode == 1 else k
-        slot = self.slot_of_code[self.codes[_offset(node, self.mode, self.n1)]]
+        slot = self.slot[i if self.mode == 1 else k]
         if slot >= 0:
             out[self.offset + slot] = 1.0
 
@@ -221,18 +216,15 @@ class _Factor(_Evaluator):
 class _Nodematch(_Evaluator):
     """Homophily statistic with a node-centric or edge-centric exponent."""
 
-    def __init__(self, term: ModelTerm, n1: int, attrs: Attributes):
+    def __init__(self, term: ModelTerm, n1: int, n2: int, attrs: Attributes):
         if term.is_unbound_nodematch:
             raise ValueError(
                 f"{term.kind}({term.attribute!r}) has no exponent bound; "
                 "set alpha or beta before evaluating"
             )
         self.mode = 1 if term.kind == "b1nodematch" else 2
-        self.n1 = n1
         self.node_centric = term.alpha is not None
-        self.exponent = float(term.exponent)
         col: CategoricalColumn = attrs.table_for(self.mode).categorical(term.attribute)
-        self.codes = col.codes
 
         levels = col.levels
         if term.keep_levels is not None:
@@ -245,7 +237,7 @@ class _Nodematch(_Evaluator):
             kept_levels = [v for v in levels if v in term.keep_levels]
         else:
             kept_levels = list(levels)
-        self.slot_of_code = np.full(len(levels), -1, dtype=np.int64)
+        self.slot_of_code = [-1] * len(levels)
         base = f"{term.kind}.{term.attribute}"
         if term.diff:
             for slot, lev in enumerate(kept_levels):
@@ -257,100 +249,57 @@ class _Nodematch(_Evaluator):
                 self.slot_of_code[levels.index(lev)] = 0
             self.width = 1
             self.names = [base]
-        self._pow_cache: dict[int, float] = {0: 0.0}
-        self._dpow_cache: dict[int, float] = {}
-
-    # exponentiation on small integer bases; 0**0 = 0, and nonpositive
-    # bases map to 0 (they only ever appear with a zero cofactor)
-    def _pow(self, base: int) -> float:
-        cached = self._pow_cache.get(base)
-        if cached is None:
-            cached = float(base) ** self.exponent if base > 0 else 0.0
-            self._pow_cache[base] = cached
-        return cached
-
-    def _dpow(self, base: int) -> float:
-        # (base+1)**e - base**e, the marginal gain of one more two-path
-        cached = self._dpow_cache.get(base)
-        if cached is None:
-            cached = self._pow(base + 1) - self._pow(base)
-            self._dpow_cache[base] = cached
-        return cached
-
-    def _centers(self, net: BipartiteNetwork) -> range:
-        # nodes of the opposite mode, through which two-paths run
-        if self.mode == 1:
-            return range(net.n1 + 1, net.n + 1)
-        return range(1, net.n1 + 1)
+        # node-indexed level code, -1 for a node whose level is not kept
+        codes = [c if self.slot_of_code[c] >= 0 else -1 for c in col.codes.tolist()]
+        self.group = _by_node(codes, self.mode, n1, -1)
+        # pw[i] = i**e with 0**0 = 0, for every count a network of this shape
+        # can reach; dpw[i] = (i+1)**e - i**e, the gain of one more two-path
+        e = float(term.exponent)
+        self.pw = [0.0] + [float(i) ** e for i in range(1, max(n1, n2) + 1)]
+        self.dpw = [b - a for a, b in zip(self.pw, self.pw[1:])]
 
     def stats(self, net):
         out = np.zeros(self.width)
-        codes = self.codes
-        slot_of = self.slot_of_code
-        mode, n1 = self.mode, self.n1
+        slot_of, group, pw = self.slot_of_code, self.group, self.pw
+        pairs, spectra = shared_partners(net, self.mode, group)
         if self.node_centric:
-            pair_paths: dict[tuple[int, int], int] = {}
-            for center in self._centers(net):
-                members = sorted(net.neighbors(center))
-                buckets: dict[int, list[int]] = {}
-                for node in members:
-                    c = codes[_offset(node, mode, n1)]
-                    if slot_of[c] >= 0:
-                        buckets.setdefault(int(c), []).append(node)
-                for nodes in buckets.values():
-                    for x in range(len(nodes)):
-                        for y in range(x + 1, len(nodes)):
-                            key = (nodes[x], nodes[y])
-                            pair_paths[key] = pair_paths.get(key, 0) + 1
-            for (a, _b), t in pair_paths.items():
-                out[slot_of[codes[_offset(a, mode, n1)]]] += self._pow(t)
+            for (a, _b), t in pairs.items():
+                out[slot_of[group[a]]] += pw[t]
             return out
-        for center in self._centers(net):
-            counts: dict[int, int] = {}
-            members = net.neighbors(center)
-            for node in members:
-                c = int(codes[_offset(node, mode, n1)])
-                counts[c] = counts.get(c, 0) + 1
-            for node in members:
-                c = int(codes[_offset(node, mode, n1)])
-                slot = slot_of[c]
-                if slot >= 0 and counts[c] > 1:
-                    out[slot] += self._pow(counts[c] - 1)
+        for g, spectrum in spectra.items():
+            for u, edges in spectrum.items():
+                out[slot_of[g]] += edges * pw[u]
         out *= 0.5
         return out
 
     def delta_into(self, net, i, k, out):
         focal, shared = (i, k) if self.mode == 1 else (k, i)
-        cf = self.codes[_offset(focal, self.mode, self.n1)]
-        slot = self.slot_of_code[cf]
-        if slot < 0:
+        group = self.group
+        cf = group[focal]
+        if cf < 0:
             return
-        codes = self.codes
-        mode, n1 = self.mode, self.n1
+        slot = self.slot_of_code[cf]
+        adj = net.adj
         if self.node_centric:
-            nf = net.neighbors(focal)
+            nf = adj[focal]
             has_edge = shared in nf
+            dpw = self.dpw
             total = 0.0
-            for j in net.neighbors(shared):
-                if j == focal or codes[_offset(j, mode, n1)] != cf:
-                    continue
-                nj = net.neighbors(j)
-                small, large = (nf, nj) if len(nf) <= len(nj) else (nj, nf)
-                t = 0
-                for x in small:
-                    if x in large:
-                        t += 1
-                if has_edge:
-                    t -= 1  # two-paths not through the toggled shared node
-                total += self._dpow(t)
+            for j in adj[shared]:
+                if j != focal and group[j] == cf:
+                    # two-paths not through the toggled shared node
+                    total += dpw[len(nf & adj[j]) - has_edge]
             out[self.offset + slot] = total
             return
         u = 0
-        for j in net.neighbors(shared):
-            if j != focal and codes[_offset(j, mode, n1)] == cf:
+        for j in adj[shared]:
+            if j != focal and group[j] == cf:
                 u += 1
-        # exact change ((1+u)*u**b - u*(u-1)**b)/2; at b=0 it is 0, 1, 1/2 for u=0, 1, >=2
-        out[self.offset + slot] = 0.5 * ((1.0 + u) * self._pow(u) - u * self._pow(u - 1))
+        # exact change ((1+u)*u**b - u*(u-1)**b)/2; at b=0 it is 0, 1, 1/2 for
+        # u=0, 1, >=2.  At u=0, pw[u - 1] wraps to the last (finite) entry and
+        # is multiplied by u = 0, so it adds nothing.
+        pw = self.pw
+        out[self.offset + slot] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
 
 
 class _Star2(_Evaluator):
@@ -369,8 +318,8 @@ class _Star2(_Evaluator):
         return np.array([total])
 
     def delta_into(self, net, i, k, out):
-        d_other = net.degree(k) - (1 if net.has_edge(i, k) else 0)
-        out[self.offset] = float(d_other)
+        nk = net.adj[k]
+        out[self.offset] = float(len(nk) - (i in nk))
 
 
 class _Degree1(_Evaluator):
@@ -386,7 +335,8 @@ class _Degree1(_Evaluator):
         return np.array([float(total)])
 
     def delta_into(self, net, i, k, out):
-        d_other = net.degree(k) - (1 if net.has_edge(i, k) else 0)
+        nk = net.adj[k]
+        d_other = len(nk) - (i in nk)
         out[self.offset] = (1.0 if d_other == 0 else 0.0) - (1.0 if d_other == 1 else 0.0)
 
 
@@ -415,7 +365,7 @@ def _build_evaluator(term: ModelTerm, n1: int, n2: int, attrs: Attributes) -> _E
     if term.kind in ("b1factor", "b2factor"):
         return _Factor(term, n1, attrs)
     if term.kind in ("b1nodematch", "b2nodematch"):
-        return _Nodematch(term, n1, attrs)
+        return _Nodematch(term, n1, n2, attrs)
     if term.kind == "b2star2":
         return _Star2()
     if term.kind == "b2degree1":
@@ -499,9 +449,8 @@ class BoundModel:
     def delta(self, net: BipartiteNetwork, i: int, k: int) -> np.ndarray:
         self._check_net(net)
         net.check_dyad(i, k)
-        out = np.zeros(self.p)
-        for ev in self.evaluators:
-            ev.delta_into(net, i, k, out)
+        out = np.empty(self.p)
+        self.delta_into(net, i, k, out)
         return out
 
 
@@ -546,30 +495,20 @@ def mdsp_spectrum(
     net: BipartiteNetwork, attrs: Attributes, column: str
 ) -> SharedPartnerSpectrum:
     """Matching mode-1 pairs, bucketed by exact shared-partner count."""
-    col = attrs.table_for(1).categorical(column)
-    pair_paths: dict[tuple[int, int], int] = {}
-    for k in range(net.n1 + 1, net.n + 1):
-        members = sorted(net.neighbors(k))
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                a, b = members[x], members[y]
-                if col.codes[a - 1] == col.codes[b - 1]:
-                    pair_paths[(a, b)] = pair_paths.get((a, b), 0) + 1
-    counts = Counter(pair_paths.values())
-    return SharedPartnerSpectrum("mdsp", dict(counts))
+    codes = attrs.table_for(1).categorical(column).codes.tolist()
+    pairs, _ = shared_partners(net, 1, _by_node(codes, 1, net.n1, -1))
+    return SharedPartnerSpectrum("mdsp", dict(Counter(pairs.values())))
 
 
 def mesp_spectrum(
     net: BipartiteNetwork, attrs: Attributes, column: str
 ) -> SharedPartnerSpectrum:
     """Edges bucketed by the exact number of matching two-paths containing them."""
-    col = attrs.table_for(1).categorical(column)
+    codes = attrs.table_for(1).categorical(column).codes.tolist()
+    _, spectra = shared_partners(net, 1, _by_node(codes, 1, net.n1, -1))
     counts: Counter[int] = Counter()
-    for i, k in net.edges():
-        ci = col.codes[i - 1]
-        u = sum(1 for j in net.neighbors(k) if j != i and col.codes[j - 1] == ci)
-        if u >= 1:
-            counts[u] += 1
+    for spectrum in spectra.values():
+        counts.update(spectrum)
     return SharedPartnerSpectrum("mesp", dict(counts))
 
 

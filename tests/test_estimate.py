@@ -23,6 +23,7 @@ from bipergm import (
     mple,
     profile,
 )
+from bipergm import estimate
 from bipergm.estimate import (
     FitResult,
     _effective_sample_size,
@@ -304,6 +305,18 @@ def test_profile_records_failures_and_continues(obs_attrs):
     assert len(points) == 3
     assert all(p.fit is None for p in points)
     assert all("SeparationError" in p.error for p in points)
+
+
+def test_profile_propagates_program_faults(obs_net, obs_attrs, monkeypatch):
+    def broken(*args, **kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(estimate, "mple", broken)
+    template = ModelSpec(
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group"))
+    )
+    with pytest.raises(IndexError, match="out of range"):
+        profile(template, "alpha", [0.5], obs_net, obs_attrs, method="mple")
 
 
 def test_profile_alpha_one_equals_beta_one(obs_net, obs_attrs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bipergm import (
+    AttributeTable,
     Attributes,
     Chain,
     ExactModel,
@@ -130,21 +131,32 @@ class TestSimulate:
         simulate(edges_spec(), fig2_attrs, [0.0], fig2_net, control)
         assert set(fig2_net.edges()) == before
 
-    def test_incremental_audit_under_stress(self):
+    @pytest.mark.parametrize("mode", [1, 2], ids=["mode1", "mode2"])
+    def test_incremental_audit_under_stress(self, mode):
         # beta=0 has the most discontinuous change statistics; a long run
         # followed by the built-in audit exercises incremental updates
-        attrs = make_attrs1(["a", "a", "b", "a"])
-        net = from_edge_list(4, 3, [])
-        spec = ModelSpec(
-            (
-                ModelTerm(kind="edges"),
+        if mode == 1:
+            attrs = make_attrs1(["a", "a", "b", "a"])
+            net = from_edge_list(4, 3, [])
+            homophily = (
                 ModelTerm(kind="b1nodematch", attribute="group", beta=0.0),
                 ModelTerm(kind="b1nodematch", attribute="group", alpha=0.0),
-                ModelTerm(kind="b2star2"),
             )
-        )
+            theta = [0.1, 0.5, 0.3, -0.2]
+        else:
+            table = AttributeTable(2, 6)
+            table.add_categorical("kind", ["a", "b", "a", "a", "b", "a"])
+            attrs = Attributes(mode2=table)
+            net = from_edge_list(3, 6, [])
+            homophily = (
+                ModelTerm(kind="b2nodematch", attribute="kind", beta=0.0, diff=True),
+                ModelTerm(kind="b2nodematch", attribute="kind", alpha=0.0, diff=True),
+                ModelTerm(kind="b2nodematch", attribute="kind", alpha=0.5, keep_levels=("a",)),
+            )
+            theta = [0.1, 0.5, 0.4, 0.3, 0.2, 0.3, -0.2]
+        spec = ModelSpec((ModelTerm(kind="edges"), *homophily, ModelTerm(kind="b2star2")))
         control = SamplerControl(burn_in=0, interval=1, sample_size=20_000, seed=11)
-        sample = simulate(spec, attrs, [0.1, 0.5, 0.3, -0.2], net, control)
+        sample = simulate(spec, attrs, theta, net, control)
         final = bind(spec, net, attrs).stats(sample.final_network)
         assert np.max(np.abs(final - sample.stats[-1])) <= 1e-8
 
