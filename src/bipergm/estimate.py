@@ -19,13 +19,9 @@ import numpy as np
 from scipy.special import erfc, expit, logsumexp
 
 from .graph import Attributes, BipartiteNetwork
-from .oracle import hull_direction
+from .oracle import EstimationError, hull_direction
 from .sampler import RNG_ALGORITHM, SamplerControl, simulate
 from .terms import BoundModel, ModelSpec, bind
-
-
-class EstimationError(RuntimeError):
-    """Estimation could not produce a finite, trustworthy estimate."""
 
 
 class SeparationError(EstimationError):
@@ -133,25 +129,6 @@ def _dyad_design(model: BoundModel, net: BipartiteNetwork) -> tuple[np.ndarray, 
     return X, y
 
 
-def _separating_direction(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Direction w with sign(2y-1) * Xw >= 0 everywhere and > 0 somewhere,
-    which is exactly when the logistic MLE fails to exist."""
-    from scipy.optimize import linprog
-
-    signed = (2.0 * y - 1.0)[:, None] * X
-    signed = np.unique(np.round(signed, 12), axis=0)
-    res = linprog(
-        c=-signed.sum(axis=0),
-        A_ub=-signed,
-        b_ub=np.zeros(signed.shape[0]),
-        bounds=[(-1.0, 1.0)] * X.shape[1],
-        method="highs",
-    )
-    if res.status == 0 and -res.fun > 1e-9:
-        return res.x
-    return None
-
-
 def _pseudo_loglik(X, y, theta) -> float:
     eta = X @ theta
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
@@ -162,14 +139,14 @@ def mple(
     net: BipartiteNetwork,
     attrs: Attributes,
     formula: str | None = None,
-    grad_tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> FitResult:
     """Maximum pseudo-likelihood: logistic Newton fit of dyad states on
-    change statistics, covariance from the inverse negative Hessian."""
+    change statistics, covariance from the inverse negative Hessian.
+    Raises SeparationError when the logistic MLE does not exist: the
+    origin lies outside the hull of the sign-flipped design rows."""
     model = bind(spec, net, attrs)
     X, y = _dyad_design(model, net)
-    direction = _separating_direction(X, y)
+    direction = hull_direction((1.0 - 2.0 * y)[:, None] * X, np.zeros(model.p))
     if direction is not None:
         raise SeparationError(
             "pseudo-likelihood is non-estimable: complete separation along "
@@ -177,14 +154,13 @@ def mple(
             np.asarray(direction),
         )
     theta = np.zeros(model.p)
-    hess = None
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 101):
         eta = X @ theta
         mu = expit(eta)
         grad = X.T @ (y - mu)
-        if float(np.linalg.norm(grad)) <= grad_tol:
+        if float(np.linalg.norm(grad)) <= 1e-8:
             converged = True
             break
         w = mu * (1.0 - mu)
@@ -205,7 +181,7 @@ def mple(
             break
     if not converged:
         raise EstimationError(
-            f"pseudo-likelihood Newton did not converge in {max_iter} iterations"
+            "pseudo-likelihood Newton did not converge in 100 iterations"
         )
     mu = expit(X @ theta)
     w = mu * (1.0 - mu)
@@ -238,18 +214,16 @@ class FitControl:
     """Monte-Carlo MLE knobs on top of the sampler control.
 
     Early anchors run on a fraction of the sample size (ramping up by
-    doubling); with noise_stop the loop also ends once the anchor step is
-    within the Monte-Carlo noise of the estimate at full sample size.
+    doubling).  At full sample size the loop ends once the anchor step
+    norm is at most 1e-4 or the step is within the Monte-Carlo noise of
+    the estimate.  Bridge legs thin every `sampler.interval // 4` proposals.
     """
 
     sampler: SamplerControl = SamplerControl()
     max_anchors: int = 20
-    step_tol: float = 1e-4
     ramp: float = 0.125
-    noise_stop: bool = True
     bridge_legs: int = 12
     bridge_draws: int = 2000
-    bridge_interval: int | None = None
 
 
 def _effective_sample_size(column: np.ndarray) -> float:
@@ -278,9 +252,15 @@ def _effective_sample_size(column: np.ndarray) -> float:
     return float(n / tau)
 
 
-def _log_weights(S_centered: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    scores = S_centered @ delta
-    return scores - logsumexp(scores)
+def _tilt(Sc: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Importance weights of the centred draws `Sc` tilted by `delta`, with
+    the weighted mean and covariance of the draws."""
+    scores = Sc @ delta
+    w = np.exp(scores - logsumexp(scores))
+    mean = w @ Sc
+    centered = Sc - mean
+    cov = (centered * w[:, None]).T @ centered
+    return w, mean, cov
 
 
 def _maximize_ratio(S: np.ndarray, s_obs: np.ndarray) -> np.ndarray:
@@ -297,14 +277,10 @@ def _maximize_ratio(S: np.ndarray, s_obs: np.ndarray) -> np.ndarray:
 
     tol = 1e-9 * max(1.0, float(np.linalg.norm(bc)))
     for _ in range(200):
-        logw = _log_weights(Sc, delta)
-        w = np.exp(logw)
-        mean = w @ Sc
+        _, mean, cov = _tilt(Sc, delta)
         grad = bc - mean
         if float(np.linalg.norm(grad)) <= tol:
             break
-        centered = Sc - mean
-        cov = (centered * w[:, None]).T @ centered
         try:
             step = np.linalg.solve(cov + 1e-10 * np.eye(p), grad)
         except np.linalg.LinAlgError:
@@ -325,14 +301,8 @@ def _maximize_ratio(S: np.ndarray, s_obs: np.ndarray) -> np.ndarray:
 def _weighted_fisher(S: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, float]:
     """Statistic covariance under importance weights at anchor+delta, and
     the weight effective sample size."""
-    center = S.mean(axis=0)
-    Sc = S - center
-    w = np.exp(_log_weights(Sc, delta))
-    ess_w = 1.0 / float(np.sum(w**2))
-    mean = w @ Sc
-    centered = Sc - mean
-    cov = (centered * w[:, None]).T @ centered
-    return cov, ess_w
+    w, _, cov = _tilt(S - S.mean(axis=0), delta)
+    return cov, 1.0 / float(np.sum(w**2))
 
 
 def _degenerate_columns(S: np.ndarray, names: list[str]) -> list[str]:
@@ -414,19 +384,19 @@ def mcmcmle(
         theta = theta + delta
         last_sample = sample
         last_delta = delta
-        at_full = sizes[a] >= control.sampler.sample_size
-        if step_norm <= control.step_tol and at_full:
+        if sizes[a] < control.sampler.sample_size:
+            continue
+        if step_norm <= 1e-4:
             break
-        if control.noise_stop and at_full:
-            fisher, ess_w = _weighted_fisher(S, delta)
-            chain_ess = min(_effective_sample_size(S[:, j]) for j in range(model.p))
-            eff = max(1.0, ess_w * chain_ess / S.shape[0])
-            try:
-                var_theta = np.diag(np.linalg.inv(fisher + 1e-10 * np.eye(model.p))) / eff
-            except np.linalg.LinAlgError:
-                var_theta = np.full(model.p, np.inf)
-            if np.all(np.abs(delta) <= 2.0 * np.sqrt(np.clip(var_theta, 0.0, None))):
-                break
+        fisher, ess_w = _weighted_fisher(S, delta)
+        chain_ess = min(_effective_sample_size(S[:, j]) for j in range(model.p))
+        eff = max(1.0, ess_w * chain_ess / S.shape[0])
+        try:
+            var_theta = np.diag(np.linalg.inv(fisher + 1e-10 * np.eye(model.p))) / eff
+        except np.linalg.LinAlgError:
+            var_theta = np.full(model.p, np.inf)
+        if np.all(np.abs(delta) <= 2.0 * np.sqrt(np.clip(var_theta, 0.0, None))):
+            break
 
     if last_sample is None:
         raise NonConvergenceError(
@@ -510,7 +480,7 @@ def _bridge_loglik(
     """
     D = net.dyad_count
     legs = max(1, control.bridge_legs)
-    interval = control.bridge_interval or max(1, control.sampler.interval // 4)
+    interval = max(1, control.sampler.interval // 4)
     seeds = seed_root.spawn(legs)
     path = np.linspace(0.0, 1.0, legs + 1)[:, None] * theta_hat[None, :]
     total = 0.0

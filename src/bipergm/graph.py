@@ -51,12 +51,9 @@ class BipartiteNetwork:
     def dyad_count(self) -> int:
         return self.n1 * self.n2
 
-    def is_mode1(self, node: int) -> bool:
-        self._check_node(node)
-        return node <= self.n1
-
     def mode_of(self, node: int) -> int:
-        return 1 if self.is_mode1(node) else 2
+        self._check_node(node)
+        return 1 if node <= self.n1 else 2
 
     def has_edge(self, i: int, k: int) -> bool:
         self.check_dyad(i, k)
@@ -314,10 +311,6 @@ class Attributes:
         if table is None:
             raise KeyError(f"no attribute table supplied for mode {mode}")
         return table
-
-    @staticmethod
-    def empty() -> "Attributes":
-        return Attributes()
 
 
 def matching_edges_at(

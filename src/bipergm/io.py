@@ -23,7 +23,6 @@ n1+1..n1+n2 for mode 2).  Fields are tab-, comma-, or whitespace-delimited.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable
 
 from .graph import AttributeTable, BipartiteNetwork, from_edge_list
@@ -191,5 +190,4 @@ __all__ = [
     "save_network",
     "load_attributes",
     "save_attributes",
-    "Path",
 ]

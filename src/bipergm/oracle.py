@@ -21,6 +21,11 @@ from .terms import ModelSpec, bind
 MAX_DYADS = 22
 
 
+class EstimationError(RuntimeError):
+    """Estimation could not produce a finite, trustworthy estimate; defined
+    here so that `estimate` imports it without a cycle."""
+
+
 class SizeCapError(ValueError):
     """The network is too large for exhaustive enumeration."""
 
@@ -156,7 +161,11 @@ def hull_direction(points: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> np.n
     """A direction w with w.x >= w.p for every point p and strict slack for
     some, or None if x lies in the hull's relative interior.
 
-    Solved as a bounded LP on the point cloud (deduplicated rows).
+    Solved as a bounded LP on the point cloud (deduplicated rows); raises
+    EstimationError if the LP fails.  Besides the hull checks of the exact
+    and Monte-Carlo MLE, this is the MPLE separation check: the logistic
+    fit is separated exactly when the origin lies outside the hull of the
+    sign-flipped design rows.
     """
     points = np.unique(np.round(points, 12), axis=0)
     diffs = x[None, :] - points  # want w @ diffs_r >= 0 for all rows
@@ -178,7 +187,7 @@ def hull_direction(points: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> np.n
         method="highs",
     )
     if res.status != 0:
-        raise RuntimeError(f"hull LP failed: {res.message}")
+        raise EstimationError(f"hull LP failed: {res.message}")
     if -res.fun > tol:
         return res.x
     return None
@@ -228,5 +237,5 @@ def exact_mle(
     grad_norm = float(np.linalg.norm(s_obs - mean))
     if grad_norm > 1e-6:
         state = "stalled" if stalled else "hit the iteration cap"
-        raise RuntimeError(f"exact MLE {state}; gradient norm {grad_norm:g}")
+        raise EstimationError(f"exact MLE {state}; gradient norm {grad_norm:g}")
     return theta

@@ -216,6 +216,7 @@ def test_criterion_4_spectrum_recomposition_identity():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_sampler_state_distribution():
     """2x2 chains reproduce the exact state distribution within TV 0.01."""
     attrs = make_attrs1(["a", "a"])
@@ -283,6 +284,7 @@ def mcmc_fits():
     return net, attrs, out
 
 
+@pytest.mark.slow
 def test_criterion_6_estimator_correctness(mcmc_fits):
     """MCMC MLE within 0.05 per coordinate of the exact MLE; pseudo-
     likelihood equals the exact MLE for dyadic-independent models."""
@@ -315,6 +317,7 @@ def test_criterion_6_estimator_correctness(mcmc_fits):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_loglik_bridge(mcmc_fits):
     """Reported log-likelihood within 3 Monte-Carlo sd of the exact value."""
     _net, _attrs, fits = mcmc_fits
@@ -353,6 +356,7 @@ def _build_synthetic_30x15(tmp_path):
     return net_path, attrs_path
 
 
+@pytest.mark.slow
 def test_criterion_8_profile_workflow(tmp_path):
     """Full 11-point alpha and beta profile grids on a synthetic 30x15
     network in under ten minutes, with the alpha=1 and beta=1 rows agreeing

@@ -1,9 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bipergm import oracle
 from bipergm.cli import main
 
 from conftest import FIG2_EDGES
@@ -135,6 +137,32 @@ def test_fit_separation_exit_code(tmp_path, capsys):
     code = main(["fit", "--network", str(net), "--model", "edges", "--method", "mple"])
     assert code == 4
     assert "estimation" in capsys.readouterr().err
+
+
+def test_fit_hull_lp_failure_exit_code(inputs, capsys, monkeypatch):
+    def failed_lp(*args, **kwargs):
+        return SimpleNamespace(status=4, message="numerical difficulties", fun=0.0, x=None)
+
+    monkeypatch.setattr(oracle, "linprog", failed_lp)
+    net, attrs, _ = inputs
+    code = main(
+        ["fit", "--network", str(net), "--attrs1", str(attrs),
+         "--model", "edges", "--method", "mple"]
+    )
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: estimation:")
+
+
+def test_oracle_exact_mle_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def wrong_moments(self, theta):
+        return np.full(self.p, 1e6), np.eye(self.p)
+
+    monkeypatch.setattr(oracle.ExactModel, "moments", wrong_moments)
+    net = tmp_path / "net.edges"
+    net.write_text("n1 2 n2 2\n1\t3\n")
+    code = main(["oracle", "--network", str(net), "--model", "edges", "--what", "mle"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: estimation:")
 
 
 def test_simulate_deterministic_and_reruns_identical(inputs):

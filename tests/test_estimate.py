@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bipergm import (
+    AttributeTable,
     Attributes,
     DegeneracyWarning,
     ExactModel,
@@ -26,6 +27,7 @@ from bipergm import (
 from bipergm import estimate
 from bipergm.estimate import (
     FitResult,
+    _dyad_design,
     _effective_sample_size,
     significance_stars,
     wald_p_value,
@@ -58,14 +60,33 @@ class TestMple:
         fit = mple(edges_spec(), fig2_net, fig2_attrs)
         assert fit.theta[0] == pytest.approx(math.log(5.0), abs=1e-8)
 
+    @staticmethod
+    def assert_separated(spec, net, attrs):
+        # every dyad on the closed side of the reported direction, one strictly
+        with pytest.raises(SeparationError, match="direction") as info:
+            mple(spec, net, attrs)
+        X, y = _dyad_design(bind(spec, net, attrs), net)
+        margin = (2.0 * y - 1.0) * (X @ info.value.direction)
+        assert margin.min() >= -1e-9
+        assert margin.max() > 1e-9
+
     def test_empty_network_is_separated(self, fig2_attrs):
-        with pytest.raises(SeparationError, match="direction"):
-            mple(edges_spec(), from_edge_list(3, 2, []), fig2_attrs)
+        self.assert_separated(edges_spec(), from_edge_list(3, 2, []), fig2_attrs)
 
     def test_full_network_is_separated(self):
         net = from_edge_list(2, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
-        with pytest.raises(SeparationError):
-            mple(edges_spec(), net, Attributes())
+        self.assert_separated(edges_spec(), net, Attributes())
+
+    def test_separated_where_no_single_statistic_separates(self):
+        # edges exactly at the nodes with x > 0.5: both columns take both
+        # signs on the sign-flipped rows, so the LP must find the direction
+        x = [0.2, 0.7, 0.4, 0.9, 0.6]
+        table = AttributeTable(1, len(x))
+        table.add_numeric("x", x)
+        dyads = [(i, k) for i in range(1, 6) for k in range(6, 9) if x[i - 1] > 0.5]
+        net = from_edge_list(5, 3, dyads)
+        spec = ModelSpec((ModelTerm(kind="edges"), ModelTerm(kind="b1cov", attribute="x")))
+        self.assert_separated(spec, net, Attributes(mode1=table))
 
     def test_matches_external_logistic_fit(self):
         sklearn = pytest.importorskip("sklearn.linear_model")
@@ -75,8 +96,6 @@ class TestMple:
         spec = ModelSpec((ModelTerm(kind="edges"), ModelTerm(kind="b1factor", attribute="group")))
         fit = mple(spec, net, attrs)
         # independent reference fit on the exported dyad/change-stat table
-        from bipergm.estimate import _dyad_design
-
         X, y = _dyad_design(bind(spec, net, attrs), net)
         clf = sklearn.LogisticRegression(
             penalty=None, fit_intercept=False, tol=1e-12, max_iter=10_000
@@ -231,6 +250,7 @@ def test_mcmcmle_agrees_with_mple_when_dyads_independent(obs_net):
     assert np.all(np.abs(fit.theta - pl.theta) <= 3.0 * mc_sd + 0.01)
 
 
+@pytest.mark.slow
 def test_first_step_from_oracle_mle_is_tiny(moderate_net, obs_attrs):
     spec = ModelSpec(
         (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5))

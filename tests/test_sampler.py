@@ -159,6 +159,12 @@ class TestSimulate:
         sample = simulate(spec, attrs, theta, net, control)
         final = bind(spec, net, attrs).stats(sample.final_network)
         assert np.max(np.abs(final - sample.stats[-1])) <= 1e-8
+        # the same chain, audited at every 200th state rather than the last
+        chain = Chain(net, bind(spec, net, attrs), theta, _generator(11))
+        for _ in range(100):
+            chain.run(200)
+            chain.audit()
+        assert net == sample.final_network
 
 
 @pytest.mark.parametrize("proposal", ["tnt", "uniform"])
