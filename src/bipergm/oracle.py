@@ -30,7 +30,7 @@ class SizeCapError(ValueError):
     """The network is too large for exhaustive enumeration."""
 
 
-class HullBoundaryError(ValueError):
+class HullBoundaryError(EstimationError):
     """Observed statistics sit on the hull of attainable statistics, so the
     MLE is not finite; `direction` is an increasing direction of the
     log-likelihood."""

@@ -137,8 +137,28 @@ def _by_node(values: list, mode: int, n1: int, fill) -> list:
     return [fill] * (1 if mode == 1 else n1 + 1) + values
 
 
+def _of_mode(column: list, mode: int, B: np.ndarray) -> np.ndarray:
+    """The mode's entries of a `_by_node` column, in node order."""
+    return np.asarray(column[1 if mode == 1 else B.shape[0] + 1 :])
+
+
+def _per_dyad(rows: np.ndarray, mode: int, B: np.ndarray) -> np.ndarray:
+    """Dyad columns that give dyad (i, k) the row of its mode-`mode` node;
+    `rows` holds one row (or one value) per node of that mode."""
+    n1, n2 = B.shape
+    rows = rows.reshape(len(rows), -1)
+    grid = rows[:, None, :] if mode == 1 else rows[None, :, :]
+    return np.broadcast_to(grid, (n1, n2, rows.shape[1])).reshape(n1 * n2, -1)
+
+
 class _Evaluator:
-    """Shared surface: `names`, `width`, `stats`, `delta_into`."""
+    """Shared surface: `names`, `width`, `stats`, `delta_into`, `columns`.
+
+    `columns(B)` gives the change statistics of every dyad at once from the
+    n1 x n2 float biadjacency matrix `B`: a (n1 * n2, width) array whose
+    rows follow `B.ravel()`, that is mode-1 node outer, mode-2 node inner.
+    `delta_into` serves one dyad of a network that changes between calls.
+    """
 
     offset = 0  # assigned by BoundModel
     names: list[str]
@@ -148,6 +168,9 @@ class _Evaluator:
         raise NotImplementedError
 
     def delta_into(self, net: BipartiteNetwork, i: int, k: int, out: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def columns(self, B: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -162,6 +185,9 @@ class _Edges(_Evaluator):
 
     def delta_into(self, net, i, k, out):
         out[self.offset] = 1.0
+
+    def columns(self, B):
+        return np.ones((B.size, 1))
 
 
 class _Cov(_Evaluator):
@@ -181,6 +207,9 @@ class _Cov(_Evaluator):
 
     def delta_into(self, net, i, k, out):
         out[self.offset] = self.values[i if self.mode == 1 else k]
+
+    def columns(self, B):
+        return _per_dyad(_of_mode(self.values, self.mode, B), self.mode, B)
 
 
 class _Factor(_Evaluator):
@@ -211,6 +240,11 @@ class _Factor(_Evaluator):
         slot = self.slot[i if self.mode == 1 else k]
         if slot >= 0:
             out[self.offset + slot] = 1.0
+
+    def columns(self, B):
+        slot = _of_mode(self.slot, self.mode, B)
+        one_hot = (slot[:, None] == np.arange(self.width)).astype(np.float64)
+        return _per_dyad(one_hot, self.mode, B)
 
 
 class _Nodematch(_Evaluator):
@@ -301,6 +335,36 @@ class _Nodematch(_Evaluator):
         pw = self.pw
         out[self.offset + slot] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
 
+    def columns(self, B):
+        # A is focal x shared and S marks same-group focal pairs; the rows of
+        # focal nodes outside the kept levels (group -1) get no slot below
+        A = B if self.mode == 1 else B.T
+        group = _of_mode(self.group, self.mode, B)
+        S = group[:, None] == group
+        np.fill_diagonal(S, False)
+        S = S.astype(np.float64)
+        if self.node_centric:
+            # M counts two-paths per focal pair.  A pair that shares every
+            # partner (and the diagonal) would index past dpw; those entries
+            # meet a zero in S or A, but the index must still be valid.
+            M = (A @ A.T).astype(np.int64)
+            dpw = np.asarray(self.dpw)
+            top = len(dpw) - 1
+            without = (S * dpw[np.clip(M, 0, top)]) @ A
+            through = (S * dpw[np.clip(M - 1, 0, top)]) @ A
+            change = np.where(A > 0, through, without)
+        else:
+            u = (S @ A).astype(np.int64)
+            pw = np.asarray(self.pw)
+            change = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
+        # scatter each focal node's row into the slot of its level; group -1
+        # picks the appended slot -1, which matches no column
+        slot = np.asarray(self.slot_of_code + [-1])[group]
+        out = change[:, :, None] * (slot[:, None, None] == np.arange(self.width))
+        if self.mode == 2:
+            out = out.transpose(1, 0, 2)
+        return out.reshape(B.size, self.width)
+
 
 class _Star2(_Evaluator):
     """Mode-2 centered two-stars: sum over mode-2 nodes of C(degree, 2)."""
@@ -321,6 +385,9 @@ class _Star2(_Evaluator):
         nk = net.adj[k]
         out[self.offset] = float(len(nk) - (i in nk))
 
+    def columns(self, B):
+        return (B.sum(axis=0) - B).reshape(-1, 1)
+
 
 class _Degree1(_Evaluator):
     """Count of mode-2 nodes with degree exactly one."""
@@ -339,6 +406,10 @@ class _Degree1(_Evaluator):
         d_other = len(nk) - (i in nk)
         out[self.offset] = (1.0 if d_other == 0 else 0.0) - (1.0 if d_other == 1 else 0.0)
 
+    def columns(self, B):
+        d_other = B.sum(axis=0) - B
+        return ((d_other == 0).astype(np.float64) - (d_other == 1)).reshape(-1, 1)
+
 
 class _Sociality(_Evaluator):
     """One statistic per mode-2 node: its degree."""
@@ -355,6 +426,9 @@ class _Sociality(_Evaluator):
 
     def delta_into(self, net, i, k, out):
         out[self.offset + (k - self.n1 - 1)] = 1.0
+
+    def columns(self, B):
+        return _per_dyad(np.eye(self.width), 2, B)
 
 
 def _build_evaluator(term: ModelTerm, n1: int, n2: int, attrs: Attributes) -> _Evaluator:

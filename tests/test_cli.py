@@ -165,6 +165,15 @@ def test_oracle_exact_mle_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: estimation:")
 
 
+def test_oracle_boundary_mle_exit_code(tmp_path, capsys):
+    # the empty network's edge count sits on the hull boundary: no finite MLE
+    net = tmp_path / "net.edges"
+    net.write_text("n1 2 n2 2\n")
+    code = main(["oracle", "--network", str(net), "--model", "edges", "--what", "mle"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: estimation:")
+
+
 def test_simulate_deterministic_and_reruns_identical(inputs):
     net, attrs, tmp = inputs
     args = [

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from bipergm import (
     AttributeTable,
@@ -134,6 +135,148 @@ class TestMple:
         fit = mple(spec, net, attrs)
         assert np.allclose(fit.covariance, fit.covariance.T)
         assert np.linalg.eigvalsh(fit.covariance).min() >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# the array-built design against the per-dyad change statistics
+# ---------------------------------------------------------------------------
+
+
+def per_dyad_design(model, net):
+    """The reference design: `model.delta` at every dyad, mode-1 node outer."""
+    X = np.empty((net.dyad_count, model.p))
+    y = np.empty(net.dyad_count)
+    d = 0
+    for i in range(1, net.n1 + 1):
+        for k in range(net.n1 + 1, net.n + 1):
+            X[d] = model.delta(net, i, k)
+            y[d] = 1.0 if net.has_edge(i, k) else 0.0
+            d += 1
+    return X, y
+
+
+def every_term_kind(attrs, which, exponent):
+    """All ten term kinds; nodematch in both modes, plain, per level, kept
+    levels only, and per kept level."""
+    terms = [
+        ModelTerm(kind="edges"),
+        ModelTerm(kind="b1cov", attribute="x"),
+        ModelTerm(kind="b2cov", attribute="z"),
+        ModelTerm(kind="b1factor", attribute="group"),
+        ModelTerm(kind="b2factor", attribute="kind"),
+        ModelTerm(kind="b2star2"),
+        ModelTerm(kind="b2degree1"),
+        ModelTerm(kind="b2sociality"),
+    ]
+    for mode, column in ((1, "group"), (2, "kind")):
+        levels = attrs.table_for(mode).categorical(column).levels
+        for diff in (False, True):
+            for keep in (None, levels[:2]):
+                terms.append(
+                    ModelTerm(
+                        kind=f"b{mode}nodematch",
+                        attribute=column,
+                        diff=diff,
+                        keep_levels=keep,
+                        **{which: exponent},
+                    )
+                )
+    return ModelSpec(tuple(terms))
+
+
+def _design_case(shape, fill, seed=17):
+    rng = np.random.default_rng(seed)
+    n1, n2 = shape
+    attrs = random_attrs(rng, n1, n2, levels=("a", "b", "c"))
+    if fill == "random":
+        return random_net(rng, n1, n2, density=0.45), attrs
+    dyads = [(i, k) for i in range(1, n1 + 1) for k in range(n1 + 1, n1 + n2 + 1)]
+    return from_edge_list(n1, n2, dyads if fill == "full" else []), attrs
+
+
+# node-centric columns sum dpw terms in BLAS order rather than neighbour-set
+# order, so they may differ in the last bits; every other column is exact
+ALPHA_RTOL = 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape,fill",
+    [((6, 9), "random"), ((9, 6), "random"), ((5, 7), "empty"), ((5, 7), "full"), ((7, 5), "full")],
+)
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+@pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0])
+def test_dyad_design_equals_per_dyad_change_statistics(shape, fill, which, exponent):
+    net, attrs = _design_case(shape, fill)
+    model = bind(every_term_kind(attrs, which, exponent), net, attrs)
+    X, y = _dyad_design(model, net)
+    X_ref, y_ref = per_dyad_design(model, net)
+    assert np.array_equal(y, y_ref)
+    assert X.shape == X_ref.shape
+    node_centric = np.zeros(model.p, dtype=bool)
+    for ev in model.evaluators:
+        node_centric[ev.offset : ev.offset + ev.width] = getattr(ev, "node_centric", False)
+    assert np.array_equal(X[:, ~node_centric], X_ref[:, ~node_centric])
+    np.testing.assert_allclose(X[:, node_centric], X_ref[:, node_centric], rtol=ALPHA_RTOL, atol=0.0)
+
+
+def newton_on_every_dyad(X, y):
+    """Logistic Newton fit on the uncompressed rows, with full steps and no
+    line search: theta, inverse negative Hessian, pseudo-log-likelihood."""
+    theta = np.zeros(X.shape[1])
+    for _ in range(100):
+        eta = X @ theta
+        mu = expit(eta)
+        grad = X.T @ (y - mu)
+        hess = (X * (mu * (1.0 - mu))[:, None]).T @ X
+        if float(np.linalg.norm(grad)) <= 1e-10:
+            loglik = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+            return theta, np.linalg.inv(hess), loglik
+        theta = theta + np.linalg.solve(hess, grad)
+    raise AssertionError("reference Newton solve did not converge")
+
+
+def test_mple_on_distinct_rows_equals_fit_on_every_dyad():
+    rng = np.random.default_rng(5)
+    n1, n2 = 14, 10
+    net = random_net(rng, n1, n2, density=0.35)
+    attrs = random_attrs(rng, n1, n2, levels=("a", "b", "c"))
+    spec = ModelSpec(
+        (
+            ModelTerm(kind="edges"),
+            ModelTerm(kind="b1cov", attribute="x"),
+            ModelTerm(kind="b2nodematch", attribute="kind", alpha=0.5, diff=True),
+        )
+    )
+    X, y = _dyad_design(bind(spec, net, attrs), net)
+    theta, cov, loglik = newton_on_every_dyad(X, y)
+    fit = mple(spec, net, attrs)
+    assert np.max(np.abs(fit.theta - theta)) <= 1e-10
+    assert fit.loglik == pytest.approx(loglik, rel=1e-9)
+    assert np.max(np.abs(fit.covariance - cov)) <= 1e-9 * np.max(np.abs(cov))
+    assert fit.diagnostics["dyads"] == n1 * n2
+    distinct = {tuple(row) for row in np.column_stack([X, y]).tolist()}
+    assert fit.diagnostics["design_rows"] == len(distinct) < n1 * n2
+
+
+@pytest.mark.parametrize(
+    "seed,which,exponent",
+    [(2, "beta", 0.1), (9, "alpha", 0.0), (0, "alpha", 0.1), (3, "alpha", 0.2)],
+)
+def test_mple_converges_where_a_newton_step_gains_less_than_rounding(seed, which, exponent):
+    # near these optima a full Newton step lowers the computed
+    # pseudo-log-likelihood by rounding alone; a line search that rejects
+    # it halves the step until the fit stalls above the gradient tolerance
+    rng = np.random.default_rng(seed)
+    B = rng.random((30, 15)) < 0.2
+    groups = rng.integers(0, 3, size=30)
+    net = from_edge_list(30, 15, [(i + 1, 31 + k) for i, k in zip(*np.nonzero(B))])
+    attrs = make_attrs1([f"g{g}" for g in groups])
+    spec = ModelSpec(
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: exponent}))
+    )
+    fit = mple(spec, net, attrs)
+    theta, _, _ = newton_on_every_dyad(*_dyad_design(bind(spec, net, attrs), net))
+    assert np.max(np.abs(fit.theta - theta)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
