@@ -38,7 +38,8 @@ class NonConvergenceError(EstimationError):
 
 
 class DegeneracyWarning(UserWarning):
-    """Simulated chains produced near-constant statistics."""
+    """Simulated chains produced near-constant statistics, or a pseudo-
+    likelihood design column is zero on every dyad."""
 
 
 def significance_stars(p_value: float) -> str:
@@ -204,13 +205,28 @@ def mple(
         )
     mu = expit(X @ theta)
     w = counts * mu * (1.0 - mu)
-    hess = (X * w[:, None]).T @ X
+    # a coefficient whose change statistic is zero on every dyad stays at 0
+    # and gets no variance: the pseudo-likelihood does not depend on it
+    known = np.any(X != 0.0, axis=0)
+    Xk = X[:, known]
+    hess = (Xk * w[:, None]).T @ Xk
+    cov = np.full((model.p, model.p), np.nan)
     try:
-        cov = np.linalg.inv(hess)
+        cov[np.ix_(known, known)] = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
         warnings.warn("singular pseudo-likelihood Hessian; using pseudo-inverse")
-        cov = np.linalg.pinv(hess)
+        cov[np.ix_(known, known)] = np.linalg.pinv(hess)
     cov = 0.5 * (cov + cov.T)
+    diagnostics = {"iterations": iterations, "dyads": net.dyad_count, "design_rows": len(y)}
+    unknown = [name for name, ok in zip(model.names, known) if not ok]
+    if unknown:
+        diagnostics["not_identified"] = unknown
+        warnings.warn(
+            DegeneracyWarning(
+                "the pseudo-likelihood does not identify coefficients whose change "
+                "statistics are zero on every dyad: " + ", ".join(unknown)
+            )
+        )
     return FitResult(
         method="mple",
         names=list(model.names),
@@ -218,7 +234,7 @@ def mple(
         covariance=cov,
         loglik=_pseudo_loglik(X, y, counts, theta),
         loglik_sd=0.0,
-        diagnostics={"iterations": iterations, "dyads": net.dyad_count, "design_rows": len(y)},
+        diagnostics=diagnostics,
         formula=formula,
     )
 
@@ -360,7 +376,11 @@ def mcmcmle(
     model = bind(spec, net, attrs)
     s_obs = model.stats(net)
     if theta0 is None:
-        theta = mple(spec, net, attrs).theta
+        with warnings.catch_warnings():
+            # an unidentified MPLE start says nothing of the fit; the chains
+            # check their own statistics below
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            theta = mple(spec, net, attrs).theta
     else:
         theta = np.asarray(theta0, dtype=np.float64)
         if theta.shape != (model.p,):

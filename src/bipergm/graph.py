@@ -63,10 +63,6 @@ class BipartiteNetwork:
         """Iterate current edges in insertion order."""
         return iter(self._edge_list)
 
-    def edge_at(self, index: int) -> tuple[int, int]:
-        """Edge by position in the internal list (for uniform edge choice)."""
-        return self._edge_list[index]
-
     def neighbors(self, node: int) -> set[int]:
         """Validated `adj[node]`: the mode-2 partners of a mode-1 node and
         vice versa.  The returned set is live; do not mutate it."""

@@ -6,7 +6,19 @@ dyad), with the exact Hastings correction, including the degenerate
 empty- and full-graph cases where one branch has nothing to pick.
 
 Randomness comes from numpy's counter-based Philox generator; a chain is
-fully determined by its seed.
+fully determined by its seed.  A chain takes its uniforms from a block of
+`rng.random(block).tolist()`, drawn only when a uniform is needed and the
+last block is spent, and uses them per proposal in this order:
+
+1. TNT only: the coin, only when 0 < E < D edges (below 0.5 removes);
+2. the dyad: under TNT either the index of the edge to remove, or up to
+   64 tries at a uniform dyad until one is empty, then, if all 64 hit
+   edges, one index into the enumerated empty dyads; under the uniform
+   proposal one dyad index;
+3. the accept uniform, only when the log acceptance ratio is negative.
+
+Changing that order changes every seeded chain, `simulate` sample and fit;
+`tests/test_sampler.py` pins it with fingerprints of seeded chains.
 """
 
 from __future__ import annotations
@@ -22,6 +34,11 @@ from .terms import BoundModel, ModelSpec, bind
 RNG_ALGORITHM = "numpy Philox4x64-10"
 
 LOG_HALF = math.log(0.5)
+
+
+def _check_proposal(proposal: str) -> None:
+    if proposal not in ("tnt", "uniform"):
+        raise ValueError(f"proposal must be 'tnt' or 'uniform', got {proposal!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +59,7 @@ class SamplerControl:
             raise ValueError("burn_in must be nonnegative")
         if self.interval <= 0 or self.sample_size <= 0:
             raise ValueError("interval and sample_size must be positive")
-        if self.proposal not in ("tnt", "uniform"):
-            raise ValueError(f"proposal must be 'tnt' or 'uniform', got {self.proposal!r}")
+        _check_proposal(self.proposal)
 
     def resolved_burn_in(self, dyad_count: int) -> int:
         if self.burn_in is not None:
@@ -70,24 +86,17 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-class _UniformStream:
-    """Batched uniforms off a Generator; cheap scalar access."""
+def _tnt_log_pick(D: int, E: int, adding: bool) -> float:
+    """Log probability that TNT at E of D edges proposes one given toggle:
+    with no coin when the network is empty or full."""
+    if E == 0 or E == D:
+        return -math.log(D)
+    return LOG_HALF - math.log(D - E if adding else E)
 
-    __slots__ = ("_rng", "_block", "_buf", "_idx")
 
-    def __init__(self, rng: np.random.Generator, block: int = 16384):
-        self._rng = rng
-        self._block = block
-        self._buf: list[float] = []
-        self._idx = 0
-
-    def take(self) -> float:
-        if self._idx == len(self._buf):
-            self._buf = self._rng.random(self._block).tolist()
-            self._idx = 0
-        value = self._buf[self._idx]
-        self._idx += 1
-        return value
+def _tnt_log_q(D: int, E: int, adding: bool) -> float:
+    """TNT log proposal ratio log q(rev) - log q(fwd) for a toggle at E edges."""
+    return _tnt_log_pick(D, E + 1 if adding else E - 1, not adding) - _tnt_log_pick(D, E, adding)
 
 
 class Chain:
@@ -95,7 +104,8 @@ class Chain:
 
     The chain mutates `net` in place and keeps the statistic vector
     incrementally up to date; `audit()` recomputes from scratch and
-    verifies agreement.
+    verifies agreement.  `theta` and `proposal` are fixed when the chain
+    is built.
     """
 
     def __init__(
@@ -109,104 +119,137 @@ class Chain:
     ):
         if len(theta) != model.p:
             raise ValueError(f"theta has {len(theta)} entries for {model.p} statistics")
+        _check_proposal(proposal)
+        for mode, size in ((1, net.n1), (2, net.n2)):
+            if size == 0:
+                raise ValueError(
+                    f"mode {mode} has no nodes, so the network has no dyads to toggle"
+                )
         self.net = net
         self.model = model
         self.theta = [float(t) for t in theta]
         self.proposal = proposal
-        self._u = _UniformStream(rng, uniform_block)
         self.stats = [float(s) for s in model.stats(net)]
-        self._buf = [0.0] * model.p
-        self._evs = model.evaluators
         self.accepted = 0
         self.proposals = 0
         self.last_dyad: tuple[int, int] | None = None
-
-    def _pick_empty_dyad(self, n1: int, n2: int, D: int) -> tuple[int, int]:
-        adj = self.net.adj
-        take = self._u.take
-        for _ in range(64):
-            d = int(take() * D)
-            i = d // n2 + 1
-            k = n1 + 1 + d % n2
-            if k not in adj[i]:
-                return i, k
-        # dense fallback: enumerate the complement once
-        empties = [
-            (i, k)
-            for i in range(1, n1 + 1)
-            for k in range(n1 + 1, n1 + n2 + 1)
-            if k not in adj[i]
-        ]
-        return empties[int(take() * len(empties))]
+        # the uniform block and the index of its next unused entry
+        self._u: list[float] = []
+        self._ui = 0
+        n1, n2, p = net.n1, net.n2, model.p
+        # what `run` binds to locals, in one tuple so that `step` unpacks once
+        self._loop = (
+            net, net.adj, net._edge_list, net._add, net._remove,
+            n1, n2, n1 * n2, n1 + 1, proposal == "tnt",
+            {}, {},  # TNT log proposal ratios by edge count, filled on first use
+            [ev.delta_into for ev in model.evaluators],
+            self.theta, [0.0] * p, [0.0] * p, range(p),
+            rng.random, uniform_block, math.exp,
+        )
 
     def step(self) -> bool:
         """One proposal; returns True if the toggle was accepted."""
-        net = self.net
-        n1, n2 = net.n1, net.n2
-        D = n1 * n2
-        take = self._u.take
-        self.proposals += 1
-
-        if self.proposal == "uniform":
-            d = int(take() * D)
-            i = d // n2 + 1
-            k = n1 + 1 + d % n2
-            adding = k not in net.adj[i]
-            log_q = 0.0
-        else:
-            E = net.edge_count
-            N0 = D - E
-            if E == 0:
-                i, k = self._pick_empty_dyad(n1, n2, D)
-                adding = True
-                log_q_fwd = -math.log(D)
-                log_q_rev = LOG_HALF if D > 1 else -math.log(D)
-            elif N0 == 0:
-                i, k = net.edge_at(int(take() * E))
-                adding = False
-                log_q_fwd = -math.log(D)
-                log_q_rev = LOG_HALF if D > 1 else -math.log(D)
-            elif take() < 0.5:
-                i, k = net.edge_at(int(take() * E))
-                adding = False
-                log_q_fwd = LOG_HALF - math.log(E)
-                log_q_rev = -math.log(D) if E == 1 else LOG_HALF - math.log(N0 + 1)
-            else:
-                i, k = self._pick_empty_dyad(n1, n2, D)
-                adding = True
-                log_q_fwd = LOG_HALF - math.log(N0)
-                log_q_rev = -math.log(D) if N0 == 1 else LOG_HALF - math.log(E + 1)
-            log_q = log_q_rev - log_q_fwd
-
-        self.last_dyad = (i, k)
-        buf = self._buf
-        for j in range(len(buf)):
-            buf[j] = 0.0
-        for ev in self._evs:
-            ev.delta_into(net, i, k, buf)
-        theta = self.theta
-        lo = 0.0
-        for j in range(len(buf)):
-            lo += theta[j] * buf[j]
-        log_ratio = (lo if adding else -lo) + log_q
-
-        if log_ratio < 0.0 and take() >= math.exp(log_ratio):
-            return False
-        (net._add if adding else net._remove)(i, k)
-        stats = self.stats
-        if adding:
-            for j in range(len(buf)):
-                stats[j] += buf[j]
-        else:
-            for j in range(len(buf)):
-                stats[j] -= buf[j]
-        self.accepted += 1
-        return True
+        accepted = self.accepted
+        self.run(1)
+        return self.accepted != accepted
 
     def run(self, proposals: int) -> None:
-        step = self.step
+        """Make `proposals` MH proposals, drawing uniforms in the order the
+        module docstring gives.  This is the only loop body; `step` runs it
+        for one proposal."""
+        (net, adj, edge_list, add, remove, n1, n2, D, first2, tnt, q_add, q_remove,
+         deltas, theta, buf, zeros, idx, draw, block, exp) = self._loop
+        stats = self.stats
+        u, ui = self._u, self._ui
+        nu = len(u)
+        accepted = 0
+        i = k = 0
         for _ in range(proposals):
-            step()
+            if tnt:
+                E = len(edge_list)
+                if 0 < E < D:
+                    if ui == nu:
+                        u, ui, nu = draw(block).tolist(), 0, block
+                    adding = u[ui] >= 0.5
+                    ui += 1
+                else:
+                    adding = E == 0
+                if adding:
+                    for _ in range(64):
+                        if ui == nu:
+                            u, ui, nu = draw(block).tolist(), 0, block
+                        d = int(u[ui] * D)
+                        ui += 1
+                        i = d // n2 + 1
+                        k = first2 + d % n2
+                        if k not in adj[i]:
+                            break
+                    else:
+                        # dense fallback: enumerate the complement once
+                        empties = [
+                            (a, b)
+                            for a in range(1, n1 + 1)
+                            for b in range(first2, n1 + n2 + 1)
+                            if b not in adj[a]
+                        ]
+                        if ui == nu:
+                            u, ui, nu = draw(block).tolist(), 0, block
+                        i, k = empties[int(u[ui] * len(empties))]
+                        ui += 1
+                    try:
+                        log_q = q_add[E]
+                    except KeyError:
+                        log_q = q_add[E] = _tnt_log_q(D, E, True)
+                else:
+                    if ui == nu:
+                        u, ui, nu = draw(block).tolist(), 0, block
+                    i, k = edge_list[int(u[ui] * E)]
+                    ui += 1
+                    try:
+                        log_q = q_remove[E]
+                    except KeyError:
+                        log_q = q_remove[E] = _tnt_log_q(D, E, False)
+            else:
+                if ui == nu:
+                    u, ui, nu = draw(block).tolist(), 0, block
+                d = int(u[ui] * D)
+                ui += 1
+                i = d // n2 + 1
+                k = first2 + d % n2
+                adding = k not in adj[i]
+                log_q = 0.0
+
+            # terms that skip a slot leave it zero
+            buf[:] = zeros
+            for delta_into in deltas:
+                delta_into(net, i, k, buf)
+            lo = 0.0
+            for j in idx:
+                lo += theta[j] * buf[j]
+            log_ratio = (lo if adding else -lo) + log_q
+
+            if log_ratio < 0.0:
+                if ui == nu:
+                    u, ui, nu = draw(block).tolist(), 0, block
+                reject = u[ui] >= exp(log_ratio)
+                ui += 1
+                if reject:
+                    continue
+            if adding:
+                add(i, k)
+                for j in idx:
+                    stats[j] += buf[j]
+            else:
+                remove(i, k)
+                for j in idx:
+                    stats[j] -= buf[j]
+            accepted += 1
+
+        self._u, self._ui = u, ui
+        self.accepted += accepted
+        self.proposals += proposals
+        if proposals > 0:
+            self.last_dyad = (i, k)
 
     def audit(self) -> None:
         """Recompute statistics from scratch and check the running vector

@@ -210,6 +210,20 @@ def test_simulate_saves_final_network(inputs):
     assert loaded.n1 == 3 and loaded.n2 == 2
 
 
+@pytest.mark.parametrize("proposal", ["tnt", "uniform"])
+@pytest.mark.parametrize("header,mode", [("n1 0 n2 3", 1), ("n1 3 n2 0", 2)])
+def test_simulate_without_dyads_exit_code(tmp_path, capsys, proposal, header, mode):
+    net = tmp_path / "net.edges"
+    net.write_text(header + "\n")
+    code = main(
+        ["simulate", "--network", str(net), "--model", "edges", "--theta", "0.0",
+         "--proposal", proposal, "--burnin", "10", "--interval", "1", "--samplesize", "2"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model:") and f"mode {mode} has no nodes" in err
+
+
 def test_profile_mple_grid(inputs):
     net, attrs, tmp = inputs
     out_dir = tmp / "prof"

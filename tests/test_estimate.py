@@ -89,6 +89,25 @@ class TestMple:
         spec = ModelSpec((ModelTerm(kind="edges"), ModelTerm(kind="b1cov", attribute="x")))
         self.assert_separated(spec, net, Attributes(mode1=table))
 
+    def test_all_zero_column_is_not_identified(self):
+        # at alpha=0 every b1nodematch change statistic on this network is 0
+        net = from_edge_list(3, 3, OBS_EDGES)
+        attrs = make_attrs1(["a", "a", "b"])
+        spec = ModelSpec(
+            (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.0))
+        )
+        with pytest.warns(DegeneracyWarning, match="b1nodematch.group"):
+            fit = mple(spec, net, attrs)
+        assert fit.diagnostics["not_identified"] == ["b1nodematch.group"]
+        assert fit.theta[1] == 0.0
+        assert math.isnan(fit.std_errors[1]) and math.isnan(fit.p_values[1])
+        assert np.isnan(fit.covariance[1]).all() and np.isnan(fit.covariance[:, 1]).all()
+        # the edges coefficient is what the model without the term gives
+        alone = mple(edges_spec(), net, attrs)
+        assert "not_identified" not in alone.diagnostics
+        assert fit.theta[0] == pytest.approx(alone.theta[0], abs=1e-12)
+        assert fit.std_errors[0] == pytest.approx(alone.std_errors[0], rel=1e-12)
+
     def test_matches_external_logistic_fit(self):
         sklearn = pytest.importorskip("sklearn.linear_model")
         rng = np.random.default_rng(3)

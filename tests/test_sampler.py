@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from bipergm import (
 )
 from bipergm.sampler import _generator
 
-from conftest import make_attrs1
+from conftest import make_attrs1, random_attrs, random_net
 
 
 def edges_spec():
@@ -192,6 +193,28 @@ def test_detailed_balance_against_enumeration(proposal):
     assert tv <= 0.015
 
 
+@pytest.mark.parametrize("proposal", ["tnt", "uniform"])
+@pytest.mark.parametrize("n1,n2,empty", [(0, 3, 1), (3, 0, 2), (0, 0, 1)])
+def test_chain_refuses_a_network_without_dyads(proposal, n1, n2, empty):
+    net = from_edge_list(n1, n2, [])
+    model = bind(edges_spec(), net, Attributes())
+    with pytest.raises(ValueError, match=f"mode {empty} has no nodes"):
+        Chain(net, model, [0.0], _generator(0), proposal=proposal)
+    with pytest.raises(ValueError, match=f"mode {empty} has no nodes"):
+        mh_step(net, model, Attributes(), [0.0], _generator(0), proposal=proposal)
+
+
+@pytest.mark.parametrize("proposal", ["Uniform", "TNT", "bogus", ""])
+def test_chain_and_mh_step_validate_the_proposal(proposal):
+    net = from_edge_list(2, 2, [])
+    model = bind(edges_spec(), net, Attributes())
+    with pytest.raises(ValueError, match="proposal must be 'tnt' or 'uniform'"):
+        Chain(net, model, [0.0], _generator(0), proposal=proposal)
+    with pytest.raises(ValueError, match="proposal must be 'tnt' or 'uniform'"):
+        mh_step(net, model, Attributes(), [0.0], _generator(0), proposal=proposal)
+    assert net.edge_count == 0
+
+
 def test_control_validation():
     with pytest.raises(ValueError, match="interval"):
         SamplerControl(interval=0)
@@ -200,3 +223,146 @@ def test_control_validation():
     assert SamplerControl(burn_in=None).resolved_burn_in(450) == 2**14
     assert SamplerControl(burn_in=None).resolved_burn_in(1500) == 2**15
     assert SamplerControl(burn_in=7).resolved_burn_in(450) == 7
+
+
+# -- the uniform-stream contract ------------------------------------------
+#
+# A seeded chain is a pure function of its seed only if it draws its
+# uniforms in one fixed order: the TNT coin (only when 0 < E < D), then the
+# edge index or the empty-dyad tries plus the dense-fallback draw, then the
+# accept uniform (only when the log ratio is negative), refilled lazily from
+# `rng.random(block)`.  These fingerprints were recorded before the step
+# loop was rewritten; any change to that order changes them.  Every case
+# with 20,000 proposals draws more than one 16,384-uniform block.
+
+
+def _digest(rows, net, accepted) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(rows, dtype=np.float64).tobytes())
+    h.update(repr(sorted(net.edges())).encode())
+    h.update(str(accepted).encode())
+    return h.hexdigest()
+
+
+def _contract_attrs():
+    return random_attrs(np.random.default_rng(7), 30, 15)
+
+
+def _chain_case(net, terms, theta, proposal, seed, chunks, chunk, attrs=None):
+    attrs = _contract_attrs() if attrs is None else attrs
+    spec = ModelSpec((ModelTerm(kind="edges"), *terms))
+    chain = Chain(net, bind(spec, net, attrs), theta, _generator(seed), proposal=proposal)
+    rows = []
+    for _ in range(chunks):
+        chain.run(chunk)
+        rows.append(list(chain.stats))
+    chain.audit()
+    return _digest(rows, net, chain.accepted)
+
+
+def _net30(density):
+    return random_net(np.random.default_rng(3), 30, 15, density)
+
+
+def _full(n1, n2, missing=()):
+    return from_edge_list(
+        n1, n2,
+        [(i, k) for i in range(1, n1 + 1) for k in range(n1 + 1, n1 + n2 + 1)
+         if (i, k) not in missing],
+    )
+
+
+ALPHA = ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5)
+BETA = ModelTerm(kind="b1nodematch", attribute="group", beta=0.5)
+B2DIFF = ModelTerm(kind="b2nodematch", attribute="kind", alpha=0.5, diff=True)
+
+
+def _mh_step_case():
+    net = from_edge_list(3, 4, [(1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7), (1, 7)])
+    attrs = make_attrs1(["a", "a", "b"])
+    model = bind(ModelSpec((ModelTerm(kind="edges"), ALPHA)), net, attrs)
+    rng = _generator(17)
+    rows, accepted = [], 0
+    for _ in range(40):
+        for _ in range(25):
+            # a block of 4 uniforms refills inside a proposal
+            accepted += mh_step(net, model, attrs, [1.2, 0.7], rng)
+        rows.append(list(model.stats(net)))
+    return _digest(rows, net, accepted)
+
+
+def _case30(terms, theta, proposal, seed):
+    return lambda: _chain_case(_net30(0.2), terms, theta, proposal, seed, 20, 1000)
+
+
+def _case2x2(net, theta, proposal, seed):
+    return lambda: _chain_case(net(), (), theta, proposal, seed, 20, 100, attrs=Attributes())
+
+
+CONTRACT_CASES = {
+    "tnt-edges": _case30((), [-1.3], "tnt", 1),
+    "uniform-edges": _case30((), [-1.3], "uniform", 1),
+    "tnt-alpha": _case30((ALPHA,), [-1.5, 0.6], "tnt", 2),
+    "uniform-alpha": _case30((ALPHA,), [-1.5, 0.6], "uniform", 2),
+    "tnt-beta": _case30((BETA,), [-1.5, 0.6], "tnt", 3),
+    "uniform-beta": _case30((BETA,), [-1.5, 0.6], "uniform", 3),
+    "tnt-b2diff": _case30((B2DIFF,), [-1.5, 0.4, -0.3], "tnt", 4),
+    "uniform-b2diff": _case30((B2DIFF,), [-1.5, 0.4, -0.3], "uniform", 4),
+    # E == 0 and E == 1 recur on a sparse 2x2 chain started empty
+    "tnt-from-empty": _case2x2(lambda: from_edge_list(2, 2, []), [-2.0], "tnt", 5),
+    # N0 == 0 and N0 == 1 recur on a dense 2x2 chain started full
+    "tnt-from-full": _case2x2(lambda: _full(2, 2), [2.0], "tnt", 6),
+    "uniform-from-full": _case2x2(lambda: _full(2, 2), [2.0], "uniform", 6),
+    # D == 1: both TNT branches collapse onto the one dyad
+    "tnt-one-dyad": lambda: _chain_case(
+        from_edge_list(1, 1, []), (), [0.3], "tnt", 7, 20, 50, attrs=Attributes()),
+    # one empty dyad out of 450: the 64 tries mostly miss and the
+    # enumerated complement supplies the dyad
+    "tnt-dense-fallback": lambda: _chain_case(
+        _full(30, 15, missing={(7, 40)}), (ALPHA,), [8.0, 0.1], "tnt", 8, 10, 100),
+    "tnt-empty-30x15": lambda: _chain_case(
+        from_edge_list(30, 15, []), (BETA,), [-1.5, 0.6], "tnt", 9, 20, 1000),
+    "mh_step": _mh_step_case,
+}
+
+CONTRACT_DIGESTS = {
+    "mh_step": "4807985c26e9a7ff8e85a83f1ece1fd022dc1eda883b1d49b05be387cd9df6d0",
+    "tnt-alpha": "d810677d43c9316ac8e980efeb8396057083318595e1f79d54a2bd28cc20864e",
+    "tnt-b2diff": "cad835d6981d8b36ae41064c1ebae2ebeb365eb04986ede504774d5c0a09d7aa",
+    "tnt-beta": "7296e6e7b46d387f54d0c1bc51dce00e3c2144e3beae291b8c8c21be935312a4",
+    "tnt-dense-fallback": "bfe4286ed5f26415e756282a25efc780b7c71082a39838d5f4e1686942744e0c",
+    "tnt-edges": "4d28844ef985237c8169377ea0dfee161ffa6e0b5201a1c64ef28d5b4a79650a",
+    "tnt-empty-30x15": "6b83043857407d0c82a0e935ed6a9b7827c7863a0430f8c79f7d94143829dc3b",
+    "tnt-from-empty": "fd28a999b40b854e3ad501ba64f67137c1fb6dc61629e5603817ba73a153e5ca",
+    "tnt-from-full": "c96e1afa25466ecb919ba24116ff678361999343a9baa9ba170f11dee3332dc6",
+    "tnt-one-dyad": "4c529adc3044d5b46fdf9d823dda1aec85f6a4ec4e8aa6e7b26b4da1d9be67bf",
+    "uniform-alpha": "90cd997a4c9e885f7d0dd6a7160805bf9c6c2e96b09d031c491e0de416bb2c68",
+    "uniform-b2diff": "350abae95ba6c988d631f6560c21f577d3988999aa7c1b5a6259782c1315188a",
+    "uniform-beta": "2a8e594ac7dffc98d49842d44cb5f9d8e22de18456b14b0ce18f1419879f953f",
+    "uniform-edges": "a4f7ffb53d7b58e3034b798a05040f0b6ad8929c3685535c231264210cfbcfad",
+    "uniform-from-full": "1ea9f275d9c0fdfd15f6932793d9859f1fc695e1f43bc4e1b8649d56525714f4",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_seeded_chains_keep_their_uniform_stream(case):
+    assert CONTRACT_CASES[case]() == CONTRACT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("proposal", ["tnt", "uniform"])
+def test_steps_one_at_a_time_equal_one_run(proposal):
+    attrs = _contract_attrs()
+    spec = ModelSpec((ModelTerm(kind="edges"), ALPHA))
+    chains = []
+    for _ in range(2):
+        net = _net30(0.2)
+        model = bind(spec, net, attrs)
+        chains.append(Chain(net, model, [-1.5, 0.6], _generator(10), proposal=proposal))
+    stepped, ran = chains
+    for _ in range(20_000):
+        stepped.step()
+    ran.run(20_000)
+    assert stepped.stats == ran.stats
+    assert stepped.net._edge_list == ran.net._edge_list
+    assert (stepped.accepted, stepped.proposals, stepped.last_dyad) == (
+        ran.accepted, ran.proposals, ran.last_dyad)
