@@ -162,6 +162,7 @@ def mple(
     SeparationError when the logistic MLE does not exist: the origin lies
     outside the hull of the sign-flipped design rows."""
     model = bind(spec, net, attrs)
+    net.check_has_dyads()
     X, y, counts = _distinct_rows(*_dyad_design(model, net))
     direction = hull_direction((1.0 - 2.0 * y)[:, None] * X, np.zeros(model.p))
     if direction is not None:

@@ -88,6 +88,14 @@ class BipartiteNetwork:
                 f"expected 1<={i}<={self.n1} and {self.n1}<{k}<={self.n}"
             )
 
+    def check_has_dyads(self) -> None:
+        """Refuse a network with an empty mode: it has no dyad to toggle or fit."""
+        for mode, size in ((1, self.n1), (2, self.n2)):
+            if size == 0:
+                raise ValueError(
+                    f"mode {mode} has no nodes, so the network has no dyads to toggle"
+                )
+
     # -- mutation -----------------------------------------------------------
 
     def toggle(self, i: int, k: int) -> bool:

@@ -19,6 +19,11 @@ from .graph import Attributes, BipartiteNetwork
 from .terms import ModelSpec, bind
 
 MAX_DYADS = 22
+# slack above which a point counts as outside a hull
+HULL_TOL = 1e-9
+# exact_mle stops once the score norm is at most this, or after MLE_MAX_ITER Newton steps
+MLE_GRAD_TOL = 1e-10
+MLE_MAX_ITER = 200
 
 
 class EstimationError(RuntimeError):
@@ -157,7 +162,7 @@ def exact_dyad_distribution(model: ExactModel, theta) -> DyadDistribution:
     return DyadDistribution(list(model.dyads), probs, marginals)
 
 
-def hull_direction(points: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
+def hull_direction(points: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """A direction w with w.x >= w.p for every point p and strict slack for
     some, or None if x lies in the hull's relative interior.
 
@@ -171,11 +176,11 @@ def hull_direction(points: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> np.n
     diffs = x[None, :] - points  # want w @ diffs_r >= 0 for all rows
     # quick reject: x outside the bounding box
     for j in range(points.shape[1]):
-        if x[j] > points[:, j].max() + tol:
+        if x[j] > points[:, j].max() + HULL_TOL:
             w = np.zeros(points.shape[1])
             w[j] = 1.0
             return w
-        if x[j] < points[:, j].min() - tol:
+        if x[j] < points[:, j].min() - HULL_TOL:
             w = np.zeros(points.shape[1])
             w[j] = -1.0
             return w
@@ -188,17 +193,12 @@ def hull_direction(points: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> np.n
     )
     if res.status != 0:
         raise EstimationError(f"hull LP failed: {res.message}")
-    if -res.fun > tol:
+    if -res.fun > HULL_TOL:
         return res.x
     return None
 
 
-def exact_mle(
-    model: ExactModel,
-    y_obs,
-    grad_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
+def exact_mle(model: ExactModel, y_obs) -> np.ndarray:
     """Exact maximum-likelihood estimate by Newton ascent on the full
     enumeration.  Requires the observed statistics strictly inside the
     convex hull of attainable statistics."""
@@ -212,10 +212,10 @@ def exact_mle(
         )
     theta = np.zeros(model.p)
     stalled = False
-    for _ in range(max_iter):
+    for _ in range(MLE_MAX_ITER):
         mean, cov = model.moments(theta)
         grad = s_obs - mean
-        if float(np.linalg.norm(grad)) <= grad_tol:
+        if float(np.linalg.norm(grad)) <= MLE_GRAD_TOL:
             return theta
         try:
             step = np.linalg.solve(cov + 1e-12 * np.eye(model.p), grad)

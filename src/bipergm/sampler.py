@@ -120,11 +120,7 @@ class Chain:
         if len(theta) != model.p:
             raise ValueError(f"theta has {len(theta)} entries for {model.p} statistics")
         _check_proposal(proposal)
-        for mode, size in ((1, net.n1), (2, net.n2)):
-            if size == 0:
-                raise ValueError(
-                    f"mode {mode} has no nodes, so the network has no dyads to toggle"
-                )
+        net.check_has_dyads()
         self.net = net
         self.model = model
         self.theta = [float(t) for t in theta]

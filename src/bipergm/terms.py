@@ -174,77 +174,87 @@ class _Evaluator:
         raise NotImplementedError
 
 
-class _Edges(_Evaluator):
+class _NodeValue(_Evaluator):
+    """Sum over edges of a value of the edge's node in `mode`: 1.0 on every
+    mode-1 node for `edges`, the covariate for `b1cov` and `b2cov`."""
+
     width = 1
 
-    def __init__(self):
-        self.names = ["edges"]
+    def __init__(self, name: str, mode: int, n1: int, values: list[float]):
+        self.names = [name]
+        self.mode = mode
+        self.value = _by_node(values, mode, n1, 0.0)
 
     def stats(self, net):
-        return np.array([float(net.edge_count)])
-
-    def delta_into(self, net, i, k, out):
-        out[self.offset] = 1.0
-
-    def columns(self, B):
-        return np.ones((B.size, 1))
-
-
-class _Cov(_Evaluator):
-    width = 1
-
-    def __init__(self, term: ModelTerm, n1: int, attrs: Attributes):
-        self.mode = 1 if term.kind == "b1cov" else 2
-        values = attrs.table_for(self.mode).numeric(term.attribute).values
-        self.values = _by_node(values.tolist(), self.mode, n1, 0.0)
-        self.names = [f"{term.kind}.{term.attribute}"]
-
-    def stats(self, net):
+        value, mode = self.value, self.mode
         total = 0.0
         for i, k in net.edges():
-            total += self.values[i if self.mode == 1 else k]
+            total += value[i if mode == 1 else k]
         return np.array([total])
 
     def delta_into(self, net, i, k, out):
-        out[self.offset] = self.values[i if self.mode == 1 else k]
+        out[self.offset] = self.value[i if self.mode == 1 else k]
 
     def columns(self, B):
-        return _per_dyad(_of_mode(self.values, self.mode, B), self.mode, B)
+        return _per_dyad(_of_mode(self.value, self.mode, B), self.mode, B)
 
 
-class _Factor(_Evaluator):
-    """Per-level edge counts with the first (sorted) level as reference."""
+class _LevelSlot(_Evaluator):
+    """Edge counts per slot, an edge counting in the slot of its node in
+    `mode`; a node in slot -1 counts nowhere."""
 
-    def __init__(self, term: ModelTerm, n1: int, attrs: Attributes):
-        self.mode = 1 if term.kind == "b1factor" else 2
-        col = attrs.table_for(self.mode).categorical(term.attribute)
-        if len(col.levels) < 2:
-            raise ValueError(
-                f"{term.kind}({term.attribute!r}): needs at least two levels, "
-                f"got {list(col.levels)}"
-            )
-        # level code c has slot c - 1, so the first sorted level (slot -1) is dropped
-        self.slot = _by_node([c - 1 for c in col.codes.tolist()], self.mode, n1, -1)
-        self.width = len(col.levels) - 1
-        self.names = [f"{term.kind}.{term.attribute}.{lev}" for lev in col.levels[1:]]
+    def __init__(self, names: list[str], mode: int, n1: int, slots: list[int]):
+        self.names = names
+        self.width = len(names)
+        self.mode = mode
+        self.slot = _by_node(slots, mode, n1, -1)
 
     def stats(self, net):
-        out = np.zeros(self.width)
+        slot, mode = self.slot, self.mode
+        counts = [0.0] * self.width
         for i, k in net.edges():
-            slot = self.slot[i if self.mode == 1 else k]
-            if slot >= 0:
-                out[slot] += 1.0
-        return out
+            s = slot[i if mode == 1 else k]
+            if s >= 0:
+                counts[s] += 1.0
+        return np.array(counts)
 
     def delta_into(self, net, i, k, out):
-        slot = self.slot[i if self.mode == 1 else k]
-        if slot >= 0:
-            out[self.offset + slot] = 1.0
+        s = self.slot[i if self.mode == 1 else k]
+        if s >= 0:
+            out[self.offset + s] = 1.0
 
     def columns(self, B):
         slot = _of_mode(self.slot, self.mode, B)
         one_hot = (slot[:, None] == np.arange(self.width)).astype(np.float64)
         return _per_dyad(one_hot, self.mode, B)
+
+
+class _Mode2Degree(_Evaluator):
+    """Sum over mode-2 nodes of `value[degree]`.  A dyad's change statistic
+    is the gain `value[d + 1] - value[d]`, d being the mode-2 node's degree
+    without the dyad."""
+
+    width = 1
+
+    def __init__(self, name: str, value: list[float]):
+        self.names = [name]
+        self.value = value
+        self.gain = [b - a for a, b in zip(value, value[1:])]
+
+    def stats(self, net):
+        value = self.value
+        total = 0.0
+        for k in range(net.n1 + 1, net.n + 1):
+            total += value[net.degree(k)]
+        return np.array([total])
+
+    def delta_into(self, net, i, k, out):
+        nk = net.adj[k]
+        out[self.offset] = self.gain[len(nk) - (i in nk)]
+
+    def columns(self, B):
+        d_other = (B.sum(axis=0) - B).astype(np.int64)
+        return np.asarray(self.gain)[d_other].reshape(-1, 1)
 
 
 class _Nodematch(_Evaluator):
@@ -366,87 +376,33 @@ class _Nodematch(_Evaluator):
         return out.reshape(B.size, self.width)
 
 
-class _Star2(_Evaluator):
-    """Mode-2 centered two-stars: sum over mode-2 nodes of C(degree, 2)."""
-
-    width = 1
-
-    def __init__(self):
-        self.names = ["b2star2"]
-
-    def stats(self, net):
-        total = 0.0
-        for k in range(net.n1 + 1, net.n + 1):
-            d = net.degree(k)
-            total += d * (d - 1) / 2.0
-        return np.array([total])
-
-    def delta_into(self, net, i, k, out):
-        nk = net.adj[k]
-        out[self.offset] = float(len(nk) - (i in nk))
-
-    def columns(self, B):
-        return (B.sum(axis=0) - B).reshape(-1, 1)
-
-
-class _Degree1(_Evaluator):
-    """Count of mode-2 nodes with degree exactly one."""
-
-    width = 1
-
-    def __init__(self):
-        self.names = ["b2degree1"]
-
-    def stats(self, net):
-        total = sum(1 for k in range(net.n1 + 1, net.n + 1) if net.degree(k) == 1)
-        return np.array([float(total)])
-
-    def delta_into(self, net, i, k, out):
-        nk = net.adj[k]
-        d_other = len(nk) - (i in nk)
-        out[self.offset] = (1.0 if d_other == 0 else 0.0) - (1.0 if d_other == 1 else 0.0)
-
-    def columns(self, B):
-        d_other = B.sum(axis=0) - B
-        return ((d_other == 0).astype(np.float64) - (d_other == 1)).reshape(-1, 1)
-
-
-class _Sociality(_Evaluator):
-    """One statistic per mode-2 node: its degree."""
-
-    def __init__(self, n1: int, n2: int):
-        self.n1 = n1
-        self.width = n2
-        self.names = [f"b2sociality.{k}" for k in range(n1 + 1, n1 + n2 + 1)]
-
-    def stats(self, net):
-        return np.array(
-            [float(net.degree(k)) for k in range(self.n1 + 1, self.n1 + self.width + 1)]
-        )
-
-    def delta_into(self, net, i, k, out):
-        out[self.offset + (k - self.n1 - 1)] = 1.0
-
-    def columns(self, B):
-        return _per_dyad(np.eye(self.width), 2, B)
-
-
 def _build_evaluator(term: ModelTerm, n1: int, n2: int, attrs: Attributes) -> _Evaluator:
-    if term.kind == "edges":
-        return _Edges()
-    if term.kind in ("b1cov", "b2cov"):
-        return _Cov(term, n1, attrs)
-    if term.kind in ("b1factor", "b2factor"):
-        return _Factor(term, n1, attrs)
-    if term.kind in ("b1nodematch", "b2nodematch"):
-        return _Nodematch(term, n1, n2, attrs)
-    if term.kind == "b2star2":
-        return _Star2()
-    if term.kind == "b2degree1":
-        return _Degree1()
-    if term.kind == "b2sociality":
-        return _Sociality(n1, n2)
-    raise ValueError(f"unknown term kind {term.kind!r}")
+    """What each term kind means: its family and the table the family reads."""
+    kind, attr = term.kind, term.attribute
+    mode = 2 if kind.startswith("b2") else 1
+    if kind == "edges":
+        return _NodeValue("edges", 1, n1, [1.0] * n1)
+    if kind in ("b1cov", "b2cov"):
+        values = attrs.table_for(mode).numeric(attr).values.tolist()
+        return _NodeValue(f"{kind}.{attr}", mode, n1, values)
+    if kind in ("b1factor", "b2factor"):
+        col = attrs.table_for(mode).categorical(attr)
+        if len(col.levels) < 2:
+            raise ValueError(
+                f"{kind}({attr!r}): needs at least two levels, got {list(col.levels)}"
+            )
+        # level code c has slot c - 1, so the first sorted level (slot -1) is dropped
+        slots = [c - 1 for c in col.codes.tolist()]
+        return _LevelSlot([f"{kind}.{attr}.{lev}" for lev in col.levels[1:]], mode, n1, slots)
+    if kind == "b2sociality":
+        names = [f"b2sociality.{k}" for k in range(n1 + 1, n1 + n2 + 1)]
+        return _LevelSlot(names, 2, n1, list(range(n2)))
+    if kind == "b2star2":
+        return _Mode2Degree("b2star2", [d * (d - 1) / 2.0 for d in range(n1 + 1)])
+    if kind == "b2degree1":
+        return _Mode2Degree("b2degree1", [float(d == 1) for d in range(n1 + 1)])
+    # ModelTerm admits only TERM_KINDS, so the kind is b1nodematch or b2nodematch
+    return _Nodematch(term, n1, n2, attrs)
 
 
 class BoundModel:
@@ -463,9 +419,8 @@ class BoundModel:
         self.n2 = n2
         self.evaluators = [_build_evaluator(t, n1, n2, attrs) for t in spec.terms]
         offset = 0
-        for ev, term in zip(self.evaluators, spec.terms):
+        for ev in self.evaluators:
             ev.offset = offset
-            ev.term = term
             offset += ev.width
         self.p = offset
         self.names = self._unique_names()

@@ -224,6 +224,17 @@ def test_simulate_without_dyads_exit_code(tmp_path, capsys, proposal, header, mo
     assert err.startswith("error: model:") and f"mode {mode} has no nodes" in err
 
 
+@pytest.mark.parametrize("method", ["mple", "mcmcmle"])
+@pytest.mark.parametrize("header,mode", [("n1 0 n2 3", 1), ("n1 3 n2 0", 2)])
+def test_fit_without_dyads_exit_code(tmp_path, capsys, method, header, mode):
+    net = tmp_path / "net.edges"
+    net.write_text(header + "\n")
+    code = main(["fit", "--network", str(net), "--model", "edges", "--method", method])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model:") and f"mode {mode} has no nodes" in err
+
+
 def test_profile_mple_grid(inputs):
     net, attrs, tmp = inputs
     out_dir = tmp / "prof"

@@ -8,6 +8,7 @@ from scipy.special import expit
 from bipergm import (
     AttributeTable,
     Attributes,
+    Chain,
     DegeneracyWarning,
     ExactModel,
     FitControl,
@@ -35,7 +36,14 @@ from bipergm.estimate import (
 )
 
 import reference as ref
-from conftest import make_attrs1, random_attrs, random_net
+from conftest import (
+    DESIGN_CASES,
+    design_case,
+    every_term_kind,
+    make_attrs1,
+    random_attrs,
+    random_net,
+)
 
 
 def edges_spec():
@@ -174,58 +182,16 @@ def per_dyad_design(model, net):
     return X, y
 
 
-def every_term_kind(attrs, which, exponent):
-    """All ten term kinds; nodematch in both modes, plain, per level, kept
-    levels only, and per kept level."""
-    terms = [
-        ModelTerm(kind="edges"),
-        ModelTerm(kind="b1cov", attribute="x"),
-        ModelTerm(kind="b2cov", attribute="z"),
-        ModelTerm(kind="b1factor", attribute="group"),
-        ModelTerm(kind="b2factor", attribute="kind"),
-        ModelTerm(kind="b2star2"),
-        ModelTerm(kind="b2degree1"),
-        ModelTerm(kind="b2sociality"),
-    ]
-    for mode, column in ((1, "group"), (2, "kind")):
-        levels = attrs.table_for(mode).categorical(column).levels
-        for diff in (False, True):
-            for keep in (None, levels[:2]):
-                terms.append(
-                    ModelTerm(
-                        kind=f"b{mode}nodematch",
-                        attribute=column,
-                        diff=diff,
-                        keep_levels=keep,
-                        **{which: exponent},
-                    )
-                )
-    return ModelSpec(tuple(terms))
-
-
-def _design_case(shape, fill, seed=17):
-    rng = np.random.default_rng(seed)
-    n1, n2 = shape
-    attrs = random_attrs(rng, n1, n2, levels=("a", "b", "c"))
-    if fill == "random":
-        return random_net(rng, n1, n2, density=0.45), attrs
-    dyads = [(i, k) for i in range(1, n1 + 1) for k in range(n1 + 1, n1 + n2 + 1)]
-    return from_edge_list(n1, n2, dyads if fill == "full" else []), attrs
-
-
 # node-centric columns sum dpw terms in BLAS order rather than neighbour-set
 # order, so they may differ in the last bits; every other column is exact
 ALPHA_RTOL = 1e-12
 
 
-@pytest.mark.parametrize(
-    "shape,fill",
-    [((6, 9), "random"), ((9, 6), "random"), ((5, 7), "empty"), ((5, 7), "full"), ((7, 5), "full")],
-)
+@pytest.mark.parametrize("shape,fill", DESIGN_CASES)
 @pytest.mark.parametrize("which", ["alpha", "beta"])
 @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0])
 def test_dyad_design_equals_per_dyad_change_statistics(shape, fill, which, exponent):
-    net, attrs = _design_case(shape, fill)
+    net, attrs = design_case(shape, fill)
     model = bind(every_term_kind(attrs, which, exponent), net, attrs)
     X, y = _dyad_design(model, net)
     X_ref, y_ref = per_dyad_design(model, net)
@@ -476,6 +442,36 @@ def test_profile_grid_contract(obs_net, obs_attrs):
 def test_profile_requires_unbound_term(obs_net, obs_attrs):
     with pytest.raises(ValueError, match="without a bound exponent"):
         profile(edges_spec(), "alpha", [0.0], obs_net, obs_attrs, method="mple")
+
+
+NODEMATCH_TEMPLATE = ModelSpec(
+    (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group"))
+)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda net, attrs: ModelTerm(kind="edges", attribute="x"), "takes no attribute"),
+        (lambda net, attrs: ModelTerm(kind="b1cov"), "requires an attribute"),
+        (lambda net, attrs: ModelTerm(kind="b1cov", attribute="x", alpha=0.5), "takes no alpha"),
+        (lambda net, attrs: ModelTerm(kind="edges", diff=True), "takes no diff"),
+        (lambda net, attrs: ModelTerm(kind="b2star2", keep_levels=("a",)), "takes no keep levels"),
+        (lambda net, attrs: mcmcmle(edges_spec(), net, attrs, theta0=[0.0, 0.0]), "theta0 has shape"),
+        (lambda net, attrs: mcmcmle(edges_spec(), net, attrs, theta0=[math.inf]), "finite"),
+        (
+            lambda net, attrs: profile(NODEMATCH_TEMPLATE, "alpha", [0.5], net, attrs, method="x"),
+            "method must be 'mple' or 'mcmcmle'",
+        ),
+        (
+            lambda net, attrs: Chain(net, bind(edges_spec(), net, attrs), [0.0, 1.0], None),
+            "theta has 2 entries for 1 statistics",
+        ),
+    ],
+)
+def test_arguments_that_do_not_fit_are_refused(obs_net, obs_attrs, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(obs_net, obs_attrs)
 
 
 def test_profile_records_failures_and_continues(obs_attrs):

@@ -216,6 +216,8 @@ def test_chain_and_mh_step_validate_the_proposal(proposal):
 
 
 def test_control_validation():
+    with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+        SamplerControl(burn_in=-1)
     with pytest.raises(ValueError, match="interval"):
         SamplerControl(interval=0)
     with pytest.raises(ValueError, match="proposal"):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,7 +23,16 @@ from bipergm import (
 from bipergm.graph import ColumnTypeError
 
 import reference as ref
-from conftest import FIG2_EDGES, categories_dict, make_attrs1, random_attrs, random_net
+from conftest import (
+    DESIGN_CASES,
+    FIG2_EDGES,
+    categories_dict,
+    design_case,
+    every_term_kind,
+    make_attrs1,
+    random_attrs,
+    random_net,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -438,6 +448,13 @@ class TestValidation:
         bound = spec.bind_exponent("alpha", 0.5)
         assert bound.terms[1].alpha == 0.5
         assert eval_stats(bound, fig2_net, fig2_attrs)[1] == pytest.approx(2 + SQRT2)
+        with pytest.raises(ValueError, match="exponent kind must be 'alpha' or 'beta'"):
+            spec.bind_exponent("gamma", 0.5)
+        with pytest.raises(ValueError, match="no nodematch term with an unbound exponent"):
+            bound.bind_exponent("alpha", 0.5)
+        twice = spec_of(term("b1nodematch", attribute="group"), term("b1nodematch", attribute="g"))
+        with pytest.raises(ValueError, match="more than one nodematch term without an exponent"):
+            twice.bind_exponent("beta", 0.5)
 
     def test_missing_attribute_table(self, fig2_net):
         spec = spec_of(term("b2cov", attribute="z"))
@@ -468,3 +485,46 @@ def test_change_stats_property(seed):
     minus = plus.copy()
     minus.toggle(i, k)
     assert np.max(np.abs(delta - (model.stats(plus) - model.stats(minus)))) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# term-layer fingerprints
+# ---------------------------------------------------------------------------
+#
+# sha256 over the statistic names, `stats` and `delta_into` at every dyad,
+# for every term kind (nodematch in both modes, plain, per level and with
+# kept levels) on each design network.  Recorded before the standard terms
+# were folded into three evaluator families, so any change to a statistic's
+# bits changes them.  `columns` is left out: BLAS does not fix its
+# summation order, and test_dyad_design_equals_per_dyad_change_statistics
+# checks it against `delta_into`.
+
+
+def _term_layer_digest(which, exponent):
+    h = hashlib.sha256()
+    for shape, fill in DESIGN_CASES:
+        net, attrs = design_case(shape, fill)
+        model = bind(every_term_kind(attrs, which, exponent), net, attrs)
+        h.update(repr(model.names).encode())
+        h.update(model.stats(net).tobytes())
+        out = np.empty(model.p)
+        for i in range(1, net.n1 + 1):
+            for k in range(net.n1 + 1, net.n + 1):
+                model.delta_into(net, i, k, out)
+                h.update(out.tobytes())
+    return h.hexdigest()
+
+
+TERM_LAYER_DIGESTS = {
+    ("alpha", 0.0): "97abbaeac1803baf7ae8e4a5aad5b732711a70d1c09d58980621b2b1f88db1bd",
+    ("alpha", 0.5): "6c9744931fc32d3d9361af019cdb78a122f86275ddbda4d44d46e7331c60768c",
+    ("alpha", 1.0): "917c4f13fa94875d4827bacad1979f078df44c1a0d6a06c19ebccb9c72b9cc13",
+    ("beta", 0.0): "c3a785683cc573ea8cebca693d06e5820f937baadd221a9181e3a23c5c06d08c",
+    ("beta", 0.5): "d92681c629ee0dbf9a182ac31178e664502c07a73012a192738380f266e45b54",
+    ("beta", 1.0): "699c09c02c3d64d9d72e651e92460650f2b312d7cb7c97a86749eaef72294e57",
+}
+
+
+@pytest.mark.parametrize("which,exponent", sorted(TERM_LAYER_DIGESTS))
+def test_term_layer_keeps_its_bits(which, exponent):
+    assert _term_layer_digest(which, exponent) == TERM_LAYER_DIGESTS[which, exponent]
