@@ -357,7 +357,7 @@ class WeightedProjection:
 
 
 def shared_partners(
-    net: BipartiteNetwork, mode: int, group: Sequence[int]
+    net: BipartiteNetwork, mode: int, group: Sequence[int], pairs: bool = True
 ) -> tuple[dict[tuple[int, int], int], dict[int, dict[int, int]]]:
     """Two-path structure among the mode-`mode` nodes, within groups.
 
@@ -366,13 +366,14 @@ def shared_partners(
     its neighbors are bucketed by group.  Returns two things:
 
     - pairs: each same-group pair (a, b), a < b, with at least one
-      two-path, mapped to its two-path count;
+      two-path, mapped to its two-path count (left empty, and its
+      quadratic walk skipped, when `pairs` is False);
     - spectra: each group mapped to {u: number of edges with exactly u
       matching co-edges}, for u >= 1.
     """
     adj = net.adj
     centers = range(net.n1 + 1, net.n + 1) if mode == 1 else range(1, net.n1 + 1)
-    pairs: dict[tuple[int, int], int] = {}
+    counts: dict[tuple[int, int], int] = {}
     spectra: dict[int, dict[int, int]] = {}
     for center in centers:
         buckets: dict[int, list[int]] = {}
@@ -386,11 +387,12 @@ def shared_partners(
                 continue
             spectrum = spectra.setdefault(g, {})
             spectrum[size - 1] = spectrum.get(size - 1, 0) + size
-            for x in range(size - 1):
-                a = nodes[x]
-                for b in nodes[x + 1 :]:
-                    pairs[(a, b)] = pairs.get((a, b), 0) + 1
-    return pairs, spectra
+            if pairs:
+                for x in range(size - 1):
+                    a = nodes[x]
+                    for b in nodes[x + 1 :]:
+                        counts[(a, b)] = counts.get((a, b), 0) + 1
+    return counts, spectra
 
 
 def project(net: BipartiteNetwork, mode: int) -> WeightedProjection:

@@ -106,6 +106,12 @@ class Chain:
     incrementally up to date; `audit()` recomputes from scratch and
     verifies agreement.  `theta` and `proposal` are fixed when the chain
     is built.
+
+    Nodematch terms read chain-local count tables (shared partners per
+    same-group pair for alpha, neighbours per level for beta) that the
+    chain updates on each accepted toggle.  So once the chain is built the
+    network must change only through the chain; `audit()` also recounts
+    the tables and raises on any that went stale.
     """
 
     def __init__(
@@ -126,6 +132,8 @@ class Chain:
         self.theta = [float(t) for t in theta]
         self.proposal = proposal
         self.stats = [float(s) for s in model.stats(net)]
+        kernels = [ev.chain_kernel(net) for ev in model.evaluators]
+        self._counts = [counts for _, counts in kernels if counts is not None]
         self.accepted = 0
         self.proposals = 0
         self.last_dyad: tuple[int, int] | None = None
@@ -138,7 +146,7 @@ class Chain:
             net, net.adj, net._edge_list, net._add, net._remove,
             n1, n2, n1 * n2, n1 + 1, proposal == "tnt",
             {}, {},  # TNT log proposal ratios by edge count, filled on first use
-            [ev.delta_into for ev in model.evaluators],
+            [delta for delta, _ in kernels], [c.toggled for c in self._counts],
             self.theta, [0.0] * p, [0.0] * p, range(p),
             rng.random, uniform_block, math.exp,
         )
@@ -154,7 +162,7 @@ class Chain:
         module docstring gives.  This is the only loop body; `step` runs it
         for one proposal."""
         (net, adj, edge_list, add, remove, n1, n2, D, first2, tnt, q_add, q_remove,
-         deltas, theta, buf, zeros, idx, draw, block, exp) = self._loop
+         deltas, hooks, theta, buf, zeros, idx, draw, block, exp) = self._loop
         stats = self.stats
         u, ui = self._u, self._ui
         nu = len(u)
@@ -233,10 +241,14 @@ class Chain:
                     continue
             if adding:
                 add(i, k)
+                for toggled in hooks:
+                    toggled(i, k, 1)
                 for j in idx:
                     stats[j] += buf[j]
             else:
                 remove(i, k)
+                for toggled in hooks:
+                    toggled(i, k, -1)
                 for j in idx:
                     stats[j] -= buf[j]
             accepted += 1
@@ -249,11 +261,17 @@ class Chain:
 
     def audit(self) -> None:
         """Recompute statistics from scratch and check the running vector
-        agrees to within 1e-8."""
+        agrees to within 1e-8, and recount every count table and check it
+        agrees exactly."""
         fresh = self.model.stats(self.net)
         drift = float(np.max(np.abs(fresh - np.asarray(self.stats)))) if self.model.p else 0.0
         if drift > 1e-8:
             raise RuntimeError(f"incremental statistics drifted by {drift:g} (tol 1e-08)")
+        for counts in self._counts:
+            if counts.rows != counts.rebuilt():
+                raise RuntimeError(
+                    f"incremental count table of {counts.ev.names[0]} drifted from a recount"
+                )
         self.stats = [float(s) for s in fresh]
 
 

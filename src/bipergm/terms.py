@@ -173,6 +173,14 @@ class _Evaluator:
     def columns(self, B: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def chain_kernel(self, net: BipartiteNetwork):
+        """What a chain on `net` calls per proposal: the change-statistic
+        function, and the count table it reads (None when it reads only the
+        network).  A table is bound to `net`: the chain calls its
+        `toggled(i, k, step)` after each accepted toggle and compares its
+        `rows` with `rebuilt()` in an audit."""
+        return self.delta_into, None
+
 
 class _NodeValue(_Evaluator):
     """Sum over edges of a value of the edge's node in `mode`: 1.0 on every
@@ -305,7 +313,7 @@ class _Nodematch(_Evaluator):
     def stats(self, net):
         out = np.zeros(self.width)
         slot_of, group, pw = self.slot_of_code, self.group, self.pw
-        pairs, spectra = shared_partners(net, self.mode, group)
+        pairs, spectra = shared_partners(net, self.mode, group, pairs=self.node_centric)
         if self.node_centric:
             for (a, _b), t in pairs.items():
                 out[slot_of[group[a]]] += pw[t]
@@ -345,6 +353,10 @@ class _Nodematch(_Evaluator):
         pw = self.pw
         out[self.offset + slot] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
 
+    def chain_kernel(self, net):
+        counts = (_TwoPathCounts if self.node_centric else _LevelCounts)(self, net)
+        return counts.delta_into, counts
+
     def columns(self, B):
         # A is focal x shared and S marks same-group focal pairs; the rows of
         # focal nodes outside the kept levels (group -1) get no slot below
@@ -374,6 +386,118 @@ class _Nodematch(_Evaluator):
         if self.mode == 2:
             out = out.transpose(1, 0, 2)
         return out.reshape(B.size, self.width)
+
+
+class _TwoPathCounts:
+    """Same-group two-path counts of a node-centric nodematch term on one
+    network: `rows[a][b]` is the number of shared partners of nodes a and b
+    of the term's mode when both are in the same kept level (a dense row
+    indexed by node id per node in a kept level, None for the others).
+
+    `delta_into` is the stateless kernel with `len(adj[focal] & adj[j])`
+    read from the row: the same neighbours in the same order, the same
+    `dpw` entries, so the same bits.  `toggled(i, k, step)` adds `step`
+    (+1 on an added edge, -1 on a removed one) to the pairs that gain or
+    lose the two-path through the toggled dyad; it skips the focal node
+    itself, so it may run before or after the network changes.
+    """
+
+    def __init__(self, ev: _Nodematch, net: BipartiteNetwork):
+        self.ev, self.net = ev, net
+        self.rows = rows = self.rebuilt()
+        mode1, adj, group = ev.mode == 1, net.adj, ev.group
+        slot_of, dpw, offset = ev.slot_of_code, ev.dpw, ev.offset
+
+        # these run once per proposal or accepted toggle; plain assignments
+        # in each branch skip the tuple that a conditional pair would build
+        def delta_into(net, i, k, out):
+            if mode1:
+                focal, shared = i, k
+            else:
+                focal, shared = k, i
+            cf = group[focal]
+            if cf < 0:
+                return
+            row = rows[focal]
+            has_edge = focal in adj[shared]
+            total = 0.0
+            for j in adj[shared]:
+                if j != focal and group[j] == cf:
+                    total += dpw[row[j] - has_edge]
+            out[offset + slot_of[cf]] = total
+
+        def toggled(i, k, step):
+            if mode1:
+                a, s = i, k
+            else:
+                a, s = k, i
+            g = group[a]
+            if g < 0:
+                return
+            row = rows[a]
+            for j in adj[s]:
+                if j != a and group[j] == g:
+                    row[j] += step
+                    rows[j][a] += step
+
+        self.delta_into, self.toggled = delta_into, toggled
+
+    def rebuilt(self) -> list:
+        """The table recounted from the network by `shared_partners`."""
+        group = self.ev.group
+        rows = [[0] * len(group) if g >= 0 else None for g in group]
+        pairs, _ = shared_partners(self.net, self.ev.mode, group)
+        for (a, b), t in pairs.items():
+            rows[a][b] = rows[b][a] = t
+        return rows
+
+
+class _LevelCounts:
+    """Neighbour counts per level for an edge-centric nodematch term on one
+    network: `rows[s][g]` is the number of neighbours of node s (of the
+    other mode) in level code g, so the matching co-edge count u of a dyad
+    is one lookup less the focal node's own edge, where the stateless
+    kernel loops over `adj[s]`.  `toggled` as in `_TwoPathCounts`."""
+
+    def __init__(self, ev: _Nodematch, net: BipartiteNetwork):
+        self.ev, self.net = ev, net
+        self.rows = counts = self.rebuilt()
+        mode1, adj, group = ev.mode == 1, net.adj, ev.group
+        slot_of, pw, offset = ev.slot_of_code, ev.pw, ev.offset
+
+        def delta_into(net, i, k, out):
+            if mode1:
+                focal, shared = i, k
+            else:
+                focal, shared = k, i
+            cf = group[focal]
+            if cf < 0:
+                return
+            u = counts[shared][cf] - (focal in adj[shared])
+            out[offset + slot_of[cf]] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
+
+        def toggled(i, k, step):
+            if mode1:
+                a, s = i, k
+            else:
+                a, s = k, i
+            g = group[a]
+            if g >= 0:
+                counts[s][g] += step
+
+        self.delta_into, self.toggled = delta_into, toggled
+
+    def rebuilt(self) -> list:
+        """The table recounted from the neighbour levels of the network."""
+        net, group, levels = self.net, self.ev.group, len(self.ev.slot_of_code)
+        shared = range(net.n1 + 1, net.n + 1) if self.ev.mode == 1 else range(1, net.n1 + 1)
+        rows = [None] * (net.n + 1)
+        for s in shared:
+            row = rows[s] = [0] * levels
+            for j in net.adj[s]:
+                if group[j] >= 0:
+                    row[group[j]] += 1
+        return rows
 
 
 def _build_evaluator(term: ModelTerm, n1: int, n2: int, attrs: Attributes) -> _Evaluator:
@@ -534,7 +658,7 @@ def mesp_spectrum(
 ) -> SharedPartnerSpectrum:
     """Edges bucketed by the exact number of matching two-paths containing them."""
     codes = attrs.table_for(1).categorical(column).codes.tolist()
-    _, spectra = shared_partners(net, 1, _by_node(codes, 1, net.n1, -1))
+    _, spectra = shared_partners(net, 1, _by_node(codes, 1, net.n1, -1), pairs=False)
     counts: Counter[int] = Counter()
     for spectrum in spectra.values():
         counts.update(spectrum)

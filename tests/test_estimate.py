@@ -1,5 +1,7 @@
+import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from bipergm.estimate import (
     significance_stars,
     wald_p_value,
 )
+from bipergm.io import load_attributes, load_network
 
 import reference as ref
 from conftest import (
@@ -509,3 +512,32 @@ def test_profile_alpha_one_equals_beta_one(obs_net, obs_attrs):
     sd = math.hypot(a.fit.loglik_sd, b.fit.loglik_sd)
     assert abs(a.fit.loglik - b.fit.loglik) <= max(3.0 * sd, 0.05)
     assert np.max(np.abs(a.fit.theta - b.fit.theta)) <= 0.1
+
+
+# A seeded fit is a pure function of its inputs: this digest over theta,
+# covariance, log-likelihood and its sd was recorded on the frozen 30x15
+# benchmark network before the chain kept its own nodematch count tables,
+# so it pins the whole estimate path (MPLE start, anchors, hull, bridge).
+FROZEN_30X15 = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+MCMCMLE_DIGESTS = {
+    "alpha": "bc917f4dc2de86823a7df2447d1b44353ed4275b6d07040beb76ca0d7ada7e28",
+    "beta": "7a86c8c053034f78598d4f4bf6c52afce7e02309ccebddfb7e5266b27ffeb963",
+}
+
+
+@pytest.mark.parametrize("which", sorted(MCMCMLE_DIGESTS))
+def test_seeded_mcmcmle_keeps_its_digest(which):
+    net = load_network(FROZEN_30X15 / "profile_30x15.edges")
+    attrs = Attributes(mode1=load_attributes(FROZEN_30X15 / "profile_30x15_attrs1.tsv", 1, 30, 15))
+    spec = ModelSpec(
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: 0.5}))
+    )
+    control = FitControl(
+        sampler=SamplerControl(burn_in=1024, interval=8, sample_size=400, seed=31)
+    )
+    fit = mcmcmle(spec, net, attrs, control=control)
+    h = hashlib.sha256()
+    for part in (fit.theta, fit.covariance, np.array([fit.loglik, fit.loglik_sd])):
+        h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+    assert h.hexdigest() == MCMCMLE_DIGESTS[which]

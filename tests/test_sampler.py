@@ -235,7 +235,9 @@ def test_control_validation():
 # accept uniform (only when the log ratio is negative), refilled lazily from
 # `rng.random(block)`.  These fingerprints were recorded before the step
 # loop was rewritten; any change to that order changes them.  Every case
-# with 20,000 proposals draws more than one 16,384-uniform block.
+# with 20,000 proposals draws more than one 16,384-uniform block.  The
+# keep-levels, b2beta-diff and exponent-end cases were recorded before the
+# chain kept its own nodematch count tables, which must not change a bit.
 
 
 def _digest(rows, net, accepted) -> str:
@@ -277,6 +279,17 @@ def _full(n1, n2, missing=()):
 ALPHA = ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5)
 BETA = ModelTerm(kind="b1nodematch", attribute="group", beta=0.5)
 B2DIFF = ModelTerm(kind="b2nodematch", attribute="kind", alpha=0.5, diff=True)
+KEEP_ALPHA = ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5, keep_levels=("a",))
+KEEP_BETA = ModelTerm(kind="b2nodematch", attribute="kind", beta=0.5, keep_levels=("b",))
+B2BETA_DIFF = ModelTerm(kind="b2nodematch", attribute="kind", beta=0.5, diff=True)
+ALPHA_ENDS = tuple(
+    ModelTerm(kind=f"b{m}nodematch", attribute=a, alpha=e)
+    for m, a in ((1, "group"), (2, "kind")) for e in (0.0, 1.0)
+)
+BETA_ENDS = tuple(
+    ModelTerm(kind=f"b{m}nodematch", attribute=a, beta=e)
+    for m, a in ((1, "group"), (2, "kind")) for e in (0.0, 1.0)
+)
 
 
 def _mh_step_case():
@@ -325,24 +338,38 @@ CONTRACT_CASES = {
     "tnt-empty-30x15": lambda: _chain_case(
         from_edge_list(30, 15, []), (BETA,), [-1.5, 0.6], "tnt", 9, 20, 1000),
     "mh_step": _mh_step_case,
+    # nodes outside the kept levels have group -1 and no count-table row
+    "tnt-keep-levels": _case30((KEEP_ALPHA, KEEP_BETA), [-1.5, 0.4, 0.3], "tnt", 12),
+    "uniform-keep-levels": _case30((KEEP_ALPHA, KEEP_BETA), [-1.5, 0.4, 0.3], "uniform", 12),
+    "tnt-b2beta-diff": _case30((B2BETA_DIFF,), [-1.5, 0.5, -0.2], "tnt", 13),
+    "uniform-b2beta-diff": _case30((B2BETA_DIFF,), [-1.5, 0.5, -0.2], "uniform", 13),
+    # exponents 0 and 1, the two ends of the pw/dpw tables
+    "tnt-alpha-0-1": _case30(ALPHA_ENDS, [-1.5, 0.4, 0.05, 0.3, 0.05], "tnt", 14),
+    "tnt-beta-0-1": _case30(BETA_ENDS, [-1.5, 0.4, 0.05, 0.3, 0.05], "tnt", 15),
 }
 
 CONTRACT_DIGESTS = {
     "mh_step": "4807985c26e9a7ff8e85a83f1ece1fd022dc1eda883b1d49b05be387cd9df6d0",
     "tnt-alpha": "d810677d43c9316ac8e980efeb8396057083318595e1f79d54a2bd28cc20864e",
+    "tnt-alpha-0-1": "3a4181b8ae08462b46d28fc98c44e23d9b19d16f5d99533a8e4fae8b0b8cc32c",
+    "tnt-b2beta-diff": "748f240a38c534d6f48d2de8acab261e9b72b69b353068b14dbe1d60dcf4866d",
     "tnt-b2diff": "cad835d6981d8b36ae41064c1ebae2ebeb365eb04986ede504774d5c0a09d7aa",
     "tnt-beta": "7296e6e7b46d387f54d0c1bc51dce00e3c2144e3beae291b8c8c21be935312a4",
+    "tnt-beta-0-1": "7c950c52154d613e140ebc2da10a3472fac7fee8610b2ecab7e510656d9f9cbc",
     "tnt-dense-fallback": "bfe4286ed5f26415e756282a25efc780b7c71082a39838d5f4e1686942744e0c",
     "tnt-edges": "4d28844ef985237c8169377ea0dfee161ffa6e0b5201a1c64ef28d5b4a79650a",
     "tnt-empty-30x15": "6b83043857407d0c82a0e935ed6a9b7827c7863a0430f8c79f7d94143829dc3b",
     "tnt-from-empty": "fd28a999b40b854e3ad501ba64f67137c1fb6dc61629e5603817ba73a153e5ca",
     "tnt-from-full": "c96e1afa25466ecb919ba24116ff678361999343a9baa9ba170f11dee3332dc6",
+    "tnt-keep-levels": "7ccab8cd03a40626de73877a05405c14bfbe274068fc98d033279aad6b6bb171",
     "tnt-one-dyad": "4c529adc3044d5b46fdf9d823dda1aec85f6a4ec4e8aa6e7b26b4da1d9be67bf",
     "uniform-alpha": "90cd997a4c9e885f7d0dd6a7160805bf9c6c2e96b09d031c491e0de416bb2c68",
+    "uniform-b2beta-diff": "4076207383d6b09d8911369f613789734674f92cb4694c7d87276a2445e21c03",
     "uniform-b2diff": "350abae95ba6c988d631f6560c21f577d3988999aa7c1b5a6259782c1315188a",
     "uniform-beta": "2a8e594ac7dffc98d49842d44cb5f9d8e22de18456b14b0ce18f1419879f953f",
     "uniform-edges": "a4f7ffb53d7b58e3034b798a05040f0b6ad8929c3685535c231264210cfbcfad",
     "uniform-from-full": "1ea9f275d9c0fdfd15f6932793d9859f1fc695e1f43bc4e1b8649d56525714f4",
+    "uniform-keep-levels": "5303fffd9815c35ec0f8ec4ed4f51168af175e01b6072c920d82cda49d29a807",
 }
 
 
@@ -368,3 +395,17 @@ def test_steps_one_at_a_time_equal_one_run(proposal):
     assert stepped.net._edge_list == ran.net._edge_list
     assert (stepped.accepted, stepped.proposals, stepped.last_dyad) == (
         ran.accepted, ran.proposals, ran.last_dyad)
+
+
+@pytest.mark.parametrize("term", [ALPHA, BETA_ENDS[2]], ids=["alpha", "beta"])
+def test_audit_catches_a_stale_count_table(term):
+    net = _net30(0.2)
+    spec = ModelSpec((ModelTerm(kind="edges"), term))
+    chain = Chain(net, bind(spec, net, _contract_attrs()), [-1.5, 0.1], _generator(16))
+    chain.run(2000)
+    chain.audit()
+    (counts,) = chain._counts
+    row = next(r for r in counts.rows if r is not None and any(r))
+    row[row.index(max(row))] -= 1
+    with pytest.raises(RuntimeError, match="count table of b.nodematch.* drifted"):
+        chain.audit()

@@ -528,3 +528,44 @@ TERM_LAYER_DIGESTS = {
 @pytest.mark.parametrize("which,exponent", sorted(TERM_LAYER_DIGESTS))
 def test_term_layer_keeps_its_bits(which, exponent):
     assert _term_layer_digest(which, exponent) == TERM_LAYER_DIGESTS[which, exponent]
+
+
+# The chain's nodematch kernels read count tables that it updates on each
+# accepted toggle; the stateless `BoundModel.delta_into` stays the
+# reference.  Both must give the same bits at every dyad after any run of
+# toggles, whether a table hears of a toggle before or after the network
+# changes.
+
+
+@pytest.mark.parametrize("shape,fill", DESIGN_CASES)
+@pytest.mark.parametrize("which,exponent", sorted(TERM_LAYER_DIGESTS))
+def test_chain_kernels_equal_the_stateless_delta(shape, fill, which, exponent):
+    net, attrs = design_case(shape, fill)
+    model = bind(every_term_kind(attrs, which, exponent), net, attrs)
+    kernels = [ev.chain_kernel(net) for ev in model.evaluators]
+    tables = [counts for _, counts in kernels if counts is not None]
+    assert len(tables) == 8  # nodematch in both modes, plain, diff, kept, diff kept
+    rng = np.random.default_rng([net.n1, net.n2, len(fill), int(10 * exponent)])
+    expected, cached = np.empty(model.p), np.empty(model.p)
+    for toggles in (0, 1, 5, 40, 40):
+        for _ in range(toggles):
+            i = int(rng.integers(1, net.n1 + 1))
+            k = int(rng.integers(net.n1 + 1, net.n + 1))
+            step = -1 if k in net.adj[i] else 1
+            hear_first = bool(rng.integers(2))
+            if hear_first:
+                for counts in tables:
+                    counts.toggled(i, k, step)
+            net.toggle(i, k)
+            if not hear_first:
+                for counts in tables:
+                    counts.toggled(i, k, step)
+        for counts in tables:
+            assert counts.rows == counts.rebuilt()
+        for i in range(1, net.n1 + 1):
+            for k in range(net.n1 + 1, net.n + 1):
+                model.delta_into(net, i, k, expected)
+                cached[:] = 0.0
+                for delta_into, _ in kernels:
+                    delta_into(net, i, k, cached)
+                assert cached.tobytes() == expected.tobytes(), (i, k)
