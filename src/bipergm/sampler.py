@@ -24,6 +24,7 @@ Changing that order changes every seeded chain, `simulate` sample and fit;
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ from .terms import BoundModel, ModelSpec, bind
 RNG_ALGORITHM = "numpy Philox4x64-10"
 
 LOG_HALF = math.log(0.5)
+
+_DEAD_CHAIN = "the chain stopped when an earlier run or step raised; build a new Chain"
 
 
 def _check_proposal(proposal: str) -> None:
@@ -107,11 +110,15 @@ class Chain:
     verifies agreement.  `theta` and `proposal` are fixed when the chain
     is built.
 
-    Nodematch terms read chain-local count tables (shared partners per
-    same-group pair for alpha, neighbours per level for beta) that the
-    chain updates on each accepted toggle.  So once the chain is built the
+    Nodematch terms read chain-local count tables (neighbour bitmasks per
+    kept node for alpha, neighbours per level for beta) that the chain
+    updates on each accepted toggle.  So once the chain is built the
     network must change only through the chain; `audit()` also recounts
     the tables and raises on any that went stale.
+
+    A chain whose `run` or `step` raised is dead: the exception may have
+    left the network, the tables and the statistics out of step, so every
+    later `run` or `step` raises `RuntimeError`.
     """
 
     def __init__(
@@ -137,38 +144,68 @@ class Chain:
         self.accepted = 0
         self.proposals = 0
         self.last_dyad: tuple[int, int] | None = None
-        # the uniform block and the index of its next unused entry
-        self._u: list[float] = []
-        self._ui = 0
-        n1, n2, p = net.n1, net.n2, model.p
-        # what `run` binds to locals, in one tuple so that `step` unpacks once
-        self._loop = (
-            net, net.adj, net._edge_list, net._add, net._remove,
-            n1, n2, n1 * n2, n1 + 1, proposal == "tnt",
-            {}, {},  # TNT log proposal ratios by edge count, filled on first use
+        loop = _mh_loop(
+            weakref.ref(self), net, self.theta, self.stats, proposal == "tnt",
             [delta for delta, _ in kernels], [c.toggled for c in self._counts],
-            self.theta, [0.0] * p, [0.0] * p, range(p),
-            rng.random, uniform_block, math.exp,
+            rng.random, uniform_block,
         )
+        next(loop)
+        self._send = loop.send
 
     def step(self) -> bool:
         """One proposal; returns True if the toggle was accepted."""
-        accepted = self.accepted
-        self.run(1)
-        return self.accepted != accepted
+        try:
+            return self._send(1)
+        except StopIteration:
+            raise RuntimeError(_DEAD_CHAIN) from None
 
     def run(self, proposals: int) -> None:
-        """Make `proposals` MH proposals, drawing uniforms in the order the
-        module docstring gives.  This is the only loop body; `step` runs it
-        for one proposal."""
-        (net, adj, edge_list, add, remove, n1, n2, D, first2, tnt, q_add, q_remove,
-         deltas, hooks, theta, buf, zeros, idx, draw, block, exp) = self._loop
-        stats = self.stats
-        u, ui = self._u, self._ui
-        nu = len(u)
-        accepted = 0
-        i = k = 0
-        for _ in range(proposals):
+        """Make `proposals` MH proposals."""
+        try:
+            self._send(proposals)
+        except StopIteration:
+            raise RuntimeError(_DEAD_CHAIN) from None
+
+    def audit(self) -> None:
+        """Recompute statistics from scratch and check the running vector
+        agrees to within 1e-8, and recount every count table and check it
+        agrees exactly."""
+        fresh = self.model.stats(self.net)
+        drift = float(np.max(np.abs(fresh - np.asarray(self.stats)))) if self.model.p else 0.0
+        if drift > 1e-8:
+            raise RuntimeError(f"incremental statistics drifted by {drift:g} (tol 1e-08)")
+        for counts in self._counts:
+            if counts.rows != counts.rebuilt():
+                raise RuntimeError(
+                    f"incremental count table of {counts.ev.names[0]} drifted from a recount"
+                )
+        # in place: the loop holds this list
+        self.stats[:] = [float(s) for s in fresh]
+
+
+def _mh_loop(chain, net, theta, stats, tnt, deltas, hooks, draw, block):
+    """The only MH loop body: a generator that holds a chain's locals, the
+    uniform block and its index among them, between calls.  Each value
+    sent is a number of proposals to make, drawing uniforms in the order
+    the module docstring gives; it yields whether the batch accepted any
+    toggle.  `chain` is a weak reference, and the loop holds no strong one
+    while suspended, so a dropped chain frees its uniform block at once."""
+    exp = math.exp
+    adj, edge_list, add, remove = net.adj, net._edge_list, net._add, net._remove
+    n1, n2 = net.n1, net.n2
+    D, first2 = n1 * n2, n1 + 1
+    q_add, q_remove = {}, {}  # TNT log proposal ratios by edge count, filled on first use
+    # every kernel writes each slot of its term, so buf is never zeroed
+    buf = [0.0] * len(theta)
+    idx = range(len(theta))
+    u: list[float] = []
+    ui = nu = 0
+    accepted = proposals = 0
+    i = k = 0
+    n = yield
+    while True:
+        before = accepted
+        for _ in range(n):
             if tnt:
                 E = len(edge_list)
                 if 0 < E < D:
@@ -223,8 +260,6 @@ class Chain:
                 adding = k not in adj[i]
                 log_q = 0.0
 
-            # terms that skip a slot leave it zero
-            buf[:] = zeros
             for delta_into in deltas:
                 delta_into(net, i, k, buf)
             lo = 0.0
@@ -253,26 +288,13 @@ class Chain:
                     stats[j] -= buf[j]
             accepted += 1
 
-        self._u, self._ui = u, ui
-        self.accepted += accepted
-        self.proposals += proposals
-        if proposals > 0:
-            self.last_dyad = (i, k)
-
-    def audit(self) -> None:
-        """Recompute statistics from scratch and check the running vector
-        agrees to within 1e-8, and recount every count table and check it
-        agrees exactly."""
-        fresh = self.model.stats(self.net)
-        drift = float(np.max(np.abs(fresh - np.asarray(self.stats)))) if self.model.p else 0.0
-        if drift > 1e-8:
-            raise RuntimeError(f"incremental statistics drifted by {drift:g} (tol 1e-08)")
-        for counts in self._counts:
-            if counts.rows != counts.rebuilt():
-                raise RuntimeError(
-                    f"incremental count table of {counts.ev.names[0]} drifted from a recount"
-                )
-        self.stats = [float(s) for s in fresh]
+        proposals += n
+        owner = chain()
+        owner.accepted, owner.proposals = accepted, proposals
+        if n > 0:
+            owner.last_dyad = (i, k)
+        owner = None
+        n = yield accepted != before
 
 
 def cond_log_odds(

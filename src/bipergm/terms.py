@@ -178,7 +178,14 @@ class _Evaluator:
         function, and the count table it reads (None when it reads only the
         network).  A table is bound to `net`: the chain calls its
         `toggled(i, k, step)` after each accepted toggle and compares its
-        `rows` with `rebuilt()` in an audit."""
+        `rows` with `rebuilt()` in an audit.
+
+        Slot contract: the function writes every slot of the term,
+        `out[offset:offset + width]`, on every call, with the bits
+        `delta_into` gives after `BoundModel.delta_into` zeroes `out`, and
+        no other slot.  The chain never zeroes its buffer, so a slot left
+        alone would carry the last proposal's value.  The default suits
+        an evaluator whose `delta_into` already writes its whole range."""
         return self.delta_into, None
 
 
@@ -202,6 +209,18 @@ class _NodeValue(_Evaluator):
 
     def delta_into(self, net, i, k, out):
         out[self.offset] = self.value[i if self.mode == 1 else k]
+
+    def chain_kernel(self, net):
+        value, offset = self.value, self.offset
+
+        if self.mode == 1:
+            def delta_into(net, i, k, out):
+                out[offset] = value[i]
+        else:
+            def delta_into(net, i, k, out):
+                out[offset] = value[k]
+
+        return delta_into, None
 
     def columns(self, B):
         return _per_dyad(_of_mode(self.value, self.mode, B), self.mode, B)
@@ -230,6 +249,18 @@ class _LevelSlot(_Evaluator):
         s = self.slot[i if self.mode == 1 else k]
         if s >= 0:
             out[self.offset + s] = 1.0
+
+    def chain_kernel(self, net):
+        slot, offset, mode1 = self.slot, self.offset, self.mode == 1
+        end, zeros = offset + self.width, [0.0] * self.width
+
+        def delta_into(net, i, k, out):
+            out[offset:end] = zeros
+            s = slot[i] if mode1 else slot[k]
+            if s >= 0:
+                out[offset + s] = 1.0
+
+        return delta_into, None
 
     def columns(self, B):
         slot = _of_mode(self.slot, self.mode, B)
@@ -389,24 +420,31 @@ class _Nodematch(_Evaluator):
 
 
 class _TwoPathCounts:
-    """Same-group two-path counts of a node-centric nodematch term on one
-    network: `rows[a][b]` is the number of shared partners of nodes a and b
-    of the term's mode when both are in the same kept level (a dense row
-    indexed by node id per node in a kept level, None for the others).
+    """Neighbour bitmasks of a node-centric nodematch term on one network:
+    `rows[a]` is an int with bit `s - first` set for each partner s of node
+    a, for every node a of the term's mode in a kept level (None for the
+    others), `first` being the first node id of the other mode.
 
-    `delta_into` is the stateless kernel with `len(adj[focal] & adj[j])`
-    read from the row: the same neighbours in the same order, the same
-    `dpw` entries, so the same bits.  `toggled(i, k, step)` adds `step`
-    (+1 on an added edge, -1 on a removed one) to the pairs that gain or
-    lose the two-path through the toggled dyad; it skips the focal node
-    itself, so it may run before or after the network changes.
+    `delta_into` is the stateless kernel with `len(adj[focal] & adj[j]) -
+    has_edge` read as the popcount of `masks[focal] & masks[j]` with the
+    shared node's bit cleared: the same neighbours in the same order, the
+    same `dpw` entries, so the same bits.  `toggled(i, k, step)` flips the
+    one bit of the toggled dyad, so it costs the same whatever the
+    degrees, and may run before or after the network changes.
     """
 
     def __init__(self, ev: _Nodematch, net: BipartiteNetwork):
         self.ev, self.net = ev, net
-        self.rows = rows = self.rebuilt()
         mode1, adj, group = ev.mode == 1, net.adj, ev.group
-        slot_of, dpw, offset = ev.slot_of_code, ev.dpw, ev.offset
+        first = net.n1 + 1 if mode1 else 1
+        # bit[s] marks partner s in a mask; without[s] clears it
+        self.bit = bit = [0] * (net.n + 1)
+        for s in range(first, first + (net.n2 if mode1 else net.n1)):
+            bit[s] = 1 << (s - first)
+        without = [~b for b in bit]
+        self.rows = masks = self.rebuilt()
+        slot_of, dpw, offset, wide = ev.slot_of_code, ev.dpw, ev.offset, ev.width > 1
+        end, zeros = offset + ev.width, [0.0] * ev.width
 
         # these run once per proposal or accepted toggle; plain assignments
         # in each branch skip the tuple that a conditional pair would build
@@ -417,13 +455,15 @@ class _TwoPathCounts:
                 focal, shared = k, i
             cf = group[focal]
             if cf < 0:
+                out[offset:end] = zeros
                 return
-            row = rows[focal]
-            has_edge = focal in adj[shared]
+            mf = masks[focal] & without[shared]
             total = 0.0
             for j in adj[shared]:
                 if j != focal and group[j] == cf:
-                    total += dpw[row[j] - has_edge]
+                    total += dpw[(mf & masks[j]).bit_count()]
+            if wide:
+                out[offset:end] = zeros
             out[offset + slot_of[cf]] = total
 
         def toggled(i, k, step):
@@ -431,25 +471,18 @@ class _TwoPathCounts:
                 a, s = i, k
             else:
                 a, s = k, i
-            g = group[a]
-            if g < 0:
-                return
-            row = rows[a]
-            for j in adj[s]:
-                if j != a and group[j] == g:
-                    row[j] += step
-                    rows[j][a] += step
+            if group[a] >= 0:
+                masks[a] ^= bit[s]
 
         self.delta_into, self.toggled = delta_into, toggled
 
     def rebuilt(self) -> list:
-        """The table recounted from the network by `shared_partners`."""
-        group = self.ev.group
-        rows = [[0] * len(group) if g >= 0 else None for g in group]
-        pairs, _ = shared_partners(self.net, self.ev.mode, group)
-        for (a, b), t in pairs.items():
-            rows[a][b] = rows[b][a] = t
-        return rows
+        """The masks rebuilt from the network's neighbour sets."""
+        adj, bit = self.net.adj, self.bit
+        return [
+            sum(bit[s] for s in adj[a]) if g >= 0 else None
+            for a, g in enumerate(self.ev.group)
+        ]
 
 
 class _LevelCounts:
@@ -457,13 +490,15 @@ class _LevelCounts:
     network: `rows[s][g]` is the number of neighbours of node s (of the
     other mode) in level code g, so the matching co-edge count u of a dyad
     is one lookup less the focal node's own edge, where the stateless
-    kernel loops over `adj[s]`.  `toggled` as in `_TwoPathCounts`."""
+    kernel loops over `adj[s]`.  `toggled(i, k, step)` adds `step` (+1 on
+    an added edge, -1 on a removed one) to one count."""
 
     def __init__(self, ev: _Nodematch, net: BipartiteNetwork):
         self.ev, self.net = ev, net
         self.rows = counts = self.rebuilt()
         mode1, adj, group = ev.mode == 1, net.adj, ev.group
-        slot_of, pw, offset = ev.slot_of_code, ev.pw, ev.offset
+        slot_of, pw, offset, wide = ev.slot_of_code, ev.pw, ev.offset, ev.width > 1
+        end, zeros = offset + ev.width, [0.0] * ev.width
 
         def delta_into(net, i, k, out):
             if mode1:
@@ -472,8 +507,11 @@ class _LevelCounts:
                 focal, shared = k, i
             cf = group[focal]
             if cf < 0:
+                out[offset:end] = zeros
                 return
             u = counts[shared][cf] - (focal in adj[shared])
+            if wide:
+                out[offset:end] = zeros
             out[offset + slot_of[cf]] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
 
         def toggled(i, k, step):

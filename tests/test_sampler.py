@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -405,7 +406,139 @@ def test_audit_catches_a_stale_count_table(term):
     chain.run(2000)
     chain.audit()
     (counts,) = chain._counts
-    row = next(r for r in counts.rows if r is not None and any(r))
-    row[row.index(max(row))] -= 1
+    if term.alpha is not None:
+        # a kept node's neighbour bitmask loses its lowest partner bit
+        a = next(a for a, mask in enumerate(counts.rows) if mask)
+        counts.rows[a] &= counts.rows[a] - 1
+    else:
+        row = next(r for r in counts.rows if r is not None and any(r))
+        row[row.index(max(row))] -= 1
     with pytest.raises(RuntimeError, match="count table of b.nodematch.* drifted"):
         chain.audit()
+
+
+# The criterion-5 chains of the chain-2x2 benchmark, driven one `step()` at
+# a time: the 2x2 state code after every proposal, rebuilt from
+# `last_dyad` on each accepted toggle, plus `accepted` and `proposals`.
+# Recorded before the loop kept its state between calls.
+
+
+def _step_tally_digest(theta, index):
+    attrs = make_attrs1(["a", "a"])
+    spec = ModelSpec(
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5))
+    )
+    net = from_edge_list(2, 2, [])
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([19, index])))
+    chain = Chain(net, bind(spec, net, attrs), theta, rng)
+    chain.run(5000)
+    code = sum(1 << ((i - 1) * 2 + (k - 3)) for i, k in net.edges())
+    codes = bytearray()
+    step = chain.step
+    for _ in range(20_000):
+        if step():
+            i, k = chain.last_dyad
+            code ^= 1 << ((i - 1) * 2 + (k - 3))
+        codes.append(code)
+    h = hashlib.sha256(bytes(codes))
+    h.update(f"{chain.accepted} {chain.proposals}".encode())
+    return h.hexdigest()
+
+
+STEP_TALLY_DIGESTS = {
+    (0.0, 0.0): "e762ab0b00b43301d686b61de52cd7c1cc0aa1dfb181349bf763171808cabd5a",
+    (1.0, 1.0): "b7bae725ef1fe1847aa177e9e43bf63eb0a6b17a1a8946b81fa0612d3b38b85b",
+}
+
+
+@pytest.mark.parametrize("theta", sorted(STEP_TALLY_DIGESTS), ids=str)
+def test_step_driven_tallies_keep_their_bits(theta):
+    index = sorted(STEP_TALLY_DIGESTS).index(theta)
+    assert _step_tally_digest(list(theta), index) == STEP_TALLY_DIGESTS[theta]
+
+
+# The loop keeps its locals, the uniform block and its index among them,
+# between calls, so any mix of calls must make the chain `run(n)` makes.
+# `audit()` replaces the running statistics with a recount; with exponents
+# 0 and 1 every change statistic is a multiple of 1/2, the sums are exact,
+# and the recount has the same bits as the running vector.
+
+
+@pytest.mark.parametrize("proposal", ["tnt", "uniform"])
+def test_interleaved_calls_equal_one_run(proposal):
+    attrs = _contract_attrs()
+    spec = ModelSpec((
+        ModelTerm(kind="edges"),
+        ALPHA_ENDS[1],
+        ModelTerm(kind="b2nodematch", attribute="kind", beta=0.0, diff=True),
+        ModelTerm(kind="b1factor", attribute="group"),
+    ))
+    theta = [-1.5, 0.2, 0.4, -0.3, 0.2]
+    chains = []
+    for _ in range(2):
+        net = _net30(0.2)
+        chains.append(Chain(net, bind(spec, net, attrs), theta, _generator(23), proposal=proposal))
+    mixed, ran = chains
+    rng = np.random.default_rng(24)
+    total = 0
+    while total < 20_000:
+        what = int(rng.integers(3))
+        if what == 0:
+            mixed.step()
+            total += 1
+        elif what == 1:
+            n = int(rng.integers(0, 400))
+            mixed.run(n)
+            total += n
+        else:
+            mixed.audit()
+    ran.run(total)
+    assert mixed.stats == ran.stats
+    assert mixed.net._edge_list == ran.net._edge_list
+    assert (mixed.accepted, mixed.proposals, mixed.last_dyad) == (
+        ran.accepted, ran.proposals, ran.last_dyad)
+    ran.audit()
+
+
+def test_a_chain_that_raised_stays_dead(monkeypatch):
+    net = _net30(0.2)
+    model = bind(ModelSpec((ModelTerm(kind="edges"), ALPHA)), net, _contract_attrs())
+    ev = model.evaluators[1]
+    delta_into, counts = ev.chain_kernel(net)
+    calls = 0
+
+    def failing(net, i, k, out):
+        nonlocal calls
+        calls += 1
+        if calls == 50:
+            raise ZeroDivisionError("kernel failed")
+        delta_into(net, i, k, out)
+
+    monkeypatch.setattr(ev, "chain_kernel", lambda net: (failing, counts))
+    chain = Chain(net, model, [-1.5, 0.6], _generator(3))
+    chain.run(10)
+    assert chain.step() in (True, False)
+    with pytest.raises(ZeroDivisionError, match="kernel failed"):
+        chain.run(100)
+    dead = "the chain stopped when an earlier run or step raised"
+    with pytest.raises(RuntimeError, match=dead):
+        chain.step()
+    with pytest.raises(RuntimeError, match=dead):
+        chain.run(5)
+    # a bare StopIteration would end this map quietly
+    step = chain.step
+    with pytest.raises(RuntimeError, match=dead):
+        list(map(lambda _: step(), range(3)))
+
+
+def test_a_dropped_chain_is_freed_at_once():
+    # the suspended loop holds only a weak reference to its chain, so no
+    # reference cycle keeps a dropped chain and its 16,384-uniform block
+    # alive until the cyclic collector runs
+    net = _net30(0.2)
+    chain = Chain(net, bind(ModelSpec((ModelTerm(kind="edges"), ALPHA)), net, _contract_attrs()),
+                  [-1.5, 0.6], _generator(4))
+    chain.run(100)
+    ref = weakref.ref(chain)
+    del chain
+    assert ref() is None

@@ -569,3 +569,38 @@ def test_chain_kernels_equal_the_stateless_delta(shape, fill, which, exponent):
                 for delta_into, _ in kernels:
                     delta_into(net, i, k, cached)
                 assert cached.tobytes() == expected.tobytes(), (i, k)
+
+
+# The chain never zeroes its change buffer, so each chain kernel must write
+# every slot of its own term on every call, with the bits of the stateless
+# reference, and no slot of another term.  A buffer full of NaN shows both:
+# a slot the kernel skips stays NaN, and so does any slot it should not touch.
+
+
+@pytest.mark.parametrize("shape,fill", DESIGN_CASES)
+@pytest.mark.parametrize("which,exponent", sorted(TERM_LAYER_DIGESTS))
+def test_chain_kernels_own_their_slots(shape, fill, which, exponent):
+    net, attrs = design_case(shape, fill)
+    model = bind(every_term_kind(attrs, which, exponent), net, attrs)
+    kernels = [ev.chain_kernel(net) for ev in model.evaluators]
+    tables = [counts for _, counts in kernels if counts is not None]
+    rng = np.random.default_rng([net.n1, net.n2, len(fill), int(10 * exponent), 1])
+    expected = np.empty(model.p)
+    for toggles in (0, 7):
+        for _ in range(toggles):
+            i = int(rng.integers(1, net.n1 + 1))
+            k = int(rng.integers(net.n1 + 1, net.n + 1))
+            step = -1 if k in net.adj[i] else 1
+            net.toggle(i, k)
+            for counts in tables:
+                counts.toggled(i, k, step)
+        for i in range(1, net.n1 + 1):
+            for k in range(net.n1 + 1, net.n + 1):
+                model.delta_into(net, i, k, expected)
+                for ev, (delta_into, _) in zip(model.evaluators, kernels):
+                    out = [math.nan] * model.p
+                    delta_into(net, i, k, out)
+                    lo, hi = ev.offset, ev.offset + ev.width
+                    assert np.array(out[lo:hi]).tobytes() == expected[lo:hi].tobytes(), (
+                        ev.names, i, k)
+                    assert all(math.isnan(v) for v in out[:lo] + out[hi:]), (ev.names, i, k)
