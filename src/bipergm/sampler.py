@@ -195,8 +195,7 @@ def _mh_loop(chain, net, theta, stats, tnt, deltas, hooks, draw, block):
     n1, n2 = net.n1, net.n2
     D, first2 = n1 * n2, n1 + 1
     q_add, q_remove = {}, {}  # TNT log proposal ratios by edge count, filled on first use
-    # every kernel writes each slot of its term, so buf is never zeroed
-    buf = [0.0] * len(theta)
+    buf, zeros = [0.0] * len(theta), [0.0] * len(theta)
     idx = range(len(theta))
     u: list[float] = []
     ui = nu = 0
@@ -260,6 +259,8 @@ def _mh_loop(chain, net, theta, stats, tnt, deltas, hooks, draw, block):
                 adding = k not in adj[i]
                 log_q = 0.0
 
+            # terms that skip a slot leave it zero
+            buf[:] = zeros
             for delta_into in deltas:
                 delta_into(net, i, k, buf)
             lo = 0.0

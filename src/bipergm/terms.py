@@ -178,14 +178,9 @@ class _Evaluator:
         function, and the count table it reads (None when it reads only the
         network).  A table is bound to `net`: the chain calls its
         `toggled(i, k, step)` after each accepted toggle and compares its
-        `rows` with `rebuilt()` in an audit.
-
-        Slot contract: the function writes every slot of the term,
-        `out[offset:offset + width]`, on every call, with the bits
-        `delta_into` gives after `BoundModel.delta_into` zeroes `out`, and
-        no other slot.  The chain never zeroes its buffer, so a slot left
-        alone would carry the last proposal's value.  The default suits
-        an evaluator whose `delta_into` already writes its whole range."""
+        `rows` with `rebuilt()` in an audit.  Like `delta_into`, the
+        function writes only slots of its own term, into a buffer the chain
+        zeroes before each proposal."""
         return self.delta_into, None
 
 
@@ -209,18 +204,6 @@ class _NodeValue(_Evaluator):
 
     def delta_into(self, net, i, k, out):
         out[self.offset] = self.value[i if self.mode == 1 else k]
-
-    def chain_kernel(self, net):
-        value, offset = self.value, self.offset
-
-        if self.mode == 1:
-            def delta_into(net, i, k, out):
-                out[offset] = value[i]
-        else:
-            def delta_into(net, i, k, out):
-                out[offset] = value[k]
-
-        return delta_into, None
 
     def columns(self, B):
         return _per_dyad(_of_mode(self.value, self.mode, B), self.mode, B)
@@ -249,18 +232,6 @@ class _LevelSlot(_Evaluator):
         s = self.slot[i if self.mode == 1 else k]
         if s >= 0:
             out[self.offset + s] = 1.0
-
-    def chain_kernel(self, net):
-        slot, offset, mode1 = self.slot, self.offset, self.mode == 1
-        end, zeros = offset + self.width, [0.0] * self.width
-
-        def delta_into(net, i, k, out):
-            out[offset:end] = zeros
-            s = slot[i] if mode1 else slot[k]
-            if s >= 0:
-                out[offset + s] = 1.0
-
-        return delta_into, None
 
     def columns(self, B):
         slot = _of_mode(self.slot, self.mode, B)
@@ -443,8 +414,7 @@ class _TwoPathCounts:
             bit[s] = 1 << (s - first)
         without = [~b for b in bit]
         self.rows = masks = self.rebuilt()
-        slot_of, dpw, offset, wide = ev.slot_of_code, ev.dpw, ev.offset, ev.width > 1
-        end, zeros = offset + ev.width, [0.0] * ev.width
+        slot_of, dpw, offset = ev.slot_of_code, ev.dpw, ev.offset
 
         # these run once per proposal or accepted toggle; plain assignments
         # in each branch skip the tuple that a conditional pair would build
@@ -455,15 +425,12 @@ class _TwoPathCounts:
                 focal, shared = k, i
             cf = group[focal]
             if cf < 0:
-                out[offset:end] = zeros
                 return
             mf = masks[focal] & without[shared]
             total = 0.0
             for j in adj[shared]:
                 if j != focal and group[j] == cf:
                     total += dpw[(mf & masks[j]).bit_count()]
-            if wide:
-                out[offset:end] = zeros
             out[offset + slot_of[cf]] = total
 
         def toggled(i, k, step):
@@ -497,8 +464,7 @@ class _LevelCounts:
         self.ev, self.net = ev, net
         self.rows = counts = self.rebuilt()
         mode1, adj, group = ev.mode == 1, net.adj, ev.group
-        slot_of, pw, offset, wide = ev.slot_of_code, ev.pw, ev.offset, ev.width > 1
-        end, zeros = offset + ev.width, [0.0] * ev.width
+        slot_of, pw, offset = ev.slot_of_code, ev.pw, ev.offset
 
         def delta_into(net, i, k, out):
             if mode1:
@@ -507,11 +473,8 @@ class _LevelCounts:
                 focal, shared = k, i
             cf = group[focal]
             if cf < 0:
-                out[offset:end] = zeros
                 return
             u = counts[shared][cf] - (focal in adj[shared])
-            if wide:
-                out[offset:end] = zeros
             out[offset + slot_of[cf]] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
 
         def toggled(i, k, step):

@@ -571,10 +571,12 @@ def test_chain_kernels_equal_the_stateless_delta(shape, fill, which, exponent):
                 assert cached.tobytes() == expected.tobytes(), (i, k)
 
 
-# The chain never zeroes its change buffer, so each chain kernel must write
-# every slot of its own term on every call, with the bits of the stateless
-# reference, and no slot of another term.  A buffer full of NaN shows both:
-# a slot the kernel skips stays NaN, and so does any slot it should not touch.
+# The chain zeroes its change buffer before each proposal, then every chain
+# kernel writes into it in turn.  So each kernel must leave its term's slots
+# holding the bits of the stateless reference and touch no slot of another
+# term.  A buffer with zeros in the term's slots and NaN elsewhere shows a
+# write outside the term, which the summed buffer of the test above misses
+# when a later kernel overwrites it.
 
 
 @pytest.mark.parametrize("shape,fill", DESIGN_CASES)
@@ -598,9 +600,10 @@ def test_chain_kernels_own_their_slots(shape, fill, which, exponent):
             for k in range(net.n1 + 1, net.n + 1):
                 model.delta_into(net, i, k, expected)
                 for ev, (delta_into, _) in zip(model.evaluators, kernels):
-                    out = [math.nan] * model.p
-                    delta_into(net, i, k, out)
                     lo, hi = ev.offset, ev.offset + ev.width
+                    out = [math.nan] * model.p
+                    out[lo:hi] = [0.0] * ev.width
+                    delta_into(net, i, k, out)
                     assert np.array(out[lo:hi]).tobytes() == expected[lo:hi].tobytes(), (
                         ev.names, i, k)
                     assert all(math.isnan(v) for v in out[:lo] + out[hi:]), (ev.names, i, k)
