@@ -20,8 +20,6 @@ import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import estimate, formula, io, oracle, sampler, terms
 from .graph import Attributes, ColumnTypeError, project
 
@@ -92,8 +90,8 @@ def _parse_floats(text: str) -> list[float]:
     return [float(f) for f in text.split(",") if f.strip() != ""]
 
 
-def _fit_json(fit: estimate.FitResult, config: str) -> str:
-    record = {
+def _fit_record(fit: estimate.FitResult, config: str) -> dict:
+    return {
         "config": json.loads(config),
         "method": fit.method,
         "names": fit.names,
@@ -106,7 +104,6 @@ def _fit_json(fit: estimate.FitResult, config: str) -> str:
         "diagnostics": fit.diagnostics,
         "formula": fit.formula,
     }
-    return json.dumps(record, indent=2, sort_keys=True, default=str)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +144,14 @@ def cmd_fit(args) -> int:
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     _emit(args, "fit.txt", fit.summary() + "\n", config)
+    record = _fit_record(fit, config)
     if args.out:
-        stamp = datetime.now(timezone.utc).isoformat()
-        record = json.loads(_fit_json(fit, config))
-        record["timestamp"] = stamp
-        (Path(args.out) / "fit.json").write_text(
-            json.dumps(record, indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf-8",
-        )
+        record["timestamp"] = datetime.now(timezone.utc).isoformat()
+    text = json.dumps(record, indent=2, sort_keys=True, default=str) + "\n"
+    if args.out:
+        (Path(args.out) / "fit.json").write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(_fit_json(fit, config) + "\n")
+        sys.stdout.write(text)
     if args.degeneracy_error and any(
         isinstance(w.message, estimate.DegeneracyWarning) for w in caught
     ):
@@ -236,7 +231,7 @@ def cmd_oracle(args) -> int:
     model = oracle.ExactModel(spec, attrs, net.n1, net.n2)
     if args.what == "kappa":
         theta = _parse_floats(args.theta)
-        value = oracle.exact_kappa(model, theta)
+        value = model.log_kappa(theta)
         _emit(args, "kappa.txt", f"log_kappa,{_num(value)}\n", config)
         return EXIT_OK
     if args.what == "mle":
@@ -340,16 +335,12 @@ def main(argv=None) -> int:
     except formula.FormulaSyntaxError as exc:
         print(f"error: formula: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (io.FileFormatError, OSError) as exc:
+    # FileFormatError and SizeCapError are ValueErrors: these two branches
+    # must come before the one for ValueError
+    except (io.FileFormatError, OSError, KeyError, ColumnTypeError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (KeyError, ColumnTypeError) as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except oracle.SizeCapError as exc:
-        print(f"error: estimation: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except estimate.EstimationError as exc:
+    except (oracle.SizeCapError, estimate.EstimationError) as exc:
         print(f"error: estimation: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except ValueError as exc:

@@ -51,10 +51,6 @@ class BipartiteNetwork:
     def dyad_count(self) -> int:
         return self.n1 * self.n2
 
-    def mode_of(self, node: int) -> int:
-        self._check_node(node)
-        return 1 if node <= self.n1 else 2
-
     def has_edge(self, i: int, k: int) -> bool:
         self.check_dyad(i, k)
         return k in self.adj[i]
@@ -175,40 +171,6 @@ def from_edge_list(
     return net
 
 
-def toggle_edge(net: BipartiteNetwork, i: int, k: int) -> BipartiteNetwork:
-    """Toggle dyad (i, k) in place and return the network."""
-    net.toggle(i, k)
-    return net
-
-
-def two_paths_between(
-    net: BipartiteNetwork, a: int, b: int, excluding: int | None = None
-) -> int:
-    """Number of two-paths joining same-mode nodes a and b.
-
-    A two-path runs through one node of the opposite mode; `excluding`
-    drops one such intermediate node from the count.
-    """
-    if a == b:
-        raise ValueError(f"two-path count needs distinct endpoints, got {a} twice")
-    if net.mode_of(a) != net.mode_of(b):
-        raise ModeViolationError(
-            f"nodes {a} and {b} are in different modes; two-paths connect same-mode nodes"
-        )
-    na = net.neighbors(a)
-    nb = net.neighbors(b)
-    if excluding is not None:
-        net._check_node(excluding)
-        if net.mode_of(excluding) == net.mode_of(a):
-            raise ModeViolationError(
-                f"excluded node {excluding} must be in the opposite mode of {a}"
-            )
-    count = len(na & nb)
-    if excluding is not None and excluding in na and excluding in nb:
-        count -= 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # nodal attributes
 # ---------------------------------------------------------------------------
@@ -221,15 +183,6 @@ class CategoricalColumn:
     name: str
     levels: tuple[str, ...]  # sorted lexicographically, fixed at load
     codes: np.ndarray  # int codes, offset-indexed
-
-    def code_for_level(self, level: str) -> int:
-        try:
-            return self.levels.index(level)
-        except ValueError:
-            raise KeyError(
-                f"unknown level {level!r} for column {self.name!r}; "
-                f"levels are {list(self.levels)}"
-            ) from None
 
     def level_of(self, offset: int) -> str:
         return self.levels[int(self.codes[offset])]
@@ -315,26 +268,6 @@ class Attributes:
         if table is None:
             raise KeyError(f"no attribute table supplied for mode {mode}")
         return table
-
-
-def matching_edges_at(
-    net: BipartiteNetwork,
-    attrs: AttributeTable,
-    column: str,
-    i: int,
-    k: int,
-) -> int:
-    """Count edges at the shared endpoint from nodes matching the focal node.
-
-    With a mode-1 attribute table this is the number of mode-1 nodes j != i
-    tied to k whose category equals i's.  With a mode-2 table the roles
-    swap: mode-2 nodes k' != k tied to i matching k's category.
-    """
-    net.check_dyad(i, k)
-    codes = attrs.categorical(column).codes
-    focal, shared, first = (i, k, 1) if attrs.mode == 1 else (k, i, net.n1 + 1)
-    cf = codes[focal - first]
-    return sum(1 for j in net.adj[shared] if j != focal and codes[j - first] == cf)
 
 
 # ---------------------------------------------------------------------------

@@ -48,20 +48,11 @@ class HullBoundaryError(EstimationError):
 class ExactModel:
     """Statistic table over every network on an n1 x n2 dyad grid."""
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        attrs: Attributes,
-        n1: int,
-        n2: int,
-        max_dyads: int = MAX_DYADS,
-    ):
-        if max_dyads > MAX_DYADS:
-            raise ValueError(f"max_dyads can only be lowered below {MAX_DYADS}")
+    def __init__(self, spec: ModelSpec, attrs: Attributes, n1: int, n2: int):
         dyads = n1 * n2
-        if dyads > max_dyads:
+        if dyads > MAX_DYADS:
             raise SizeCapError(
-                f"{n1}x{n2} has {dyads} dyads; exhaustive enumeration is capped at {max_dyads}"
+                f"{n1}x{n2} has {dyads} dyads; exhaustive enumeration is capped at {MAX_DYADS}"
             )
         self.n1 = n1
         self.n2 = n2
@@ -132,11 +123,6 @@ class ExactModel:
         if theta.shape != (self.p,):
             raise ValueError(f"theta has shape {theta.shape}, model dimension is {self.p}")
         return theta
-
-
-def exact_kappa(model: ExactModel, theta) -> float:
-    """log kappa(theta), computed with max-shift for stability."""
-    return model.log_kappa(theta)
 
 
 def exact_loglik(model: ExactModel, theta, y_obs) -> float:

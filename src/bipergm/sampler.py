@@ -7,8 +7,8 @@ empty- and full-graph cases where one branch has nothing to pick.
 
 Randomness comes from numpy's counter-based Philox generator; a chain is
 fully determined by its seed.  A chain takes its uniforms from a block of
-`rng.random(block).tolist()`, drawn only when a uniform is needed and the
-last block is spent, and uses them per proposal in this order:
+`rng.random(UNIFORM_BLOCK).tolist()`, drawn only when a uniform is needed
+and the last block is spent, and uses them per proposal in this order:
 
 1. TNT only: the coin, only when 0 < E < D edges (below 0.5 removes);
 2. the dyad: under TNT either the index of the edge to remove, or up to
@@ -33,6 +33,8 @@ from .graph import Attributes, BipartiteNetwork
 from .terms import BoundModel, ModelSpec, bind
 
 RNG_ALGORITHM = "numpy Philox4x64-10"
+# uniforms per `rng.random` call of a chain
+UNIFORM_BLOCK = 16384
 
 LOG_HALF = math.log(0.5)
 
@@ -79,8 +81,6 @@ class StatSample:
     final_network: BipartiteNetwork
     acceptance_rate: float
     proposals: int
-    control: SamplerControl
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 def _generator(seed) -> np.random.Generator:
@@ -128,7 +128,6 @@ class Chain:
         theta,
         rng: np.random.Generator,
         proposal: str = "tnt",
-        uniform_block: int = 16384,
     ):
         if len(theta) != model.p:
             raise ValueError(f"theta has {len(theta)} entries for {model.p} statistics")
@@ -147,7 +146,7 @@ class Chain:
         loop = _mh_loop(
             weakref.ref(self), net, self.theta, self.stats, proposal == "tnt",
             [delta for delta, _ in kernels], [c.toggled for c in self._counts],
-            rng.random, uniform_block,
+            rng.random, UNIFORM_BLOCK,
         )
         next(loop)
         self._send = loop.send
@@ -314,24 +313,6 @@ def cond_log_odds(
     return float(theta @ model.delta(net, i, k))
 
 
-def mh_step(
-    net: BipartiteNetwork,
-    spec: ModelSpec | BoundModel,
-    attrs: Attributes,
-    theta,
-    rng: np.random.Generator,
-    proposal: str = "tnt",
-) -> bool:
-    """Single Metropolis-Hastings proposal on `net`, toggled in place on accept.
-
-    For long runs construct a `Chain` once instead; this convenience
-    wrapper rebuilds per-step state.
-    """
-    model = spec if isinstance(spec, BoundModel) else bind(spec, net, attrs)
-    chain = Chain(net, model, theta, rng, proposal=proposal, uniform_block=4)
-    return chain.step()
-
-
 def simulate(
     spec: ModelSpec,
     attrs: Attributes,
@@ -362,5 +343,4 @@ def simulate(
         final_network=net,
         acceptance_rate=rate,
         proposals=chain.proposals,
-        control=control,
     )

@@ -131,6 +131,20 @@ def test_fit_writes_report_and_record(tmp_path):
     assert record["config"]["model"] == 'edges + b1cov("tenure")'
 
 
+def test_fit_record_on_stdout_equals_the_saved_record(inputs, capsys):
+    net, attrs, tmp_path = inputs
+    argv = ["fit", "--network", str(net), "--attrs1", str(attrs),
+            "--model", "edges", "--method", "mple"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    printed = json.loads(out[out.rindex("\n{") :])
+    assert main(argv + ["--out", str(tmp_path / "fit_out")]) == 0
+    saved = json.loads((tmp_path / "fit_out" / "fit.json").read_text())
+    assert "timestamp" not in printed
+    del saved["timestamp"]
+    assert printed == saved
+
+
 def test_fit_separation_exit_code(tmp_path, capsys):
     net = tmp_path / "net.edges"
     net.write_text("n1 3 n2 2\n")

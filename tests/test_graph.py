@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipergm import (
-    AttributeTable,
-    from_edge_list,
-    matching_edges_at,
-    project,
-    toggle_edge,
-    two_paths_between,
-)
+from bipergm import AttributeTable, from_edge_list, project
 from bipergm.graph import ColumnTypeError, ModeViolationError
 
 from conftest import FIG2_EDGES
@@ -46,16 +39,17 @@ def test_from_edge_list_rejects_bad_dyads():
 
 def test_toggle_basics():
     net = from_edge_list(3, 2, [])
-    assert toggle_edge(net, 1, 4).has_edge(1, 4)
+    assert net.toggle(1, 4)
+    assert net.has_edge(1, 4)
     assert net.edge_count == 1
-    toggle_edge(net, 1, 4)
+    assert not net.toggle(1, 4)
     assert net.edge_count == 0
     with pytest.raises(ModeViolationError):
         net.toggle(4, 1)
 
 
 def test_toggle_removes_from_fig2(fig2_net):
-    toggle_edge(fig2_net, 1, 5)
+    assert not fig2_net.toggle(1, 5)
     assert fig2_net.edge_count == 4
     assert not fig2_net.has_edge(1, 5)
     assert set(fig2_net.edges()) == set(FIG2_EDGES) - {(1, 5)}
@@ -80,69 +74,6 @@ def test_toggle_involution(fig2_net):
     fig2_net.toggle(2, 5)
     fig2_net.toggle(2, 5)
     assert set(fig2_net.edges()) == before
-
-
-def test_two_paths_between(fig2_net):
-    assert two_paths_between(fig2_net, 1, 2) == 2
-    assert two_paths_between(fig2_net, 1, 3) == 1
-    assert two_paths_between(fig2_net, 1, 2, excluding=4) == 1
-    assert two_paths_between(fig2_net, 4, 5) == 2  # mode-2 side
-
-
-def test_two_paths_errors(fig2_net):
-    with pytest.raises(ValueError, match="distinct"):
-        two_paths_between(fig2_net, 1, 1)
-    with pytest.raises(ModeViolationError):
-        two_paths_between(fig2_net, 1, 4)
-    with pytest.raises(ModeViolationError):
-        two_paths_between(fig2_net, 1, 2, excluding=3)
-
-
-@given(st.integers(0, 2**12 - 1), st.integers(1, 12))
-def test_two_paths_exclusion_identity(mask, pick):
-    # t(i,j,excl=k) + y_ik * y_jk == t(i,j) for every k
-    net = from_edge_list(3, 4, [])
-    dyads = [(i, k) for i in range(1, 4) for k in range(4, 8)]
-    for b, (i, k) in enumerate(dyads):
-        if mask >> b & 1:
-            net.toggle(i, k)
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            for k in range(4, 8):
-                both = int(net.has_edge(i, k) and net.has_edge(j, k))
-                assert (
-                    two_paths_between(net, i, j, excluding=k) + both
-                    == two_paths_between(net, i, j)
-                )
-
-
-def test_matching_edges_at(fig2_net):
-    table = AttributeTable(1, 3)
-    table.add_categorical("group", ["x", "x", "x"])
-    assert matching_edges_at(fig2_net, table, "group", 1, 4) == 2
-    assert matching_edges_at(fig2_net, table, "group", 1, 5) == 1
-    solo = AttributeTable(1, 3)
-    solo.add_categorical("group", ["x", "y", "y"])
-    assert matching_edges_at(fig2_net, solo, "group", 1, 4) == 0
-
-
-def test_matching_edges_at_is_level_label_invariant(fig2_net):
-    a = AttributeTable(1, 3)
-    a.add_categorical("group", ["x", "y", "x"])
-    b = AttributeTable(1, 3)
-    b.add_categorical("group", ["y", "x", "y"])  # relabeled levels
-    for i in (1, 2, 3):
-        for k in (4, 5):
-            assert matching_edges_at(fig2_net, a, "group", i, k) == matching_edges_at(
-                fig2_net, b, "group", i, k
-            )
-
-
-def test_matching_edges_at_rejects_numeric(fig2_net):
-    table = AttributeTable(1, 3)
-    table.add_numeric("x", [1.0, 2.0, 3.0])
-    with pytest.raises(ColumnTypeError, match="numeric"):
-        matching_edges_at(fig2_net, table, "x", 1, 4)
 
 
 def test_project_fig2(fig2_net):
@@ -185,8 +116,6 @@ def test_attribute_table_guards():
         table.add_categorical("g", ["a", "b"])
     table.add_categorical("g", ["b", "a", "b"])
     assert table.categorical("g").levels == ("a", "b")
-    with pytest.raises(KeyError, match="unknown level"):
-        table.categorical("g").code_for_level("zzz")
     with pytest.raises(KeyError, match="unknown attribute"):
         table.column("missing")
     table.add_numeric("x", [0.0, 1.0, 2.0])

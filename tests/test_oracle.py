@@ -5,7 +5,6 @@ import pytest
 
 from bipergm import (
     Attributes,
-    AttributeTable,
     ExactModel,
     HullBoundaryError,
     ModelSpec,
@@ -13,8 +12,6 @@ from bipergm import (
     SizeCapError,
     bind,
     exact_dyad_distribution,
-    exact_kappa,
-    exact_loglik,
     exact_mle,
     from_edge_list,
 )
@@ -37,14 +34,14 @@ def nodematch_spec(which, value, attr="group"):
 
 def test_kappa_uniform_2x2():
     model = ExactModel(edges_spec(), Attributes(), 2, 2)
-    assert exact_kappa(model, [0.0]) == pytest.approx(math.log(16.0), abs=1e-12)
+    assert model.log_kappa([0.0]) == pytest.approx(math.log(16.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [-2.0, -0.3, 0.0, 0.7, 1.9])
 def test_kappa_independent_factorization(theta):
     model = ExactModel(edges_spec(), Attributes(), 2, 2)
     expected = 4.0 * math.log1p(math.exp(theta))
-    assert exact_kappa(model, [theta]) == pytest.approx(expected, rel=1e-12)
+    assert model.log_kappa([theta]) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, 0.8, 2.5])
@@ -52,7 +49,7 @@ def test_kappa_two_by_one_matching_pair(t):
     # states: empty, two one-edge, one two-edge with a single matching two-star
     attrs = make_attrs1(["a", "a"])
     model = ExactModel(nodematch_spec("alpha", 1.0), attrs, 2, 1)
-    assert exact_kappa(model, [0.0, t]) == pytest.approx(
+    assert model.log_kappa([0.0, t]) == pytest.approx(
         math.log(3.0 + math.exp(t)), rel=1e-12
     )
 
@@ -60,8 +57,6 @@ def test_kappa_two_by_one_matching_pair(t):
 def test_size_cap():
     with pytest.raises(SizeCapError, match="capped"):
         ExactModel(edges_spec(), Attributes(), 5, 5)
-    with pytest.raises(ValueError, match="lowered"):
-        ExactModel(edges_spec(), Attributes(), 2, 2, max_dyads=30)
 
 
 def test_gray_code_table_matches_direct_eval():

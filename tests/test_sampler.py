@@ -16,7 +16,6 @@ from bipergm import (
     bind,
     cond_log_odds,
     from_edge_list,
-    mh_step,
     simulate,
 )
 from bipergm.sampler import _generator
@@ -55,12 +54,9 @@ class TestCondLogOdds:
 class TestMhStep:
     def test_flat_target_uniform_proposal_always_accepts(self):
         net = from_edge_list(2, 3, [])
-        rng = _generator(0)
-        accepted = sum(
-            mh_step(net, edges_spec(), Attributes(), [0.0], rng, proposal="uniform")
-            for _ in range(300)
-        )
-        assert accepted == 300
+        bound = bind(edges_spec(), net, Attributes())
+        chain = Chain(net, bound, [0.0], _generator(0), proposal="uniform")
+        assert sum(chain.step() for _ in range(300)) == 300
 
     def test_strong_negative_edges_empties_a_full_network(self):
         net = from_edge_list(2, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
@@ -201,18 +197,14 @@ def test_chain_refuses_a_network_without_dyads(proposal, n1, n2, empty):
     model = bind(edges_spec(), net, Attributes())
     with pytest.raises(ValueError, match=f"mode {empty} has no nodes"):
         Chain(net, model, [0.0], _generator(0), proposal=proposal)
-    with pytest.raises(ValueError, match=f"mode {empty} has no nodes"):
-        mh_step(net, model, Attributes(), [0.0], _generator(0), proposal=proposal)
 
 
 @pytest.mark.parametrize("proposal", ["Uniform", "TNT", "bogus", ""])
-def test_chain_and_mh_step_validate_the_proposal(proposal):
+def test_chain_validates_the_proposal(proposal):
     net = from_edge_list(2, 2, [])
     model = bind(edges_spec(), net, Attributes())
     with pytest.raises(ValueError, match="proposal must be 'tnt' or 'uniform'"):
         Chain(net, model, [0.0], _generator(0), proposal=proposal)
-    with pytest.raises(ValueError, match="proposal must be 'tnt' or 'uniform'"):
-        mh_step(net, model, Attributes(), [0.0], _generator(0), proposal=proposal)
     assert net.edge_count == 0
 
 
@@ -293,20 +285,6 @@ BETA_ENDS = tuple(
 )
 
 
-def _mh_step_case():
-    net = from_edge_list(3, 4, [(1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7), (1, 7)])
-    attrs = make_attrs1(["a", "a", "b"])
-    model = bind(ModelSpec((ModelTerm(kind="edges"), ALPHA)), net, attrs)
-    rng = _generator(17)
-    rows, accepted = [], 0
-    for _ in range(40):
-        for _ in range(25):
-            # a block of 4 uniforms refills inside a proposal
-            accepted += mh_step(net, model, attrs, [1.2, 0.7], rng)
-        rows.append(list(model.stats(net)))
-    return _digest(rows, net, accepted)
-
-
 def _case30(terms, theta, proposal, seed):
     return lambda: _chain_case(_net30(0.2), terms, theta, proposal, seed, 20, 1000)
 
@@ -338,7 +316,6 @@ CONTRACT_CASES = {
         _full(30, 15, missing={(7, 40)}), (ALPHA,), [8.0, 0.1], "tnt", 8, 10, 100),
     "tnt-empty-30x15": lambda: _chain_case(
         from_edge_list(30, 15, []), (BETA,), [-1.5, 0.6], "tnt", 9, 20, 1000),
-    "mh_step": _mh_step_case,
     # nodes outside the kept levels have group -1 and no count-table row
     "tnt-keep-levels": _case30((KEEP_ALPHA, KEEP_BETA), [-1.5, 0.4, 0.3], "tnt", 12),
     "uniform-keep-levels": _case30((KEEP_ALPHA, KEEP_BETA), [-1.5, 0.4, 0.3], "uniform", 12),
@@ -350,7 +327,6 @@ CONTRACT_CASES = {
 }
 
 CONTRACT_DIGESTS = {
-    "mh_step": "4807985c26e9a7ff8e85a83f1ece1fd022dc1eda883b1d49b05be387cd9df6d0",
     "tnt-alpha": "d810677d43c9316ac8e980efeb8396057083318595e1f79d54a2bd28cc20864e",
     "tnt-alpha-0-1": "3a4181b8ae08462b46d28fc98c44e23d9b19d16f5d99533a8e4fae8b0b8cc32c",
     "tnt-b2beta-diff": "748f240a38c534d6f48d2de8acab261e9b72b69b353068b14dbe1d60dcf4866d",

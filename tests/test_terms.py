@@ -368,6 +368,40 @@ def test_keep_levels_restrict_matching(fig2_net):
     assert only_b == 0.0  # node 3 is the sole "b"
 
 
+def _relabelled(attrs, n1, n2):
+    """The same partition under level names whose sort order is reversed."""
+    rename = {"a": "c", "b": "b", "c": "a"}
+    tables = []
+    for mode, column, size in ((1, "group", n1), (2, "kind", n2)):
+        col = attrs.table_for(mode).categorical(column)
+        table = AttributeTable(mode, size)
+        table.add_categorical(column, [rename[col.level_of(off)] for off in range(size)])
+        tables.append(table)
+    return Attributes(mode1=tables[0], mode2=tables[1])
+
+
+def test_nodematch_is_level_label_invariant():
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 76])
+        net = random_net(rng, 7, 6, density=float(rng.uniform(0.15, 0.7)))
+        attrs = random_attrs(rng, 7, 6, levels=("a", "b", "c"))
+        renamed = _relabelled(attrs, 7, 6)
+        for which in ("alpha", "beta"):
+            for exponent in (0.0, 0.5, 1.0):
+                spec = spec_of(
+                    term("b1nodematch", attribute="group", **{which: exponent}),
+                    term("b2nodematch", attribute="kind", **{which: exponent}),
+                )
+                model, other = bind(spec, net, attrs), bind(spec, net, renamed)
+                assert model.stats(net).tobytes() == other.stats(net).tobytes()
+                ours, theirs = np.empty(2), np.empty(2)
+                for i in range(1, net.n1 + 1):
+                    for k in range(net.n1 + 1, net.n + 1):
+                        model.delta_into(net, i, k, ours)
+                        other.delta_into(net, i, k, theirs)
+                        assert ours.tobytes() == theirs.tobytes(), (seed, which, exponent, i, k)
+
+
 # ---------------------------------------------------------------------------
 # spectra and recomposition
 # ---------------------------------------------------------------------------
