@@ -25,7 +25,6 @@ from .sampler import Chain, SamplerControl, StatSample, cond_log_odds, simulate
 from .estimate import (
     DegeneracyWarning,
     EstimationError,
-    FitControl,
     FitResult,
     NonConvergenceError,
     ProfilePoint,
@@ -54,7 +53,6 @@ __all__ = [
     "DegeneracyWarning",
     "EstimationError",
     "ExactModel",
-    "FitControl",
     "FitResult",
     "FormulaSyntaxError",
     "HullBoundaryError",

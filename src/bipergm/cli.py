@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 formula/model errors, 3 input file errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -86,6 +87,17 @@ def _sampler_control(args) -> sampler.SamplerControl:
     )
 
 
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Record every warning raised inside, each time it is raised, and
+    print each as `warning: <message>` once the block ends."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+
+
 def _parse_floats(text: str) -> list[float]:
     return [float(f) for f in text.split(",") if f.strip() != ""]
 
@@ -134,15 +146,12 @@ def cmd_fit(args) -> int:
     net, attrs = _load_inputs(args)
     spec, canonical = _read_model(args)
     config = _config_json(args, canonical)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _warnings_to_stderr() as caught:
         if args.method == "mple":
             fit = estimate.mple(spec, net, attrs, formula=canonical)
         else:
-            control = estimate.FitControl(sampler=_sampler_control(args))
+            control = _sampler_control(args)
             fit = estimate.mcmcmle(spec, net, attrs, control=control, formula=canonical)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
     _emit(args, "fit.txt", fit.summary() + "\n", config)
     record = _fit_record(fit, config)
     if args.out:
@@ -186,7 +195,7 @@ def cmd_profile(args) -> int:
     net, attrs = _load_inputs(args)
     spec, canonical = _read_model(args)
     config = _config_json(args, canonical)
-    control = estimate.FitControl(sampler=_sampler_control(args))
+    control = _sampler_control(args)
     grids: list[tuple[str, list[float]]] = []
     if args.alpha_grid:
         grids.append(("alpha", DEFAULT_GRID if args.alpha_grid == "default" else _parse_floats(args.alpha_grid)))
@@ -196,11 +205,12 @@ def cmd_profile(args) -> int:
         grids = [("alpha", DEFAULT_GRID), ("beta", DEFAULT_GRID)]
     header = "kind,exponent,stat,coef,coef_se,coef_mc_sd,p_value,loglik,loglik_sd,status"
     rows = [header]
-    for which, grid in grids:
-        points = estimate.profile(
-            spec, which, grid, net, attrs, control=control, method=args.method
-        )
-        rows += _profile_rows(points, ("b1nodematch", "b2nodematch"))
+    with _warnings_to_stderr():
+        for which, grid in grids:
+            points = estimate.profile(
+                spec, which, grid, net, attrs, control=control, method=args.method
+            )
+            rows += _profile_rows(points, ("b1nodematch", "b2nodematch"))
     _emit(args, "profile.csv", "\n".join(rows) + "\n", config)
     return EXIT_OK
 

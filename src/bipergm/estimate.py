@@ -245,21 +245,16 @@ def mple(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitControl:
-    """Monte-Carlo MLE knobs on top of the sampler control.
-
-    Early anchors run on a fraction of the sample size (ramping up by
-    doubling).  At full sample size the loop ends once the anchor step
-    norm is at most 1e-4 or the step is within the Monte-Carlo noise of
-    the estimate.  Bridge legs thin every `sampler.interval // 4` proposals.
-    """
-
-    sampler: SamplerControl = SamplerControl()
-    max_anchors: int = 20
-    ramp: float = 0.125
-    bridge_legs: int = 12
-    bridge_draws: int = 2000
+# Monte-Carlo MLE settings on top of the sampler control.  Anchor `a`
+# runs on the fraction min(1, RAMP * 2**a) of the sample size, and at
+# most MAX_ANCHORS anchors run.  At full sample size the loop ends once
+# the anchor step norm is at most 1e-4 or the step is within the
+# Monte-Carlo noise of the estimate.  The bridge has BRIDGE_LEGS legs of
+# BRIDGE_DRAWS draws each, thinned every `control.interval // 4` proposals.
+MAX_ANCHORS = 20
+RAMP = 0.125
+BRIDGE_LEGS = 12
+BRIDGE_DRAWS = 2000
 
 
 def _effective_sample_size(column: np.ndarray) -> float:
@@ -334,25 +329,9 @@ def _maximize_ratio(S: np.ndarray, s_obs: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _weighted_fisher(S: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Statistic covariance under importance weights at anchor+delta, and
-    the weight effective sample size."""
-    w, _, cov = _tilt(S - S.mean(axis=0), delta)
-    return cov, 1.0 / float(np.sum(w**2))
-
-
 def _degenerate_columns(S: np.ndarray, names: list[str]) -> list[str]:
     spread = S.max(axis=0) - S.min(axis=0)
     return [name for name, s in zip(names, spread) if s == 0.0]
-
-
-def _anchor_sizes(total: int, ramp: float, count: int) -> list[int]:
-    sizes = []
-    frac = ramp
-    for _ in range(count):
-        sizes.append(max(200, min(total, int(math.ceil(total * frac)))))
-        frac = min(1.0, frac * 2.0)
-    return sizes
 
 
 def mcmcmle(
@@ -360,20 +339,23 @@ def mcmcmle(
     net: BipartiteNetwork,
     attrs: Attributes,
     theta0=None,
-    control: FitControl | None = None,
+    control: SamplerControl | None = None,
     formula: str | None = None,
 ) -> FitResult:
     """Monte-Carlo maximum likelihood with re-anchored importance sampling.
 
-    At each anchor, networks are simulated, the observed statistics are
-    checked against the convex hull of the simulated cloud (on violation
-    the anchor step is halved back toward the previous anchor), and the
-    log-likelihood-ratio surrogate is maximized to give the next anchor.
-    The covariance comes from the inverse weighted statistic covariance
-    at the estimate; the absolute log-likelihood from the zero-parameter
+    `control` sets the anchor chains; the anchor schedule and the bridge
+    follow the module constants MAX_ANCHORS, RAMP, BRIDGE_LEGS and
+    BRIDGE_DRAWS.  At each anchor, networks are simulated, the observed
+    statistics are checked against the convex hull of the simulated cloud
+    (on violation the anchor step is halved back toward the previous
+    anchor), and the log-likelihood-ratio surrogate is maximized to give
+    the next anchor.  The covariance comes from the inverse weighted
+    statistic covariance at the estimate, taken from the last anchor
+    inside the hull; the absolute log-likelihood from the zero-parameter
     bridge.
     """
-    control = control or FitControl()
+    control = control or SamplerControl()
     model = bind(spec, net, attrs)
     s_obs = model.stats(net)
     if theta0 is None:
@@ -389,23 +371,22 @@ def mcmcmle(
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta0 must be finite")
 
-    root = np.random.SeedSequence(control.sampler.seed)
-    anchor_seeds = root.spawn(control.max_anchors)
+    root = np.random.SeedSequence(control.seed)
+    anchor_seeds = root.spawn(MAX_ANCHORS)
     bridge_root = root.spawn(1)[0]
-    sizes = _anchor_sizes(control.sampler.sample_size, control.ramp, control.max_anchors)
+    full = control.sample_size
 
     prev_theta = None
     hull_failures = 0
-    anchors_used = 0
-    step_norm = math.inf
-    last_sample = None
-    last_delta = np.zeros(model.p)
+    # the last anchor inside the hull: its sample, step, weighted Fisher
+    # information, weight ESS and per-statistic chain ESS
+    last = None
     degenerate: set[str] = set()
 
-    for a in range(control.max_anchors):
-        ctl = replace(control.sampler, sample_size=sizes[a])
+    for a in range(MAX_ANCHORS):
+        size = max(200, min(full, int(math.ceil(full * min(1.0, RAMP * 2**a)))))
+        ctl = replace(control, sample_size=size)
         sample = simulate(spec, attrs, theta, net, ctl, seed=anchor_seeds[a], model=model)
-        anchors_used += 1
         S = sample.stats
         degenerate.update(_degenerate_columns(S, model.names))
         if hull_direction(S, s_obs) is not None:
@@ -419,18 +400,20 @@ def mcmcmle(
                 theta = 0.5 * (theta + prev_theta)
             continue
         delta = _maximize_ratio(S, s_obs)
-        step_norm = float(np.linalg.norm(delta))
         prev_theta = theta
         theta = theta + delta
-        last_sample = sample
-        last_delta = delta
-        if sizes[a] < control.sampler.sample_size:
+        w, _, fisher = _tilt(S - S.mean(axis=0), delta)
+        ess_w = 1.0 / float(np.sum(w**2))
+        chain_ess = [_effective_sample_size(S[:, j]) for j in range(model.p)]
+        last = (sample, delta, fisher, ess_w, chain_ess)
+        if size < full:
             continue
-        if step_norm <= 1e-4:
+        if float(np.linalg.norm(delta)) <= 1e-4:
             break
-        fisher, ess_w = _weighted_fisher(S, delta)
-        chain_ess = min(_effective_sample_size(S[:, j]) for j in range(model.p))
-        eff = max(1.0, ess_w * chain_ess / S.shape[0])
+        # the stopping rule adds a ridge and reads the unrounded ESS, the
+        # report neither; sharing either would move stopping decisions or
+        # reported bits
+        eff = max(1.0, ess_w * min(chain_ess) / S.shape[0])
         try:
             var_theta = np.diag(np.linalg.inv(fisher + 1e-10 * np.eye(model.p))) / eff
         except np.linalg.LinAlgError:
@@ -438,7 +421,7 @@ def mcmcmle(
         if np.all(np.abs(delta) <= 2.0 * np.sqrt(np.clip(var_theta, 0.0, None))):
             break
 
-    if last_sample is None:
+    if last is None:
         raise NonConvergenceError(
             "no anchor produced a usable sample (persistent hull violations)"
         )
@@ -451,8 +434,7 @@ def mcmcmle(
             )
         )
 
-    S = last_sample.stats
-    fisher, ess_w = _weighted_fisher(S, last_delta)
+    sample, delta, fisher, ess_w, chain_ess = last
     try:
         cov = np.linalg.inv(fisher)
     except np.linalg.LinAlgError:
@@ -464,30 +446,28 @@ def mcmcmle(
         spec, attrs, net, model, theta, s_obs, control, bridge_root
     )
 
-    ess = {
-        name: round(_effective_sample_size(S[:, j]), 1)
-        for j, name in enumerate(model.names)
-    }
+    ess = {name: round(e, 1) for name, e in zip(model.names, chain_ess)}
+    draws = sample.stats.shape[0]
     # Monte-Carlo noise of the estimate itself: inverse information scaled
     # by the effective number of importance draws
-    ess_eff = max(1.0, ess_w * min(ess.values()) / S.shape[0])
+    ess_eff = max(1.0, ess_w * min(ess.values()) / draws)
     mc_sd = np.sqrt(np.clip(np.diag(cov), 0.0, None) / ess_eff)
     diagnostics = {
-        "seed": control.sampler.seed,
+        "seed": control.seed,
         "rng": RNG_ALGORITHM,
-        "anchors": anchors_used,
+        "anchors": a + 1,
         "hull_failures": hull_failures,
-        "final_step_norm": step_norm,
-        "acceptance_rate": round(last_sample.acceptance_rate, 4),
+        "final_step_norm": float(np.linalg.norm(delta)),
+        "acceptance_rate": round(sample.acceptance_rate, 4),
         "ess": ess,
         "weight_ess": round(ess_w, 1),
         "ess_eff": round(ess_eff, 1),
         "mc_sd": [float(s) for s in mc_sd],
-        "sample_size": S.shape[0],
+        "sample_size": draws,
         "warnings": sorted(degenerate),
         "control": (
-            f"burn_in={control.sampler.burn_in} interval={control.sampler.interval} "
-            f"sample_size={control.sampler.sample_size} proposal={control.sampler.proposal}"
+            f"burn_in={control.burn_in} interval={control.interval} "
+            f"sample_size={control.sample_size} proposal={control.proposal}"
         ),
     }
     return FitResult(
@@ -509,7 +489,7 @@ def _bridge_loglik(
     model: BoundModel,
     theta_hat: np.ndarray,
     s_obs: np.ndarray,
-    control: FitControl,
+    control: SamplerControl,
     seed_root: np.random.SeedSequence,
 ) -> tuple[float, float]:
     """Absolute log-likelihood at theta_hat via a straight bridge from 0.
@@ -519,14 +499,13 @@ def _bridge_loglik(
     variance that accounts for chain autocorrelation.
     """
     D = net.dyad_count
-    legs = max(1, control.bridge_legs)
-    interval = max(1, control.sampler.interval // 4)
-    seeds = seed_root.spawn(legs)
-    path = np.linspace(0.0, 1.0, legs + 1)[:, None] * theta_hat[None, :]
+    interval = max(1, control.interval // 4)
+    seeds = seed_root.spawn(BRIDGE_LEGS)
+    path = np.linspace(0.0, 1.0, BRIDGE_LEGS + 1)[:, None] * theta_hat[None, :]
     total = 0.0
     variance = 0.0
     current = net
-    for leg in range(legs):
+    for leg in range(BRIDGE_LEGS):
         th_a, th_b = path[leg], path[leg + 1]
         burn = (
             SamplerControl(seed=0).resolved_burn_in(D)
@@ -536,8 +515,8 @@ def _bridge_loglik(
         ctl = SamplerControl(
             burn_in=burn,
             interval=interval,
-            sample_size=control.bridge_draws,
-            proposal=control.sampler.proposal,
+            sample_size=BRIDGE_DRAWS,
+            proposal=control.proposal,
         )
         sample = simulate(spec, attrs, th_a, current, ctl, seed=seeds[leg], model=model)
         current = sample.final_network
@@ -574,13 +553,16 @@ def profile(
     grid,
     net: BipartiteNetwork,
     attrs: Attributes,
-    control: FitControl | None = None,
+    control: SamplerControl | None = None,
     method: str = "mcmcmle",
 ) -> list[ProfilePoint]:
     """One fit per grid value of the unbound nodematch exponent.
 
-    Per-point estimation failures are recorded on the point and the grid
-    continues; program faults such as an IndexError propagate.
+    Under `method="mcmcmle"` each point is fitted with `control`, its seed
+    replaced by one drawn for that point from `control.seed`.  An
+    estimation failure (an EstimationError or a singular linear system) is
+    recorded on the point and the grid continues; program faults, such as
+    an IndexError or a drifted chain's RuntimeError, propagate.
     All log-likelihoods share the zero-parameter bridge reference, so
     they are comparable across points and across exponent kinds.
     """
@@ -591,11 +573,11 @@ def profile(
         )
     if method not in ("mple", "mcmcmle"):
         raise ValueError(f"method must be 'mple' or 'mcmcmle', got {method!r}")
-    control = control or FitControl()
+    control = control or SamplerControl()
     grid = sorted(float(g) for g in grid)
     # one seed branch per (exponent kind, grid point), all off the root seed
     kind_root = np.random.SeedSequence(
-        control.sampler.seed, spawn_key=(0 if which == "alpha" else 1,)
+        control.seed, spawn_key=(0 if which == "alpha" else 1,)
     )
     point_seeds = kind_root.spawn(len(grid))
     points: list[ProfilePoint] = []
@@ -606,10 +588,9 @@ def profile(
                 fit = mple(spec_g, net, attrs)
             else:
                 point_seed = int(seed_seq.generate_state(1, np.uint64)[0] >> 1)
-                ctl = replace(control, sampler=replace(control.sampler, seed=point_seed))
-                fit = mcmcmle(spec_g, net, attrs, control=ctl)
+                fit = mcmcmle(spec_g, net, attrs, control=replace(control, seed=point_seed))
             points.append(ProfilePoint(kind=which, value=value, fit=fit))
-        except (RuntimeError, np.linalg.LinAlgError) as exc:  # program faults propagate
+        except (EstimationError, np.linalg.LinAlgError) as exc:
             points.append(
                 ProfilePoint(
                     kind=which,

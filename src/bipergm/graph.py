@@ -280,7 +280,6 @@ class WeightedProjection:
     """One-mode projection: pair weights equal two-path multiplicities."""
 
     mode: int
-    node_count: int
     weights: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def weight(self, a: int, b: int) -> int:
@@ -333,5 +332,4 @@ def project(net: BipartiteNetwork, mode: int) -> WeightedProjection:
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     weights, _ = shared_partners(net, mode, [0] * (net.n + 1))
-    count = net.n1 if mode == 1 else net.n2
-    return WeightedProjection(mode=mode, node_count=count, weights=weights)
+    return WeightedProjection(mode=mode, weights=weights)

@@ -17,7 +17,6 @@ from bipergm import (
     Attributes,
     Chain,
     ExactModel,
-    FitControl,
     ModelSpec,
     ModelTerm,
     SamplerControl,
@@ -276,9 +275,7 @@ def mcmc_fits():
         spec = _nodematch(which, 0.5)
         oracle = ExactModel(spec, attrs, 3, 3)
         theta_star = exact_mle(oracle, net)
-        control = FitControl(
-            sampler=SamplerControl(burn_in=4096, interval=8, sample_size=100_000, seed=77)
-        )
+        control = SamplerControl(burn_in=4096, interval=8, sample_size=100_000, seed=77)
         fit = mcmcmle(spec, net, attrs, control=control)
         out[which] = (oracle, theta_star, fit)
     return net, attrs, out

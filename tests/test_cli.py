@@ -271,6 +271,23 @@ def test_profile_mple_grid(inputs):
     assert len(alpha_rows) == 11 and len(beta_rows) == 11
 
 
+def test_profile_prints_each_warning_as_fit_does(tmp_path, capsys):
+    # at alpha=0 every b1nodematch change statistic on this 3x3 network is 0
+    net = tmp_path / "net.edges"
+    net.write_text("n1 3 n2 3\n1\t4\n1\t5\n1\t6\n2\t5\n2\t6\n3\t4\n")
+    attrs = tmp_path / "attrs1.tsv"
+    attrs.write_text("id\tgroup\ntype\tcat\n1\ta\n2\ta\n3\tb\n")
+    code = main(
+        ["profile", "--network", str(net), "--attrs1", str(attrs),
+         "--model", 'edges + b1nodematch("group")', "--method", "mple",
+         "--alpha-grid", "0,0.5", "--out", str(tmp_path / "prof")]
+    )
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: the pseudo-likelihood does not identify ")
+
+
 def test_oracle_kappa_and_distribution(tmp_path, capsys):
     net = tmp_path / "net.edges"
     net.write_text("n1 2 n2 2\n1\t3\n")

@@ -13,7 +13,6 @@ from bipergm import (
     Chain,
     DegeneracyWarning,
     ExactModel,
-    FitControl,
     ModelSpec,
     ModelTerm,
     NonConvergenceError,
@@ -33,6 +32,7 @@ from bipergm.estimate import (
     FitResult,
     _dyad_design,
     _effective_sample_size,
+    _maximize_ratio,
     significance_stars,
     wald_p_value,
 )
@@ -54,12 +54,7 @@ def edges_spec():
 
 
 def small_control(sample_size=20_000, seed=7, interval=8, burn_in=4096):
-    return FitControl(
-        sampler=SamplerControl(
-            burn_in=burn_in, interval=interval, sample_size=sample_size, seed=seed
-        ),
-        bridge_draws=1500,
-    )
+    return SamplerControl(burn_in=burn_in, interval=interval, sample_size=sample_size, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +376,18 @@ def test_mcmcmle_agrees_with_mple_when_dyads_independent(obs_net):
     assert np.all(np.abs(fit.theta - pl.theta) <= 3.0 * mc_sd + 0.01)
 
 
-@pytest.mark.slow
 def test_first_step_from_oracle_mle_is_tiny(moderate_net, obs_attrs):
+    # the first anchor of a fit started at the exact MLE: 1e5 draws, seeded
+    # as `mcmcmle` seeds its first anchor
     spec = ModelSpec(
         (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5))
     )
     theta_star = exact_mle(ExactModel(spec, obs_attrs, 3, 3), moderate_net)
-    control = FitControl(
-        sampler=SamplerControl(burn_in=4096, interval=16, sample_size=100_000, seed=30),
-        max_anchors=1,
-        ramp=1.0,
-        bridge_legs=4,
-        bridge_draws=400,
-    )
-    fit = mcmcmle(spec, moderate_net, obs_attrs, theta0=theta_star, control=control)
-    assert fit.diagnostics["final_step_norm"] <= 0.02
+    control = SamplerControl(burn_in=4096, interval=16, sample_size=100_000, seed=30)
+    seed = np.random.SeedSequence(30).spawn(1)[0]
+    S = estimate.simulate(spec, obs_attrs, theta_star, moderate_net, control, seed=seed).stats
+    s_obs = bind(spec, moderate_net, obs_attrs).stats(moderate_net)
+    assert float(np.linalg.norm(_maximize_ratio(S, s_obs))) <= 0.02
 
 
 def test_mcmcmle_hull_violation_reports_nonconvergence():
@@ -492,12 +484,20 @@ def test_profile_propagates_program_faults(obs_net, obs_attrs, monkeypatch):
     def broken(*args, **kwargs):
         raise IndexError("list index out of range")
 
+    def drifted(*args, **kwargs):
+        raise RuntimeError("incremental statistics drifted by 0.001 (tol 1e-08)")
+
     monkeypatch.setattr(estimate, "mple", broken)
     template = ModelSpec(
         (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group"))
     )
     with pytest.raises(IndexError, match="out of range"):
         profile(template, "alpha", [0.5], obs_net, obs_attrs, method="mple")
+    # a chain fault is not an estimation failure: it must not become a row
+    monkeypatch.undo()
+    monkeypatch.setattr(estimate, "simulate", drifted)
+    with pytest.raises(RuntimeError, match="drifted"):
+        profile(template, "alpha", [0.5], obs_net, obs_attrs, control=small_control(), method="mcmcmle")
 
 
 def test_profile_alpha_one_equals_beta_one(obs_net, obs_attrs):
@@ -533,9 +533,7 @@ def test_seeded_mcmcmle_keeps_its_digest(which):
     spec = ModelSpec(
         (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: 0.5}))
     )
-    control = FitControl(
-        sampler=SamplerControl(burn_in=1024, interval=8, sample_size=400, seed=31)
-    )
+    control = SamplerControl(burn_in=1024, interval=8, sample_size=400, seed=31)
     fit = mcmcmle(spec, net, attrs, control=control)
     h = hashlib.sha256()
     for part in (fit.theta, fit.covariance, np.array([fit.loglik, fit.loglik_sd])):

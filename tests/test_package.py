@@ -1,7 +1,15 @@
 import bipergm
 
-# wrappers with no caller that were removed; each capability keeps one way in
-RETIRED = {"mh_step", "toggle_edge", "exact_kappa", "two_paths_between", "matching_edges_at"}
+# wrappers and settings with no caller that were removed; each capability
+# keeps one way in (`FitControl(sampler=s)` is now `s`, see docs/decisions.md)
+RETIRED = {
+    "mh_step",
+    "toggle_edge",
+    "exact_kappa",
+    "two_paths_between",
+    "matching_edges_at",
+    "FitControl",
+}
 
 
 def test_public_surface():

@@ -164,6 +164,29 @@ class TestSimulate:
             chain.audit()
         assert net == sample.final_network
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_long_chain_drift_stays_within_audit_tolerance(self, which):
+        # `Chain.audit`'s 1e-8 tolerance is absolute, and a drift past it is a
+        # program fault that `profile` lets propagate; so the running vector
+        # of a 1e6-proposal chain on a 400x200 network (the one
+        # `perfbench.workloads.random_bipartite(101)` draws) must stay within it
+        rng = np.random.default_rng(101)
+        B = rng.random((400, 200)) < 0.025
+        groups = rng.integers(0, 3, size=400)
+        net = from_edge_list(400, 200, [(i + 1, 400 + k + 1) for i, k in zip(*np.nonzero(B))])
+        attrs = make_attrs1([f"g{g}" for g in groups])
+        spec = ModelSpec(
+            (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: 0.5}))
+        )
+        model = bind(spec, net, attrs)
+        chain = Chain(net, model, [-3.66, 0.1], _generator(5))
+        for _ in range(10):
+            chain.run(100_000)
+            # compared without `audit`, which would reset the running vector
+            drift = float(np.max(np.abs(model.stats(net) - np.asarray(chain.stats))))
+            assert drift <= 1e-8
+
 
 @pytest.mark.parametrize("proposal", ["tnt", "uniform"])
 def test_detailed_balance_against_enumeration(proposal):
