@@ -507,16 +507,11 @@ def _bridge_loglik(
     current = net
     for leg in range(BRIDGE_LEGS):
         th_a, th_b = path[leg], path[leg + 1]
-        burn = (
-            SamplerControl(seed=0).resolved_burn_in(D)
-            if leg == 0
-            else max(256, 2 * interval)
-        )
-        ctl = SamplerControl(
-            burn_in=burn,
+        ctl = replace(
+            control,
+            burn_in=None if leg == 0 else max(256, 2 * interval),
             interval=interval,
             sample_size=BRIDGE_DRAWS,
-            proposal=control.proposal,
         )
         sample = simulate(spec, attrs, th_a, current, ctl, seed=seeds[leg], model=model)
         current = sample.final_network

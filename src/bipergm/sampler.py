@@ -23,8 +23,8 @@ Changing that order changes every seeded chain, `simulate` sample and fit;
 
 from __future__ import annotations
 
+import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +84,7 @@ class StatSample:
 
 
 def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _tnt_log_pick(D: int, E: int, adding: bool) -> float:
@@ -107,8 +105,9 @@ class Chain:
 
     The chain mutates `net` in place and keeps the statistic vector
     incrementally up to date; `audit()` recomputes from scratch and
-    verifies agreement.  `theta` and `proposal` are fixed when the chain
-    is built.
+    verifies agreement.  Theta and the proposal are fixed when the chain
+    is built.  Each `run` or `step` updates `accepted`, `proposals` and
+    `last_dyad`, the dyad of the last proposal (None before the first).
 
     Nodematch terms read chain-local count tables (neighbour bitmasks per
     kept node for alpha, neighbours per level for beta) that the chain
@@ -135,33 +134,32 @@ class Chain:
         net.check_has_dyads()
         self.net = net
         self.model = model
-        self.theta = [float(t) for t in theta]
-        self.proposal = proposal
         self.stats = [float(s) for s in model.stats(net)]
         kernels = [ev.chain_kernel(net) for ev in model.evaluators]
         self._counts = [counts for _, counts in kernels if counts is not None]
-        self.accepted = 0
-        self.proposals = 0
-        self.last_dyad: tuple[int, int] | None = None
+        uniform = itertools.chain.from_iterable(
+            iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
+        ).__next__
         loop = _mh_loop(
-            weakref.ref(self), net, self.theta, self.stats, proposal == "tnt",
-            [delta for delta, _ in kernels], [c.toggled for c in self._counts],
-            rng.random, UNIFORM_BLOCK,
+            net, [float(t) for t in theta], self.stats, proposal == "tnt",
+            [delta for delta, _ in kernels], [c.toggled for c in self._counts], uniform,
         )
-        next(loop)
+        self.accepted, self.proposals, self.last_dyad = next(loop)
         self._send = loop.send
 
     def step(self) -> bool:
         """One proposal; returns True if the toggle was accepted."""
+        before = self.accepted
         try:
-            return self._send(1)
+            self.accepted, self.proposals, self.last_dyad = self._send(1)
         except StopIteration:
             raise RuntimeError(_DEAD_CHAIN) from None
+        return self.accepted != before
 
     def run(self, proposals: int) -> None:
         """Make `proposals` MH proposals."""
         try:
-            self._send(proposals)
+            self.accepted, self.proposals, self.last_dyad = self._send(proposals)
         except StopIteration:
             raise RuntimeError(_DEAD_CHAIN) from None
 
@@ -182,13 +180,12 @@ class Chain:
         self.stats[:] = [float(s) for s in fresh]
 
 
-def _mh_loop(chain, net, theta, stats, tnt, deltas, hooks, draw, block):
-    """The only MH loop body: a generator that holds a chain's locals, the
-    uniform block and its index among them, between calls.  Each value
-    sent is a number of proposals to make, drawing uniforms in the order
-    the module docstring gives; it yields whether the batch accepted any
-    toggle.  `chain` is a weak reference, and the loop holds no strong one
-    while suspended, so a dropped chain frees its uniform block at once."""
+def _mh_loop(net, theta, stats, tnt, deltas, hooks, uniform):
+    """The only MH loop body: a generator that holds a chain's locals
+    between calls.  Each value sent is a number of proposals to make,
+    reading `uniform()` in the order the module docstring gives; it yields
+    the running `(accepted, proposals, last_dyad)`.  It holds no reference
+    to its chain, so a dropped chain is freed at once."""
     exp = math.exp
     adj, edge_list, add, remove = net.adj, net._edge_list, net._add, net._remove
     n1, n2 = net.n1, net.n2
@@ -196,29 +193,20 @@ def _mh_loop(chain, net, theta, stats, tnt, deltas, hooks, draw, block):
     q_add, q_remove = {}, {}  # TNT log proposal ratios by edge count, filled on first use
     buf, zeros = [0.0] * len(theta), [0.0] * len(theta)
     idx = range(len(theta))
-    u: list[float] = []
-    ui = nu = 0
     accepted = proposals = 0
-    i = k = 0
-    n = yield
+    last = None
     while True:
-        before = accepted
+        n = yield accepted, proposals, last
         for _ in range(n):
             if tnt:
                 E = len(edge_list)
                 if 0 < E < D:
-                    if ui == nu:
-                        u, ui, nu = draw(block).tolist(), 0, block
-                    adding = u[ui] >= 0.5
-                    ui += 1
+                    adding = uniform() >= 0.5
                 else:
                     adding = E == 0
                 if adding:
                     for _ in range(64):
-                        if ui == nu:
-                            u, ui, nu = draw(block).tolist(), 0, block
-                        d = int(u[ui] * D)
-                        ui += 1
+                        d = int(uniform() * D)
                         i = d // n2 + 1
                         k = first2 + d % n2
                         if k not in adj[i]:
@@ -231,28 +219,19 @@ def _mh_loop(chain, net, theta, stats, tnt, deltas, hooks, draw, block):
                             for b in range(first2, n1 + n2 + 1)
                             if b not in adj[a]
                         ]
-                        if ui == nu:
-                            u, ui, nu = draw(block).tolist(), 0, block
-                        i, k = empties[int(u[ui] * len(empties))]
-                        ui += 1
+                        i, k = empties[int(uniform() * len(empties))]
                     try:
                         log_q = q_add[E]
                     except KeyError:
                         log_q = q_add[E] = _tnt_log_q(D, E, True)
                 else:
-                    if ui == nu:
-                        u, ui, nu = draw(block).tolist(), 0, block
-                    i, k = edge_list[int(u[ui] * E)]
-                    ui += 1
+                    i, k = edge_list[int(uniform() * E)]
                     try:
                         log_q = q_remove[E]
                     except KeyError:
                         log_q = q_remove[E] = _tnt_log_q(D, E, False)
             else:
-                if ui == nu:
-                    u, ui, nu = draw(block).tolist(), 0, block
-                d = int(u[ui] * D)
-                ui += 1
+                d = int(uniform() * D)
                 i = d // n2 + 1
                 k = first2 + d % n2
                 adding = k not in adj[i]
@@ -267,13 +246,8 @@ def _mh_loop(chain, net, theta, stats, tnt, deltas, hooks, draw, block):
                 lo += theta[j] * buf[j]
             log_ratio = (lo if adding else -lo) + log_q
 
-            if log_ratio < 0.0:
-                if ui == nu:
-                    u, ui, nu = draw(block).tolist(), 0, block
-                reject = u[ui] >= exp(log_ratio)
-                ui += 1
-                if reject:
-                    continue
+            if log_ratio < 0.0 and uniform() >= exp(log_ratio):
+                continue
             if adding:
                 add(i, k)
                 for toggled in hooks:
@@ -289,12 +263,8 @@ def _mh_loop(chain, net, theta, stats, tnt, deltas, hooks, draw, block):
             accepted += 1
 
         proposals += n
-        owner = chain()
-        owner.accepted, owner.proposals = accepted, proposals
         if n > 0:
-            owner.last_dyad = (i, k)
-        owner = None
-        n = yield accepted != before
+            last = i, k
 
 
 def cond_log_odds(

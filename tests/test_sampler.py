@@ -18,7 +18,7 @@ from bipergm import (
     from_edge_list,
     simulate,
 )
-from bipergm.sampler import _generator
+from bipergm.sampler import UNIFORM_BLOCK, _generator
 
 from conftest import make_attrs1, random_attrs, random_net
 
@@ -456,8 +456,8 @@ def test_step_driven_tallies_keep_their_bits(theta):
     assert _step_tally_digest(list(theta), index) == STEP_TALLY_DIGESTS[theta]
 
 
-# The loop keeps its locals, the uniform block and its index among them,
-# between calls, so any mix of calls must make the chain `run(n)` makes.
+# The loop keeps its locals, the uniform stream among them, between calls,
+# so any mix of calls must make the chain `run(n)` makes.
 # `audit()` replaces the running statistics with a recount; with exponents
 # 0 and 1 every change statistic is a multiple of 1/2, the sums are exact,
 # and the recount has the same bits as the running vector.
@@ -531,9 +531,9 @@ def test_a_chain_that_raised_stays_dead(monkeypatch):
 
 
 def test_a_dropped_chain_is_freed_at_once():
-    # the suspended loop holds only a weak reference to its chain, so no
-    # reference cycle keeps a dropped chain and its 16,384-uniform block
-    # alive until the cyclic collector runs
+    # the suspended loop yields its counters and holds no reference to its
+    # chain, so no reference cycle keeps a dropped chain and its
+    # 16,384-uniform block alive until the cyclic collector runs
     net = _net30(0.2)
     chain = Chain(net, bind(ModelSpec((ModelTerm(kind="edges"), ALPHA)), net, _contract_attrs()),
                   [-1.5, 0.6], _generator(4))
@@ -541,3 +541,27 @@ def test_a_dropped_chain_is_freed_at_once():
     ref = weakref.ref(chain)
     del chain
     assert ref() is None
+
+
+def test_the_chain_draws_a_block_only_when_it_needs_a_uniform():
+    # under the uniform proposal at theta 0 every proposal reads exactly one
+    # uniform: the dyad index, and a log ratio of 0 needs no accept uniform
+    class CountingRng:
+        def __init__(self):
+            self.calls = 0
+            self.rng = _generator(0)
+
+        def random(self, n):
+            self.calls += 1
+            return self.rng.random(n)
+
+    net = from_edge_list(3, 4, [])
+    rng = CountingRng()
+    chain = Chain(net, bind(edges_spec(), net, Attributes()), [0.0], rng, proposal="uniform")
+    chain.run(0)
+    assert rng.calls == 0
+    assert (chain.accepted, chain.proposals, chain.last_dyad) == (0, 0, None)
+    chain.run(UNIFORM_BLOCK)
+    assert rng.calls == 1
+    chain.step()
+    assert rng.calls == 2
