@@ -3,7 +3,10 @@
 Nodes are 1-based integers: mode-1 nodes are 1..n1, mode-2 nodes are
 n1+1..n1+n2.  Edges are only permitted between modes.  The structure keeps
 one node-indexed list of neighbor sets, `adj[node]` for either mode (`adj[0]`
-is unused), plus an indexed edge list so that samplers can pick a uniformly random edge in O(1).
+is unused), the same neighbors as one int bitmask per node, `mask[node]`,
+so that a count of shared neighbors is a popcount, plus an indexed edge
+list so that samplers can pick a uniformly random edge in O(1).
+`node_bits` is the one place that lays out the mask bits.
 `shared_partners` is the one walk over all two-paths of a network.
 """
 
@@ -23,10 +26,18 @@ class ColumnTypeError(TypeError):
     """An attribute column has the wrong type for the requested operation."""
 
 
-class BipartiteNetwork:
-    """Binary two-mode network on n1 + n2 nodes; hot paths read `adj` directly."""
+def node_bits(n1: int, n2: int) -> list[int]:
+    """`bits[node]` is the bit that stands for `node` in the masks of its
+    partners (`bits[0]` is 0).  Each mode numbers its nodes from bit 0, so a
+    mask is no longer than the other mode has nodes."""
+    return [0] + [1 << b for b in range(n1)] + [1 << b for b in range(n2)]
 
-    __slots__ = ("n1", "n2", "adj", "_edge_list", "_edge_pos")
+
+class BipartiteNetwork:
+    """Binary two-mode network on n1 + n2 nodes; hot paths read `adj` and
+    `mask` directly."""
+
+    __slots__ = ("n1", "n2", "adj", "mask", "_bit", "_edge_list", "_edge_pos")
 
     def __init__(self, n1: int, n2: int):
         if n1 < 0 or n2 < 0:
@@ -34,6 +45,9 @@ class BipartiteNetwork:
         self.n1 = n1
         self.n2 = n2
         self.adj: list[set[int]] = [set() for _ in range(n1 + n2 + 1)]
+        # mask[node] ORs bits[s] over the partners s in adj[node]
+        self.mask: list[int] = [0] * (n1 + n2 + 1)
+        self._bit = node_bits(n1, n2)
         self._edge_list: list[tuple[int, int]] = []
         self._edge_pos: dict[tuple[int, int], int] = {}
 
@@ -109,12 +123,18 @@ class BipartiteNetwork:
     def _add(self, i: int, k: int) -> None:
         self.adj[i].add(k)
         self.adj[k].add(i)
+        mask, bit = self.mask, self._bit
+        mask[i] ^= bit[k]
+        mask[k] ^= bit[i]
         self._edge_pos[(i, k)] = len(self._edge_list)
         self._edge_list.append((i, k))
 
     def _remove(self, i: int, k: int) -> None:
         self.adj[i].discard(k)
         self.adj[k].discard(i)
+        mask, bit = self.mask, self._bit
+        mask[i] ^= bit[k]
+        mask[k] ^= bit[i]
         pos = self._edge_pos.pop((i, k))
         last = self._edge_list.pop()
         if last != (i, k):
@@ -124,6 +144,7 @@ class BipartiteNetwork:
     def copy(self) -> "BipartiteNetwork":
         dup = BipartiteNetwork(self.n1, self.n2)
         dup.adj = [set(s) for s in self.adj]
+        dup.mask = list(self.mask)
         dup._edge_list = list(self._edge_list)
         dup._edge_pos = dict(self._edge_pos)
         return dup
@@ -146,6 +167,9 @@ class BipartiteNetwork:
         for i, k in self._edge_list:
             if k not in self.adj[i] or i not in self.adj[k]:
                 raise AssertionError(f"edge ({i},{k}) missing from a neighbor set")
+        bit = self._bit
+        if self.mask != [sum(bit[s] for s in nbrs) for nbrs in self.adj]:
+            raise AssertionError("neighbor masks out of sync with the neighbor sets")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteNetwork):

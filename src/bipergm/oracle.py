@@ -122,6 +122,8 @@ class ExactModel:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.p,):
             raise ValueError(f"theta has shape {theta.shape}, model dimension is {self.p}")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError(f"theta must be finite, got {theta}")
         return theta
 
 

@@ -109,15 +109,14 @@ class Chain:
     is built.  Each `run` or `step` updates `accepted`, `proposals` and
     `last_dyad`, the dyad of the last proposal (None before the first).
 
-    Nodematch terms read chain-local count tables (neighbour bitmasks per
-    kept node for alpha, neighbours per level for beta) that the chain
-    updates on each accepted toggle.  So once the chain is built the
-    network must change only through the chain; `audit()` also recounts
-    the tables and raises on any that went stale.
+    Once the chain is built the network must change only through the
+    chain, or the running statistics go stale; `audit()` also checks the
+    network's own bookkeeping, its neighbour masks included, and raises
+    on any part that went stale.
 
     A chain whose `run` or `step` raised is dead: the exception may have
-    left the network, the tables and the statistics out of step, so every
-    later `run` or `step` raises `RuntimeError`.
+    left the network and the statistics out of step, so every later `run`
+    or `step` raises `RuntimeError`.
     """
 
     def __init__(
@@ -130,19 +129,21 @@ class Chain:
     ):
         if len(theta) != model.p:
             raise ValueError(f"theta has {len(theta)} entries for {model.p} statistics")
+        theta = [float(t) for t in theta]
+        if not all(map(math.isfinite, theta)):
+            # a NaN log ratio would accept every proposal
+            raise ValueError(f"theta must be finite, got {theta}")
         _check_proposal(proposal)
         net.check_has_dyads()
         self.net = net
         self.model = model
         self.stats = [float(s) for s in model.stats(net)]
-        kernels = [ev.chain_kernel(net) for ev in model.evaluators]
-        self._counts = [counts for _, counts in kernels if counts is not None]
         uniform = itertools.chain.from_iterable(
             iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
         ).__next__
         loop = _mh_loop(
-            net, [float(t) for t in theta], self.stats, proposal == "tnt",
-            [delta for delta, _ in kernels], [c.toggled for c in self._counts], uniform,
+            net, theta, self.stats, proposal == "tnt",
+            [ev.delta_into for ev in model.evaluators], uniform,
         )
         self.accepted, self.proposals, self.last_dyad = next(loop)
         self._send = loop.send
@@ -165,22 +166,21 @@ class Chain:
 
     def audit(self) -> None:
         """Recompute statistics from scratch and check the running vector
-        agrees to within 1e-8, and recount every count table and check it
-        agrees exactly."""
+        agrees to within 1e-8, and check the network's edge list, neighbour
+        sets and masks agree exactly."""
         fresh = self.model.stats(self.net)
         drift = float(np.max(np.abs(fresh - np.asarray(self.stats)))) if self.model.p else 0.0
         if drift > 1e-8:
             raise RuntimeError(f"incremental statistics drifted by {drift:g} (tol 1e-08)")
-        for counts in self._counts:
-            if counts.rows != counts.rebuilt():
-                raise RuntimeError(
-                    f"incremental count table of {counts.ev.names[0]} drifted from a recount"
-                )
+        try:
+            self.net.check_consistency()
+        except AssertionError as exc:
+            raise RuntimeError(f"network bookkeeping drifted: {exc}") from None
         # in place: the loop holds this list
         self.stats[:] = [float(s) for s in fresh]
 
 
-def _mh_loop(net, theta, stats, tnt, deltas, hooks, uniform):
+def _mh_loop(net, theta, stats, tnt, deltas, uniform):
     """The only MH loop body: a generator that holds a chain's locals
     between calls.  Each value sent is a number of proposals to make,
     reading `uniform()` in the order the module docstring gives; it yields
@@ -250,14 +250,10 @@ def _mh_loop(net, theta, stats, tnt, deltas, hooks, uniform):
                 continue
             if adding:
                 add(i, k)
-                for toggled in hooks:
-                    toggled(i, k, 1)
                 for j in idx:
                     stats[j] += buf[j]
             else:
                 remove(i, k)
-                for toggled in hooks:
-                    toggled(i, k, -1)
                 for j in idx:
                     stats[j] -= buf[j]
             accepted += 1

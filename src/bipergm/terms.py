@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Attributes, BipartiteNetwork, CategoricalColumn, shared_partners
+from .graph import Attributes, BipartiteNetwork, CategoricalColumn, node_bits, shared_partners
 
 TERM_KINDS = (
     "edges",
@@ -157,7 +157,9 @@ class _Evaluator:
     `columns(B)` gives the change statistics of every dyad at once from the
     n1 x n2 float biadjacency matrix `B`: a (n1 * n2, width) array whose
     rows follow `B.ravel()`, that is mode-1 node outer, mode-2 node inner.
-    `delta_into` serves one dyad of a network that changes between calls.
+    `delta_into` serves one dyad of a network that changes between calls:
+    the chain calls it on every proposal, after zeroing the buffer, so it
+    writes only slots of its own term and may skip a slot that stays zero.
     """
 
     offset = 0  # assigned by BoundModel
@@ -172,16 +174,6 @@ class _Evaluator:
 
     def columns(self, B: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def chain_kernel(self, net: BipartiteNetwork):
-        """What a chain on `net` calls per proposal: the change-statistic
-        function, and the count table it reads (None when it reads only the
-        network).  A table is bound to `net`: the chain calls its
-        `toggled(i, k, step)` after each accepted toggle and compares its
-        `rows` with `rebuilt()` in an audit.  Like `delta_into`, the
-        function writes only slots of its own term, into a buffer the chain
-        zeroes before each proposal."""
-        return self.delta_into, None
 
 
 class _NodeValue(_Evaluator):
@@ -268,7 +260,13 @@ class _Mode2Degree(_Evaluator):
 
 
 class _Nodematch(_Evaluator):
-    """Homophily statistic with a node-centric or edge-centric exponent."""
+    """Homophily statistic with a node-centric or edge-centric exponent.
+
+    Both change statistics count neighbours with the network's masks: the
+    node-centric one the partners that focal shares with each same-level
+    neighbour j of the shared node, the edge-centric one the partners of the
+    shared node in focal's level.  The counts are the integers that set
+    intersections give, so the statistics keep their bits."""
 
     def __init__(self, term: ModelTerm, n1: int, n2: int, attrs: Attributes):
         if term.is_unbound_nodematch:
@@ -311,6 +309,16 @@ class _Nodematch(_Evaluator):
         e = float(term.exponent)
         self.pw = [0.0] + [float(i) ** e for i in range(1, max(n1, n2) + 1)]
         self.dpw = [b - a for a, b in zip(self.pw, self.pw[1:])]
+        if not self.node_centric:
+            # others[f]: the mask of the kept nodes in f's level other than f
+            bits = node_bits(n1, n2)
+            level = [0] * len(levels)
+            for node, g in enumerate(self.group):
+                if g >= 0:
+                    level[g] |= bits[node]
+            self.others = [
+                level[g] ^ bits[node] if g >= 0 else 0 for node, g in enumerate(self.group)
+            ]
 
     def stats(self, net):
         out = np.zeros(self.width)
@@ -326,38 +334,68 @@ class _Nodematch(_Evaluator):
         out *= 0.5
         return out
 
-    def delta_into(self, net, i, k, out):
-        focal, shared = (i, k) if self.mode == 1 else (k, i)
-        group = self.group
-        cf = group[focal]
-        if cf < 0:
-            return
-        slot = self.slot_of_code[cf]
-        adj = net.adj
-        if self.node_centric:
-            nf = adj[focal]
-            has_edge = shared in nf
-            dpw = self.dpw
-            total = 0.0
-            for j in adj[shared]:
-                if j != focal and group[j] == cf:
-                    # two-paths not through the toggled shared node
-                    total += dpw[len(nf & adj[j]) - has_edge]
-            out[self.offset + slot] = total
-            return
-        u = 0
-        for j in adj[shared]:
-            if j != focal and group[j] == cf:
-                u += 1
-        # exact change ((1+u)*u**b - u*(u-1)**b)/2; at b=0 it is 0, 1, 1/2 for
-        # u=0, 1, >=2.  At u=0, pw[u - 1] wraps to the last (finite) entry and
-        # is multiplied by u = 0, so it adds nothing.
-        pw = self.pw
-        out[self.offset + slot] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
+    @property
+    def offset(self) -> int:
+        return self._offset
 
-    def chain_kernel(self, net):
-        counts = (_TwoPathCounts if self.node_centric else _LevelCounts)(self, net)
-        return counts.delta_into, counts
+    @offset.setter
+    def offset(self, offset: int) -> None:
+        # the kernel captures the term's first slot, so it is built when
+        # BoundModel places the term
+        self._offset = offset
+        self.delta_into = self._kernel(offset)
+
+    def _kernel(self, offset: int):
+        """The change-statistic function, a closure over the term's tables.
+        Plain assignments in each branch of `if mode1` skip the tuple that a
+        conditional pair would build on every call."""
+        mode1, group, slot_of = self.mode == 1, self.group, self.slot_of_code
+
+        if self.node_centric:
+            # the popcount of focal's and j's masks counts the shared node,
+            # a partner of j, when focal has the edge; the gain then reads
+            # dpw one entry lower, from a copy shifted by one
+            dpw = self.dpw
+            dpw_less = [0.0] + dpw
+
+            def delta_into(net, i, k, out):
+                if mode1:
+                    focal, shared = i, k
+                else:
+                    focal, shared = k, i
+                cf = group[focal]
+                if cf < 0:
+                    return
+                mask = net.mask
+                ns = net.adj[shared]
+                gain = dpw_less if focal in ns else dpw
+                mf = mask[focal]
+                total = 0.0
+                for j in ns:
+                    if j != focal and group[j] == cf:
+                        total += gain[(mf & mask[j]).bit_count()]
+                out[offset + slot_of[cf]] = total
+
+            return delta_into
+
+        pw, others = self.pw, self.others
+
+        def delta_into(net, i, k, out):
+            if mode1:
+                focal, shared = i, k
+            else:
+                focal, shared = k, i
+            cf = group[focal]
+            if cf < 0:
+                return
+            # u: partners of the shared node in focal's level, focal aside
+            u = (net.mask[shared] & others[focal]).bit_count()
+            # exact change ((1+u)*u**b - u*(u-1)**b)/2; at b=0 it is 0, 1, 1/2
+            # for u=0, 1, >=2.  At u=0, pw[u - 1] wraps to the last (finite)
+            # entry and is multiplied by u = 0, so it adds nothing.
+            out[offset + slot_of[cf]] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
+
+        return delta_into
 
     def columns(self, B):
         # A is focal x shared and S marks same-group focal pairs; the rows of
@@ -388,117 +426,6 @@ class _Nodematch(_Evaluator):
         if self.mode == 2:
             out = out.transpose(1, 0, 2)
         return out.reshape(B.size, self.width)
-
-
-class _TwoPathCounts:
-    """Neighbour bitmasks of a node-centric nodematch term on one network:
-    `rows[a]` is an int with bit `s - first` set for each partner s of node
-    a, for every node a of the term's mode in a kept level (None for the
-    others), `first` being the first node id of the other mode.
-
-    `delta_into` is the stateless kernel with `len(adj[focal] & adj[j]) -
-    has_edge` read as the popcount of `masks[focal] & masks[j]` with the
-    shared node's bit cleared: the same neighbours in the same order, the
-    same `dpw` entries, so the same bits.  `toggled(i, k, step)` flips the
-    one bit of the toggled dyad, so it costs the same whatever the
-    degrees, and may run before or after the network changes.
-    """
-
-    def __init__(self, ev: _Nodematch, net: BipartiteNetwork):
-        self.ev, self.net = ev, net
-        mode1, adj, group = ev.mode == 1, net.adj, ev.group
-        first = net.n1 + 1 if mode1 else 1
-        # bit[s] marks partner s in a mask; without[s] clears it
-        self.bit = bit = [0] * (net.n + 1)
-        for s in range(first, first + (net.n2 if mode1 else net.n1)):
-            bit[s] = 1 << (s - first)
-        without = [~b for b in bit]
-        self.rows = masks = self.rebuilt()
-        slot_of, dpw, offset = ev.slot_of_code, ev.dpw, ev.offset
-
-        # these run once per proposal or accepted toggle; plain assignments
-        # in each branch skip the tuple that a conditional pair would build
-        def delta_into(net, i, k, out):
-            if mode1:
-                focal, shared = i, k
-            else:
-                focal, shared = k, i
-            cf = group[focal]
-            if cf < 0:
-                return
-            mf = masks[focal] & without[shared]
-            total = 0.0
-            for j in adj[shared]:
-                if j != focal and group[j] == cf:
-                    total += dpw[(mf & masks[j]).bit_count()]
-            out[offset + slot_of[cf]] = total
-
-        def toggled(i, k, step):
-            if mode1:
-                a, s = i, k
-            else:
-                a, s = k, i
-            if group[a] >= 0:
-                masks[a] ^= bit[s]
-
-        self.delta_into, self.toggled = delta_into, toggled
-
-    def rebuilt(self) -> list:
-        """The masks rebuilt from the network's neighbour sets."""
-        adj, bit = self.net.adj, self.bit
-        return [
-            sum(bit[s] for s in adj[a]) if g >= 0 else None
-            for a, g in enumerate(self.ev.group)
-        ]
-
-
-class _LevelCounts:
-    """Neighbour counts per level for an edge-centric nodematch term on one
-    network: `rows[s][g]` is the number of neighbours of node s (of the
-    other mode) in level code g, so the matching co-edge count u of a dyad
-    is one lookup less the focal node's own edge, where the stateless
-    kernel loops over `adj[s]`.  `toggled(i, k, step)` adds `step` (+1 on
-    an added edge, -1 on a removed one) to one count."""
-
-    def __init__(self, ev: _Nodematch, net: BipartiteNetwork):
-        self.ev, self.net = ev, net
-        self.rows = counts = self.rebuilt()
-        mode1, adj, group = ev.mode == 1, net.adj, ev.group
-        slot_of, pw, offset = ev.slot_of_code, ev.pw, ev.offset
-
-        def delta_into(net, i, k, out):
-            if mode1:
-                focal, shared = i, k
-            else:
-                focal, shared = k, i
-            cf = group[focal]
-            if cf < 0:
-                return
-            u = counts[shared][cf] - (focal in adj[shared])
-            out[offset + slot_of[cf]] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
-
-        def toggled(i, k, step):
-            if mode1:
-                a, s = i, k
-            else:
-                a, s = k, i
-            g = group[a]
-            if g >= 0:
-                counts[s][g] += step
-
-        self.delta_into, self.toggled = delta_into, toggled
-
-    def rebuilt(self) -> list:
-        """The table recounted from the neighbour levels of the network."""
-        net, group, levels = self.net, self.ev.group, len(self.ev.slot_of_code)
-        shared = range(net.n1 + 1, net.n + 1) if self.ev.mode == 1 else range(1, net.n1 + 1)
-        rows = [None] * (net.n + 1)
-        for s in shared:
-            row = rows[s] = [0] * levels
-            for j in net.adj[s]:
-                if group[j] >= 0:
-                    row[group[j]] += 1
-        return rows
 
 
 def _build_evaluator(term: ModelTerm, n1: int, n2: int, attrs: Attributes) -> _Evaluator:

@@ -2,7 +2,9 @@
 
 Everything here works on raw (n1, n2, edge-set, category-dict) data via
 literal triple sums, so the values are computed along a different path
-than the package's evaluators.
+than the package's evaluators.  The one exception, `nodematch_delta_into`,
+reads a nodematch evaluator's tables but counts with neighbour sets where
+the package counts with neighbour masks.
 """
 
 from __future__ import annotations
@@ -88,6 +90,35 @@ def nodematch_beta_mode2(n1, n2, edges, cats, beta, level=None):
             if u > 0:
                 total += u**beta
     return total / 2.0
+
+
+def nodematch_delta_into(ev, net, i, k, out):
+    """The change statistic of nodematch evaluator `ev` at dyad (i, k),
+    written into its slot of `out`, from set intersections and set loops
+    over `net.adj` in the order the package visits neighbours."""
+    focal, shared = (i, k) if ev.mode == 1 else (k, i)
+    group = ev.group
+    cf = group[focal]
+    if cf < 0:
+        return
+    slot = ev.slot_of_code[cf]
+    adj = net.adj
+    if ev.node_centric:
+        nf = adj[focal]
+        has_edge = shared in nf
+        total = 0.0
+        for j in adj[shared]:
+            if j != focal and group[j] == cf:
+                # two-paths not through the toggled shared node
+                total += ev.dpw[len(nf & adj[j]) - has_edge]
+        out[ev.offset + slot] = total
+        return
+    u = 0
+    for j in adj[shared]:
+        if j != focal and group[j] == cf:
+            u += 1
+    pw = ev.pw
+    out[ev.offset + slot] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
 
 
 def matching_two_stars(n1, n2, edges, cats):

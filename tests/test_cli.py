@@ -288,6 +288,39 @@ def test_profile_prints_each_warning_as_fit_does(tmp_path, capsys):
     assert lines[0].startswith("warning: the pseudo-likelihood does not identify ")
 
 
+@pytest.mark.parametrize("flags,exit_code", [([], 0), (["--degeneracy-error"], 5)])
+def test_fit_degeneracy_warning_exit_code(tmp_path, capsys, flags, exit_code):
+    # the network of the test above, whose alpha=0 nodematch column is all 0
+    net = tmp_path / "net.edges"
+    net.write_text("n1 3 n2 3\n1\t4\n1\t5\n1\t6\n2\t5\n2\t6\n3\t4\n")
+    attrs = tmp_path / "attrs1.tsv"
+    attrs.write_text("id\tgroup\ntype\tcat\n1\ta\n2\ta\n3\tb\n")
+    code = main(
+        ["fit", "--network", str(net), "--attrs1", str(attrs), "--method", "mple",
+         "--model", 'edges + b1nodematch("group", alpha = 0)', "--out", str(tmp_path / "fit")]
+        + flags
+    )
+    assert code == exit_code
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("warning: the pseudo-likelihood does not identify ")
+    assert lines[1:] == (["degeneracy warning escalated to error"] if flags else [])
+
+
+@pytest.mark.parametrize("what", ["simulate", "kappa"])
+def test_non_finite_theta_exit_code(tmp_path, capsys, what):
+    net = tmp_path / "net.edges"
+    net.write_text("n1 2 n2 2\n1\t3\n")
+    args = ["--network", str(net), "--model", "edges", "--theta", "nan"]
+    if what == "simulate":
+        args = ["simulate"] + args + ["--burnin", "10", "--interval", "1", "--samplesize", "5"]
+    else:
+        args = ["oracle"] + args + ["--what", "kappa"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: model: theta must be finite")
+
+
 def test_oracle_kappa_and_distribution(tmp_path, capsys):
     net = tmp_path / "net.edges"
     net.write_text("n1 2 n2 2\n1\t3\n")

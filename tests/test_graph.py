@@ -69,6 +69,18 @@ def test_toggle_matches_set_model(moves):
     net.check_consistency()
 
 
+def test_toggling_a_copy_leaves_the_original_unchanged(fig2_net):
+    masks, edges = list(fig2_net.mask), set(fig2_net.edges())
+    dup = fig2_net.copy()
+    assert dup.mask == masks
+    dup.toggle(1, 4)
+    dup.toggle(3, 5)
+    dup.check_consistency()
+    assert dup.mask != masks
+    assert fig2_net.mask == masks and set(fig2_net.edges()) == edges
+    fig2_net.check_consistency()
+
+
 def test_toggle_involution(fig2_net):
     before = set(fig2_net.edges())
     fig2_net.toggle(2, 5)

@@ -231,6 +231,16 @@ def test_chain_validates_the_proposal(proposal):
     assert net.edge_count == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_chain_refuses_a_non_finite_theta(bad):
+    # a NaN log ratio compares False with 0, so it would accept every proposal
+    net = from_edge_list(2, 2, [])
+    model = bind(edges_spec(), net, Attributes())
+    with pytest.raises(ValueError, match="theta must be finite"):
+        Chain(net, model, [bad], _generator(0))
+    assert net.edge_count == 0
+
+
 def test_control_validation():
     with pytest.raises(ValueError, match="burn_in must be nonnegative"):
         SamplerControl(burn_in=-1)
@@ -398,21 +408,16 @@ def test_steps_one_at_a_time_equal_one_run(proposal):
 
 
 @pytest.mark.parametrize("term", [ALPHA, BETA_ENDS[2]], ids=["alpha", "beta"])
-def test_audit_catches_a_stale_count_table(term):
+def test_audit_catches_a_stale_neighbour_mask(term):
     net = _net30(0.2)
     spec = ModelSpec((ModelTerm(kind="edges"), term))
     chain = Chain(net, bind(spec, net, _contract_attrs()), [-1.5, 0.1], _generator(16))
     chain.run(2000)
     chain.audit()
-    (counts,) = chain._counts
-    if term.alpha is not None:
-        # a kept node's neighbour bitmask loses its lowest partner bit
-        a = next(a for a, mask in enumerate(counts.rows) if mask)
-        counts.rows[a] &= counts.rows[a] - 1
-    else:
-        row = next(r for r in counts.rows if r is not None and any(r))
-        row[row.index(max(row))] -= 1
-    with pytest.raises(RuntimeError, match="count table of b.nodematch.* drifted"):
+    # a node's neighbour mask loses its lowest partner bit
+    a = next(a for a, mask in enumerate(net.mask) if mask)
+    net.mask[a] &= net.mask[a] - 1
+    with pytest.raises(RuntimeError, match="network bookkeeping drifted: neighbor masks"):
         chain.audit()
 
 
@@ -503,7 +508,7 @@ def test_a_chain_that_raised_stays_dead(monkeypatch):
     net = _net30(0.2)
     model = bind(ModelSpec((ModelTerm(kind="edges"), ALPHA)), net, _contract_attrs())
     ev = model.evaluators[1]
-    delta_into, counts = ev.chain_kernel(net)
+    delta_into = ev.delta_into
     calls = 0
 
     def failing(net, i, k, out):
@@ -513,7 +518,7 @@ def test_a_chain_that_raised_stays_dead(monkeypatch):
             raise ZeroDivisionError("kernel failed")
         delta_into(net, i, k, out)
 
-    monkeypatch.setattr(ev, "chain_kernel", lambda net: (failing, counts))
+    monkeypatch.setattr(ev, "delta_into", failing)
     chain = Chain(net, model, [-1.5, 0.6], _generator(3))
     chain.run(10)
     assert chain.step() in (True, False)

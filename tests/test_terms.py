@@ -564,11 +564,20 @@ def test_term_layer_keeps_its_bits(which, exponent):
     assert _term_layer_digest(which, exponent) == TERM_LAYER_DIGESTS[which, exponent]
 
 
-# The chain's nodematch kernels read count tables that it updates on each
-# accepted toggle; the stateless `BoundModel.delta_into` stays the
-# reference.  Both must give the same bits at every dyad after any run of
-# toggles, whether a table hears of a toggle before or after the network
-# changes.
+# Each nodematch term has one change-statistic kernel, which counts with
+# the network's neighbour masks; the reference counts the same neighbours
+# with set intersections and loops.  Both must give the same bits at every
+# dyad after any run of toggles, and the masks must still agree with the
+# neighbour sets.
+
+
+def _set_reference(model, net, i, k, out):
+    out[:] = 0.0
+    for ev in model.evaluators:
+        if ev.names[0].startswith(("b1nodematch", "b2nodematch")):
+            ref.nodematch_delta_into(ev, net, i, k, out)
+        else:
+            ev.delta_into(net, i, k, out)
 
 
 @pytest.mark.parametrize("shape,fill", DESIGN_CASES)
@@ -576,41 +585,28 @@ def test_term_layer_keeps_its_bits(which, exponent):
 def test_chain_kernels_equal_the_stateless_delta(shape, fill, which, exponent):
     net, attrs = design_case(shape, fill)
     model = bind(every_term_kind(attrs, which, exponent), net, attrs)
-    kernels = [ev.chain_kernel(net) for ev in model.evaluators]
-    tables = [counts for _, counts in kernels if counts is not None]
-    assert len(tables) == 8  # nodematch in both modes, plain, diff, kept, diff kept
+    # nodematch in both modes, plain, diff, kept, diff kept
+    assert sum(ev.names[0].startswith(("b1nodematch", "b2nodematch"))
+               for ev in model.evaluators) == 8
     rng = np.random.default_rng([net.n1, net.n2, len(fill), int(10 * exponent)])
-    expected, cached = np.empty(model.p), np.empty(model.p)
+    expected, got = np.empty(model.p), np.empty(model.p)
     for toggles in (0, 1, 5, 40, 40):
         for _ in range(toggles):
-            i = int(rng.integers(1, net.n1 + 1))
-            k = int(rng.integers(net.n1 + 1, net.n + 1))
-            step = -1 if k in net.adj[i] else 1
-            hear_first = bool(rng.integers(2))
-            if hear_first:
-                for counts in tables:
-                    counts.toggled(i, k, step)
-            net.toggle(i, k)
-            if not hear_first:
-                for counts in tables:
-                    counts.toggled(i, k, step)
-        for counts in tables:
-            assert counts.rows == counts.rebuilt()
+            net.toggle(int(rng.integers(1, net.n1 + 1)), int(rng.integers(net.n1 + 1, net.n + 1)))
+        net.check_consistency()
         for i in range(1, net.n1 + 1):
             for k in range(net.n1 + 1, net.n + 1):
-                model.delta_into(net, i, k, expected)
-                cached[:] = 0.0
-                for delta_into, _ in kernels:
-                    delta_into(net, i, k, cached)
-                assert cached.tobytes() == expected.tobytes(), (i, k)
+                _set_reference(model, net, i, k, expected)
+                model.delta_into(net, i, k, got)
+                assert got.tobytes() == expected.tobytes(), (i, k)
 
 
-# The chain zeroes its change buffer before each proposal, then every chain
-# kernel writes into it in turn.  So each kernel must leave its term's slots
-# holding the bits of the stateless reference and touch no slot of another
-# term.  A buffer with zeros in the term's slots and NaN elsewhere shows a
-# write outside the term, which the summed buffer of the test above misses
-# when a later kernel overwrites it.
+# The chain zeroes its change buffer before each proposal, then every
+# term's `delta_into` writes into it in turn.  So each kernel must leave its
+# term's slots holding the bits of the set reference and touch no slot of
+# another term.  A buffer with zeros in the term's slots and NaN elsewhere
+# shows a write outside the term, which the summed buffer of the test above
+# misses when a later kernel overwrites it.
 
 
 @pytest.mark.parametrize("shape,fill", DESIGN_CASES)
@@ -618,26 +614,19 @@ def test_chain_kernels_equal_the_stateless_delta(shape, fill, which, exponent):
 def test_chain_kernels_own_their_slots(shape, fill, which, exponent):
     net, attrs = design_case(shape, fill)
     model = bind(every_term_kind(attrs, which, exponent), net, attrs)
-    kernels = [ev.chain_kernel(net) for ev in model.evaluators]
-    tables = [counts for _, counts in kernels if counts is not None]
     rng = np.random.default_rng([net.n1, net.n2, len(fill), int(10 * exponent), 1])
     expected = np.empty(model.p)
     for toggles in (0, 7):
         for _ in range(toggles):
-            i = int(rng.integers(1, net.n1 + 1))
-            k = int(rng.integers(net.n1 + 1, net.n + 1))
-            step = -1 if k in net.adj[i] else 1
-            net.toggle(i, k)
-            for counts in tables:
-                counts.toggled(i, k, step)
+            net.toggle(int(rng.integers(1, net.n1 + 1)), int(rng.integers(net.n1 + 1, net.n + 1)))
         for i in range(1, net.n1 + 1):
             for k in range(net.n1 + 1, net.n + 1):
-                model.delta_into(net, i, k, expected)
-                for ev, (delta_into, _) in zip(model.evaluators, kernels):
+                _set_reference(model, net, i, k, expected)
+                for ev in model.evaluators:
                     lo, hi = ev.offset, ev.offset + ev.width
                     out = [math.nan] * model.p
                     out[lo:hi] = [0.0] * ev.width
-                    delta_into(net, i, k, out)
+                    ev.delta_into(net, i, k, out)
                     assert np.array(out[lo:hi]).tobytes() == expected[lo:hi].tobytes(), (
                         ev.names, i, k)
                     assert all(math.isnan(v) for v in out[:lo] + out[hi:]), (ev.names, i, k)
