@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import estimate, formula, io, oracle, sampler, terms
-from .graph import Attributes, ColumnTypeError, project
+from .graph import AttributeLookupError, Attributes, ColumnTypeError, project
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
         return EXIT_MODEL
     # FileFormatError and SizeCapError are ValueErrors: these two branches
     # must come before the one for ValueError
-    except (io.FileFormatError, OSError, KeyError, ColumnTypeError) as exc:
+    except (io.FileFormatError, OSError, AttributeLookupError, ColumnTypeError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (oracle.SizeCapError, estimate.EstimationError) as exc:

@@ -557,7 +557,9 @@ def profile(
     replaced by one drawn for that point from `control.seed`.  An
     estimation failure (an EstimationError or a singular linear system) is
     recorded on the point and the grid continues; program faults, such as
-    an IndexError or a drifted chain's RuntimeError, propagate.
+    an IndexError or a drifted chain's RuntimeError, propagate.  Each
+    point's warnings are raised again once it ends, in grid order, with the
+    point appended to the message, e.g. " (alpha=0.3)".
     All log-likelihoods share the zero-parameter bridge reference, so
     they are comparable across points and across exponent kinds.
     """
@@ -578,20 +580,18 @@ def profile(
     points: list[ProfilePoint] = []
     for value, seed_seq in zip(grid, point_seeds):
         spec_g = template.bind_exponent(which, value)
-        try:
-            if method == "mple":
-                fit = mple(spec_g, net, attrs)
-            else:
-                point_seed = int(seed_seq.generate_state(1, np.uint64)[0] >> 1)
-                fit = mcmcmle(spec_g, net, attrs, control=replace(control, seed=point_seed))
-            points.append(ProfilePoint(kind=which, value=value, fit=fit))
-        except (EstimationError, np.linalg.LinAlgError) as exc:
-            points.append(
-                ProfilePoint(
-                    kind=which,
-                    value=value,
-                    fit=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                if method == "mple":
+                    fit = mple(spec_g, net, attrs)
+                else:
+                    point_seed = int(seed_seq.generate_state(1, np.uint64)[0] >> 1)
+                    fit = mcmcmle(spec_g, net, attrs, control=replace(control, seed=point_seed))
+                point = ProfilePoint(which, value, fit)
+            except (EstimationError, np.linalg.LinAlgError) as exc:
+                point = ProfilePoint(which, value, None, f"{type(exc).__name__}: {exc}")
+        points.append(point)
+        for warning in caught:
+            warnings.warn(f"{warning.message} ({which}={value:g})", warning.category, stacklevel=2)
     return points

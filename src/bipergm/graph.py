@@ -26,6 +26,15 @@ class ColumnTypeError(TypeError):
     """An attribute column has the wrong type for the requested operation."""
 
 
+class AttributeLookupError(KeyError):
+    """A model names an attribute table, column or level that the inputs
+    lack; the CLI reports it as an input error, and any other KeyError is a
+    program fault."""
+
+    # the message as given, not quoted as a KeyError prints its key
+    __str__ = Exception.__str__
+
+
 def node_bits(n1: int, n2: int) -> list[int]:
     """`bits[node]` is the bit that stands for `node` in the masks of its
     partners (`bits[0]` is 0).  Each mode numbers its nodes from bit 0, so a
@@ -262,7 +271,7 @@ class AttributeTable:
         try:
             return self._columns[name]
         except KeyError:
-            raise KeyError(
+            raise AttributeLookupError(
                 f"unknown attribute {name!r} on mode {self.mode}; "
                 f"available: {self.names}"
             ) from None
@@ -290,7 +299,7 @@ class Attributes:
     def table_for(self, mode: int) -> AttributeTable:
         table = self.mode1 if mode == 1 else self.mode2
         if table is None:
-            raise KeyError(f"no attribute table supplied for mode {mode}")
+            raise AttributeLookupError(f"no attribute table supplied for mode {mode}")
         return table
 
 

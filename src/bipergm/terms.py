@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Attributes, BipartiteNetwork, CategoricalColumn, node_bits, shared_partners
+from .graph import AttributeLookupError, Attributes, BipartiteNetwork, CategoricalColumn, node_bits, shared_partners
 
 TERM_KINDS = (
     "edges",
@@ -282,7 +282,7 @@ class _Nodematch(_Evaluator):
         if term.keep_levels is not None:
             unknown = [v for v in term.keep_levels if v not in levels]
             if unknown:
-                raise KeyError(
+                raise AttributeLookupError(
                     f"{term.kind}({term.attribute!r}): keep levels {unknown} "
                     f"not among {list(levels)}"
                 )

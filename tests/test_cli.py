@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bipergm import oracle
+from bipergm import estimate, oracle
 from bipergm.cli import main
 
 from conftest import FIG2_EDGES
@@ -65,6 +65,32 @@ def test_stats_missing_column_names_it(inputs, capsys):
     )
     assert code == 3
     assert "age" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model,message",
+    [
+        ('b2cov("z")', "no attribute table supplied for mode 2"),
+        ('b1nodematch("group", alpha = 0.5, keep = "zzz")',
+         "b1nodematch('group'): keep levels ['zzz'] not among ['x']"),
+    ],
+)
+def test_attribute_lookup_exit_code(inputs, capsys, model, message):
+    net, attrs, _ = inputs
+    code = main(["stats", "--network", str(net), "--attrs1", str(attrs), "--model", model])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: input: {message}\n"
+
+
+def test_an_internal_key_error_propagates(inputs, monkeypatch):
+    def lookup_fault(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(estimate, "mple", lookup_fault)
+    net, attrs, _ = inputs
+    with pytest.raises(KeyError, match="internal"):
+        main(["fit", "--network", str(net), "--attrs1", str(attrs),
+              "--model", "edges", "--method", "mple"])
 
 
 def test_malformed_formula_exit_code(inputs, capsys):
@@ -157,7 +183,8 @@ def test_fit_hull_lp_failure_exit_code(inputs, capsys, monkeypatch):
     def failed_lp(*args, **kwargs):
         return SimpleNamespace(status=4, message="numerical difficulties", fun=0.0, x=None)
 
-    monkeypatch.setattr(oracle, "linprog", failed_lp)
+    # hull_direction imports linprog when it is called, so patch it at its source
+    monkeypatch.setattr("scipy.optimize.linprog", failed_lp)
     net, attrs, _ = inputs
     code = main(
         ["fit", "--network", str(net), "--attrs1", str(attrs),
@@ -271,12 +298,18 @@ def test_profile_mple_grid(inputs):
     assert len(alpha_rows) == 11 and len(beta_rows) == 11
 
 
-def test_profile_prints_each_warning_as_fit_does(tmp_path, capsys):
+@pytest.fixture
+def alpha_zero_inputs(tmp_path):
     # at alpha=0 every b1nodematch change statistic on this 3x3 network is 0
     net = tmp_path / "net.edges"
     net.write_text("n1 3 n2 3\n1\t4\n1\t5\n1\t6\n2\t5\n2\t6\n3\t4\n")
     attrs = tmp_path / "attrs1.tsv"
     attrs.write_text("id\tgroup\ntype\tcat\n1\ta\n2\ta\n3\tb\n")
+    return net, attrs
+
+
+def test_profile_prints_each_warning_as_fit_does(alpha_zero_inputs, tmp_path, capsys):
+    net, attrs = alpha_zero_inputs
     code = main(
         ["profile", "--network", str(net), "--attrs1", str(attrs),
          "--model", 'edges + b1nodematch("group")', "--method", "mple",
@@ -288,13 +321,23 @@ def test_profile_prints_each_warning_as_fit_does(tmp_path, capsys):
     assert lines[0].startswith("warning: the pseudo-likelihood does not identify ")
 
 
+def test_profile_warning_names_its_grid_point(alpha_zero_inputs, tmp_path, capsys):
+    # only the alpha=0 point warns
+    net, attrs = alpha_zero_inputs
+    code = main(
+        ["profile", "--network", str(net), "--attrs1", str(attrs),
+         "--model", 'edges + b1nodematch("group")', "--method", "mple",
+         "--alpha-grid", "0,0.5", "--out", str(tmp_path / "prof")]
+    )
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].endswith(" (alpha=0)")
+
+
 @pytest.mark.parametrize("flags,exit_code", [([], 0), (["--degeneracy-error"], 5)])
-def test_fit_degeneracy_warning_exit_code(tmp_path, capsys, flags, exit_code):
-    # the network of the test above, whose alpha=0 nodematch column is all 0
-    net = tmp_path / "net.edges"
-    net.write_text("n1 3 n2 3\n1\t4\n1\t5\n1\t6\n2\t5\n2\t6\n3\t4\n")
-    attrs = tmp_path / "attrs1.tsv"
-    attrs.write_text("id\tgroup\ntype\tcat\n1\ta\n2\ta\n3\tb\n")
+def test_fit_degeneracy_warning_exit_code(alpha_zero_inputs, tmp_path, capsys, flags, exit_code):
+    net, attrs = alpha_zero_inputs
     code = main(
         ["fit", "--network", str(net), "--attrs1", str(attrs), "--method", "mple",
          "--model", 'edges + b1nodematch("group", alpha = 0)', "--out", str(tmp_path / "fit")]

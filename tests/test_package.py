@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import bipergm
 
 # wrappers and settings with no caller that were removed; each capability
@@ -19,3 +24,28 @@ def test_public_surface():
         assert hasattr(bipergm, name), name
     assert not RETIRED & set(names)
     assert not [name for name in RETIRED if hasattr(bipergm, name)]
+
+
+# run in a fresh interpreter: the test session itself has imported scipy.optimize
+IMPORT_SURFACE = """
+import sys
+import bipergm, bipergm.cli
+assert "scipy.optimize" not in sys.modules
+net = bipergm.from_edge_list(2, 3, [(1, 3), (1, 4), (2, 5)])
+fit = bipergm.mple(bipergm.parse("edges"), net, bipergm.Attributes())
+assert "scipy.optimize" in sys.modules
+print(fit.theta[0])
+"""
+
+
+def test_the_lp_solver_loads_at_the_first_hull_check():
+    src = Path(bipergm.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_SURFACE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    # 3 edges on 6 dyads: the edges-only MPLE is logit(1/2)
+    assert abs(float(done.stdout)) < 1e-8
