@@ -169,7 +169,8 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _profile_rows(points: list[estimate.ProfilePoint], homophily_prefix: tuple[str, ...]) -> list[str]:
+def _profile_rows(points: list[estimate.ProfilePoint]) -> list[str]:
+    """The rows of the homophily statistics, whose names start with a nodematch kind."""
     rows = []
     for point in points:
         if point.fit is None:
@@ -182,7 +183,7 @@ def _profile_rows(points: list[estimate.ProfilePoint], homophily_prefix: tuple[s
         for j, (name, est, se, p) in enumerate(
             zip(fit.names, fit.theta, fit.std_errors, fit.p_values)
         ):
-            if not name.startswith(homophily_prefix):
+            if not name.startswith(terms.NODEMATCH_KINDS):
                 continue
             rows.append(
                 f"{point.kind},{point.value:g},{name},{_num(est)},{_num(se)},"
@@ -210,7 +211,7 @@ def cmd_profile(args) -> int:
             points = estimate.profile(
                 spec, which, grid, net, attrs, control=control, method=args.method
             )
-            rows += _profile_rows(points, ("b1nodematch", "b2nodematch"))
+            rows += _profile_rows(points)
     _emit(args, "profile.csv", "\n".join(rows) + "\n", config)
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import ModelSpec, ModelTerm
+from .terms import ATTRIBUTE, KINDS, ModelSpec, ModelTerm
 
 
 class FormulaSyntaxError(ValueError):
@@ -72,9 +72,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 _BOOL_WORDS = {"TRUE": True, "true": True, "FALSE": False, "false": False}
 
-# formula-surface name -> term kind (parenthesized integer argument)
-_INT_ARG_TERMS = {"b2star": ("b2star2", 2), "b2degree": ("b2degree1", 1)}
-_PLAIN_TERMS = {"edges", "b2sociality"}
+# formula spelling -> term kind
+_KIND_OF = {entry.spelling: kind for kind, entry in KINDS.items()}
 _NAMED_ARGS = ("alpha", "beta", "diff", "keep")
 
 
@@ -113,37 +112,38 @@ class _Parser:
         tok = self.expect("ident")
         name, pos = tok.value, tok.pos
         has_parens = self.peek().kind == "symbol" and self.peek().value == "("
-        if name in _PLAIN_TERMS:
+        if name not in _KIND_OF:
+            raise FormulaSyntaxError(f"unknown term kind {name!r}", pos)
+        kind = _KIND_OF[name]
+        takes = KINDS[kind].takes
+        if takes is None:
             if has_parens:
                 self.take()
                 self.expect("symbol", ")")
-            return ModelTerm(kind=name)
-        if name in _INT_ARG_TERMS:
-            kind, required = _INT_ARG_TERMS[name]
+            return ModelTerm(kind=kind)
+        if takes != ATTRIBUTE:
             if not has_parens:
-                raise FormulaSyntaxError(f"{name} needs an integer argument, e.g. {name}({required})", pos)
+                raise FormulaSyntaxError(f"{name} needs an integer argument, e.g. {name}({takes})", pos)
             self.take()
             arg = self.expect("number")
             try:
                 value = int(arg.value)
             except ValueError:
                 raise FormulaSyntaxError(f"{name} takes an integer, got {arg.value!r}", arg.pos) from None
-            if value != required:
-                raise FormulaSyntaxError(f"only {name}({required}) is supported, got {name}({value})", arg.pos)
+            if value != takes:
+                raise FormulaSyntaxError(f"only {name}({takes}) is supported, got {name}({value})", arg.pos)
             self.expect("symbol", ")")
             return ModelTerm(kind=kind)
-        if name in ("b1cov", "b2cov", "b1factor", "b2factor", "b1nodematch", "b2nodematch"):
-            if not has_parens:
-                raise FormulaSyntaxError(f'{name} needs a quoted attribute, e.g. {name}("attr")', pos)
-            self.take()
-            attr_tok = self.expect("string")
-            kwargs = self.named_args(name, pos)
-            self.expect("symbol", ")")
-            try:
-                return ModelTerm(kind=name, attribute=attr_tok.value, **kwargs)
-            except ValueError as exc:
-                raise FormulaSyntaxError(str(exc), pos) from None
-        raise FormulaSyntaxError(f"unknown term kind {name!r}", pos)
+        if not has_parens:
+            raise FormulaSyntaxError(f'{name} needs a quoted attribute, e.g. {name}("attr")', pos)
+        self.take()
+        attr_tok = self.expect("string")
+        kwargs = self.named_args(name, pos)
+        self.expect("symbol", ")")
+        try:
+            return ModelTerm(kind=kind, attribute=attr_tok.value, **kwargs)
+        except ValueError as exc:
+            raise FormulaSyntaxError(str(exc), pos) from None
 
     def named_args(self, term_name: str, term_pos: int) -> dict:
         kwargs: dict = {}
@@ -205,14 +205,11 @@ def _fmt_num(value: float) -> str:
 
 
 def format_term(term: ModelTerm) -> str:
-    if term.kind == "edges":
-        return "edges"
-    if term.kind == "b2star2":
-        return "b2star(2)"
-    if term.kind == "b2degree1":
-        return "b2degree(1)"
-    if term.kind == "b2sociality":
-        return "b2sociality"
+    spelling, takes, _ = KINDS[term.kind]
+    if takes is None:
+        return spelling
+    if takes != ATTRIBUTE:
+        return f"{spelling}({takes})"
     parts = [f'"{term.attribute}"']
     if term.alpha is not None:
         parts.append(f"alpha = {_fmt_num(term.alpha)}")
@@ -224,7 +221,7 @@ def format_term(term: ModelTerm) -> str:
         quoted = ", ".join(f'"{v}"' for v in term.keep_levels)
         keep = quoted if len(term.keep_levels) == 1 else f"c({quoted})"
         parts.append(f"keep = {keep}")
-    return f"{term.kind}({', '.join(parts)})"
+    return f"{spelling}({', '.join(parts)})"
 
 
 def format_spec(spec: ModelSpec) -> str:

@@ -166,12 +166,17 @@ class Chain:
 
     def audit(self) -> None:
         """Recompute statistics from scratch and check the running vector
-        agrees to within 1e-8, and check the network's edge list, neighbour
-        sets and masks agree exactly."""
+        agrees to within 1e-8 + 2**-52 * accepted * M, M being the largest
+        |statistic| in the recount or the running vector: the float error
+        of a sum that adds one change vector per accepted toggle.  Also
+        check the network's edge list, neighbour sets and masks agree exactly."""
         fresh = self.model.stats(self.net)
-        drift = float(np.max(np.abs(fresh - np.asarray(self.stats)))) if self.model.p else 0.0
-        if drift > 1e-8:
-            raise RuntimeError(f"incremental statistics drifted by {drift:g} (tol 1e-08)")
+        running = np.asarray(self.stats)
+        drift = float(np.max(np.abs(fresh - running), initial=0.0))
+        scale = float(np.max(np.abs([fresh, running]), initial=0.0))
+        tol = 1e-8 + 2.0**-52 * self.accepted * scale
+        if drift > tol:
+            raise RuntimeError(f"incremental statistics drifted by {drift:g} (tol {tol:g})")
         try:
             self.net.check_consistency()
         except AssertionError as exc:

@@ -16,29 +16,40 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .graph import AttributeLookupError, Attributes, BipartiteNetwork, CategoricalColumn, node_bits, shared_partners
 
-TERM_KINDS = (
-    "edges",
-    "b1cov",
-    "b2cov",
-    "b1factor",
-    "b2factor",
-    "b1nodematch",
-    "b2nodematch",
-    "b2star2",
-    "b2degree1",
-    "b2sociality",
-)
 
-_ATTRIBUTE_KINDS = frozenset(
-    {"b1cov", "b2cov", "b1factor", "b2factor", "b1nodematch", "b2nodematch"}
-)
-_NODEMATCH_KINDS = frozenset({"b1nodematch", "b2nodematch"})
+class TermKind(NamedTuple):
+    """How a formula spells a term kind and what its call takes: nothing
+    (None), the one integer it accepts, or ATTRIBUTE, a quoted attribute
+    name.  Nodematch kinds also take alpha, beta, diff and keep."""
+
+    spelling: str
+    takes: int | str | None = None
+    nodematch: bool = False
+
+
+ATTRIBUTE = "attribute"
+
+# every term kind the package knows; the formula parser, the formatter and
+# ModelTerm's checks all read this table
+KINDS = {
+    "edges": TermKind("edges"),
+    "b1cov": TermKind("b1cov", ATTRIBUTE),
+    "b2cov": TermKind("b2cov", ATTRIBUTE),
+    "b1factor": TermKind("b1factor", ATTRIBUTE),
+    "b2factor": TermKind("b2factor", ATTRIBUTE),
+    "b1nodematch": TermKind("b1nodematch", ATTRIBUTE, nodematch=True),
+    "b2nodematch": TermKind("b2nodematch", ATTRIBUTE, nodematch=True),
+    "b2star2": TermKind("b2star", 2),
+    "b2degree1": TermKind("b2degree", 1),
+    "b2sociality": TermKind("b2sociality"),
+}
+NODEMATCH_KINDS = tuple(kind for kind, entry in KINDS.items() if entry.nodematch)
 
 
 @dataclass(frozen=True)
@@ -58,14 +69,14 @@ class ModelTerm:
     keep_levels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in TERM_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown term kind {self.kind!r}")
-        if self.kind in _ATTRIBUTE_KINDS:
+        if KINDS[self.kind].takes == ATTRIBUTE:
             if not self.attribute:
                 raise ValueError(f"term {self.kind} requires an attribute name")
         elif self.attribute is not None:
             raise ValueError(f"term {self.kind} takes no attribute")
-        if self.kind not in _NODEMATCH_KINDS:
+        if self.kind not in NODEMATCH_KINDS:
             for name, value in (("alpha", self.alpha), ("beta", self.beta)):
                 if value is not None:
                     raise ValueError(f"term {self.kind} takes no {name}")
@@ -90,7 +101,7 @@ class ModelTerm:
 
     @property
     def is_unbound_nodematch(self) -> bool:
-        return self.kind in _NODEMATCH_KINDS and self.alpha is None and self.beta is None
+        return self.kind in NODEMATCH_KINDS and self.alpha is None and self.beta is None
 
 
 @dataclass(frozen=True)
@@ -152,83 +163,64 @@ def _per_dyad(rows: np.ndarray, mode: int, B: np.ndarray) -> np.ndarray:
 
 
 class _Evaluator:
-    """Shared surface: `names`, `width`, `stats`, `delta_into`, `columns`.
+    """Shared surface: `offset`, `names`, `width`, `stats`, `delta_into`,
+    `columns`.  An evaluator is built with `offset`, the index of its first
+    slot in the model's statistic vector.
 
     `columns(B)` gives the change statistics of every dyad at once from the
     n1 x n2 float biadjacency matrix `B`: a (n1 * n2, width) array whose
     rows follow `B.ravel()`, that is mode-1 node outer, mode-2 node inner.
-    `delta_into` serves one dyad of a network that changes between calls:
-    the chain calls it on every proposal, after zeroing the buffer, so it
-    writes only slots of its own term and may skip a slot that stays zero.
+    `delta_into(net, i, k, out)`, a closure built in `__init__`, serves one
+    dyad of a network that changes between calls: the chain calls it on
+    every proposal, after zeroing the buffer, so it writes only slots of its
+    own term and may skip a slot that stays zero.
     """
 
-    offset = 0  # assigned by BoundModel
+    offset: int
     names: list[str]
     width: int
+    delta_into: Callable[[BipartiteNetwork, int, int, list], None]
 
     def stats(self, net: BipartiteNetwork) -> np.ndarray:
-        raise NotImplementedError
-
-    def delta_into(self, net: BipartiteNetwork, i: int, k: int, out: np.ndarray) -> None:
         raise NotImplementedError
 
     def columns(self, B: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
-class _NodeValue(_Evaluator):
-    """Sum over edges of a value of the edge's node in `mode`: 1.0 on every
-    mode-1 node for `edges`, the covariate for `b1cov` and `b2cov`."""
+class _NodeSlot(_Evaluator):
+    """An edge adds the value of its node in `mode` to that node's slot:
+    1.0 in slot 0 for `edges`, the covariate for `b1cov` and `b2cov`, 1.0
+    in the slot of the node's level for `b1factor` and `b2factor`, and in
+    the node's own slot for `b2sociality`.  A node that counts nowhere has
+    slot 0 and value 0.0, so the kernel writes one slot with no branch."""
 
-    width = 1
-
-    def __init__(self, name: str, mode: int, n1: int, values: list[float]):
-        self.names = [name]
-        self.mode = mode
+    def __init__(self, offset: int, names: list[str], mode: int, n1: int,
+                 slots: list[int], values: list[float]):
+        self.offset, self.names, self.width, self.mode = offset, names, len(names), mode
+        self.slot = _by_node(slots, mode, n1, 0)
         self.value = _by_node(values, mode, n1, 0.0)
+        index, value, mode1 = [offset + s for s in self.slot], self.value, mode == 1
+
+        def delta_into(net, i, k, out):
+            node = i if mode1 else k
+            out[index[node]] = value[node]
+
+        self.delta_into = delta_into
 
     def stats(self, net):
-        value, mode = self.value, self.mode
-        total = 0.0
-        for i, k in net.edges():
-            total += value[i if mode == 1 else k]
-        return np.array([total])
-
-    def delta_into(self, net, i, k, out):
-        out[self.offset] = self.value[i if self.mode == 1 else k]
-
-    def columns(self, B):
-        return _per_dyad(_of_mode(self.value, self.mode, B), self.mode, B)
-
-
-class _LevelSlot(_Evaluator):
-    """Edge counts per slot, an edge counting in the slot of its node in
-    `mode`; a node in slot -1 counts nowhere."""
-
-    def __init__(self, names: list[str], mode: int, n1: int, slots: list[int]):
-        self.names = names
-        self.width = len(names)
-        self.mode = mode
-        self.slot = _by_node(slots, mode, n1, -1)
-
-    def stats(self, net):
-        slot, mode = self.slot, self.mode
+        slot, value, mode1 = self.slot, self.value, self.mode == 1
         counts = [0.0] * self.width
         for i, k in net.edges():
-            s = slot[i if mode == 1 else k]
-            if s >= 0:
-                counts[s] += 1.0
+            node = i if mode1 else k
+            counts[slot[node]] += value[node]
         return np.array(counts)
-
-    def delta_into(self, net, i, k, out):
-        s = self.slot[i if self.mode == 1 else k]
-        if s >= 0:
-            out[self.offset + s] = 1.0
 
     def columns(self, B):
         slot = _of_mode(self.slot, self.mode, B)
-        one_hot = (slot[:, None] == np.arange(self.width)).astype(np.float64)
-        return _per_dyad(one_hot, self.mode, B)
+        value = _of_mode(self.value, self.mode, B)
+        rows = np.where(slot[:, None] == np.arange(self.width), value[:, None], 0.0)
+        return _per_dyad(rows, self.mode, B)
 
 
 class _Mode2Degree(_Evaluator):
@@ -238,10 +230,15 @@ class _Mode2Degree(_Evaluator):
 
     width = 1
 
-    def __init__(self, name: str, value: list[float]):
-        self.names = [name]
-        self.value = value
-        self.gain = [b - a for a, b in zip(value, value[1:])]
+    def __init__(self, offset: int, name: str, value: list[float]):
+        self.offset, self.names, self.value = offset, [name], value
+        self.gain = gain = [b - a for a, b in zip(value, value[1:])]
+
+        def delta_into(net, i, k, out):
+            nk = net.adj[k]
+            out[offset] = gain[len(nk) - (i in nk)]
+
+        self.delta_into = delta_into
 
     def stats(self, net):
         value = self.value
@@ -249,10 +246,6 @@ class _Mode2Degree(_Evaluator):
         for k in range(net.n1 + 1, net.n + 1):
             total += value[net.degree(k)]
         return np.array([total])
-
-    def delta_into(self, net, i, k, out):
-        nk = net.adj[k]
-        out[self.offset] = self.gain[len(nk) - (i in nk)]
 
     def columns(self, B):
         d_other = (B.sum(axis=0) - B).astype(np.int64)
@@ -268,7 +261,7 @@ class _Nodematch(_Evaluator):
     shared node in focal's level.  The counts are the integers that set
     intersections give, so the statistics keep their bits."""
 
-    def __init__(self, term: ModelTerm, n1: int, n2: int, attrs: Attributes):
+    def __init__(self, term: ModelTerm, offset: int, n1: int, n2: int, attrs: Attributes):
         if term.is_unbound_nodematch:
             raise ValueError(
                 f"{term.kind}({term.attribute!r}) has no exponent bound; "
@@ -319,6 +312,8 @@ class _Nodematch(_Evaluator):
             self.others = [
                 level[g] ^ bits[node] if g >= 0 else 0 for node, g in enumerate(self.group)
             ]
+        self.offset = offset
+        self.delta_into = self._kernel(offset)
 
     def stats(self, net):
         out = np.zeros(self.width)
@@ -333,17 +328,6 @@ class _Nodematch(_Evaluator):
                 out[slot_of[g]] += edges * pw[u]
         out *= 0.5
         return out
-
-    @property
-    def offset(self) -> int:
-        return self._offset
-
-    @offset.setter
-    def offset(self, offset: int) -> None:
-        # the kernel captures the term's first slot, so it is built when
-        # BoundModel places the term
-        self._offset = offset
-        self.delta_into = self._kernel(offset)
 
     def _kernel(self, offset: int):
         """The change-statistic function, a closure over the term's tables.
@@ -428,33 +412,39 @@ class _Nodematch(_Evaluator):
         return out.reshape(B.size, self.width)
 
 
-def _build_evaluator(term: ModelTerm, n1: int, n2: int, attrs: Attributes) -> _Evaluator:
-    """What each term kind means: its family and the table the family reads."""
+def _build_evaluator(
+    term: ModelTerm, offset: int, n1: int, n2: int, attrs: Attributes
+) -> _Evaluator:
+    """What each term kind means: its family and the table the family reads.
+    The evaluator's slots start at `offset`."""
     kind, attr = term.kind, term.attribute
     mode = 2 if kind.startswith("b2") else 1
     if kind == "edges":
-        return _NodeValue("edges", 1, n1, [1.0] * n1)
+        return _NodeSlot(offset, ["edges"], 1, n1, [0] * n1, [1.0] * n1)
     if kind in ("b1cov", "b2cov"):
         values = attrs.table_for(mode).numeric(attr).values.tolist()
-        return _NodeValue(f"{kind}.{attr}", mode, n1, values)
+        return _NodeSlot(offset, [f"{kind}.{attr}"], mode, n1, [0] * len(values), values)
     if kind in ("b1factor", "b2factor"):
         col = attrs.table_for(mode).categorical(attr)
         if len(col.levels) < 2:
             raise ValueError(
                 f"{kind}({attr!r}): needs at least two levels, got {list(col.levels)}"
             )
-        # level code c has slot c - 1, so the first sorted level (slot -1) is dropped
-        slots = [c - 1 for c in col.codes.tolist()]
-        return _LevelSlot([f"{kind}.{attr}.{lev}" for lev in col.levels[1:]], mode, n1, slots)
+        # level code c has slot c - 1; the first sorted level (code 0) is
+        # dropped, its nodes in slot 0 with value 0.0
+        codes = col.codes.tolist()
+        names = [f"{kind}.{attr}.{lev}" for lev in col.levels[1:]]
+        return _NodeSlot(offset, names, mode, n1, [max(c - 1, 0) for c in codes],
+                         [float(c > 0) for c in codes])
     if kind == "b2sociality":
         names = [f"b2sociality.{k}" for k in range(n1 + 1, n1 + n2 + 1)]
-        return _LevelSlot(names, 2, n1, list(range(n2)))
+        return _NodeSlot(offset, names, 2, n1, list(range(n2)), [1.0] * n2)
     if kind == "b2star2":
-        return _Mode2Degree("b2star2", [d * (d - 1) / 2.0 for d in range(n1 + 1)])
+        return _Mode2Degree(offset, "b2star2", [d * (d - 1) / 2.0 for d in range(n1 + 1)])
     if kind == "b2degree1":
-        return _Mode2Degree("b2degree1", [float(d == 1) for d in range(n1 + 1)])
-    # ModelTerm admits only TERM_KINDS, so the kind is b1nodematch or b2nodematch
-    return _Nodematch(term, n1, n2, attrs)
+        return _Mode2Degree(offset, "b2degree1", [float(d == 1) for d in range(n1 + 1)])
+    # ModelTerm admits only the kinds in KINDS, so this is b1nodematch or b2nodematch
+    return _Nodematch(term, offset, n1, n2, attrs)
 
 
 class BoundModel:
@@ -469,11 +459,11 @@ class BoundModel:
         self.spec = spec
         self.n1 = n1
         self.n2 = n2
-        self.evaluators = [_build_evaluator(t, n1, n2, attrs) for t in spec.terms]
+        self.evaluators: list[_Evaluator] = []
         offset = 0
-        for ev in self.evaluators:
-            ev.offset = offset
-            offset += ev.width
+        for term in spec.terms:
+            self.evaluators.append(_build_evaluator(term, offset, n1, n2, attrs))
+            offset += self.evaluators[-1].width
         self.p = offset
         self.names = self._unique_names()
 
@@ -487,7 +477,7 @@ class BoundModel:
         if max(counts.values(), default=0) > 1:
             resolved = []
             for name, term in zip(names, owners):
-                if counts[name] > 1 and term.kind in _NODEMATCH_KINDS:
+                if counts[name] > 1 and term.kind in NODEMATCH_KINDS:
                     tag = "alpha" if term.alpha is not None else "beta"
                     name = f"{name}.{tag}{term.exponent:g}"
                 resolved.append(name)

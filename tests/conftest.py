@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bipergm import AttributeTable, Attributes, ModelSpec, ModelTerm, from_edge_list
+from bipergm.terms import KINDS
 
 # the worked five-edge example: three mode-1 nodes, two mode-2 nodes,
 # node 1 tied to both events, nodes 2 tied to both, node 3 only to event 4
@@ -70,8 +71,8 @@ def categories_dict(attrs: Attributes, mode: int, column: str, n1: int):
 
 
 def every_term_kind(attrs, which, exponent):
-    """All ten term kinds; nodematch in both modes, plain, per level, kept
-    levels only, and per kept level."""
+    """Every term kind in the catalogue; nodematch in both modes, plain, per
+    level, kept levels only, and per kept level."""
     terms = [
         ModelTerm(kind="edges"),
         ModelTerm(kind="b1cov", attribute="x"),
@@ -95,6 +96,9 @@ def every_term_kind(attrs, which, exponent):
                         **{which: exponent},
                     )
                 )
+    # a kind added to the catalogue must join this spec, and so the
+    # fingerprints and kernel tests that run it
+    assert {t.kind for t in terms} == set(KINDS)
     return ModelSpec(tuple(terms))
 
 

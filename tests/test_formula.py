@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipergm import FormulaSyntaxError, ModelSpec, ModelTerm, format_spec, parse
+from bipergm.terms import ATTRIBUTE, KINDS
 
 
 def test_single_edges():
@@ -49,8 +50,10 @@ def test_exponent_out_of_range():
 
 
 def test_unknown_term():
-    with pytest.raises(FormulaSyntaxError, match="unknown term"):
-        parse('triangles("x")')
+    # b2star2 and b2degree1 are kinds, but a formula spells them b2star and b2degree
+    for text in ('triangles("x")', "b2star2(2)", "b2degree1(1)"):
+        with pytest.raises(FormulaSyntaxError, match="unknown term kind"):
+            parse(text)
 
 
 def test_syntax_error_reports_position():
@@ -144,22 +147,16 @@ def _nodematch(kind):
     )
 
 
-_terms = st.one_of(
-    st.sampled_from(
-        [
-            ModelTerm(kind="edges"),
-            ModelTerm(kind="b2star2"),
-            ModelTerm(kind="b2degree1"),
-            ModelTerm(kind="b2sociality"),
-        ]
-    ),
-    st.builds(lambda a: ModelTerm(kind="b1cov", attribute=a), _names),
-    st.builds(lambda a: ModelTerm(kind="b2cov", attribute=a), _names),
-    st.builds(lambda a: ModelTerm(kind="b1factor", attribute=a), _names),
-    st.builds(lambda a: ModelTerm(kind="b2factor", attribute=a), _names),
-    _nodematch("b1nodematch"),
-    _nodematch("b2nodematch"),
-)
+def _kind_terms(kind, entry):
+    """The terms of one catalogued kind, one strategy per argument form."""
+    if entry.nodematch:
+        return _nodematch(kind)
+    if entry.takes == ATTRIBUTE:
+        return st.builds(lambda a: ModelTerm(kind=kind, attribute=a), _names)
+    return st.just(ModelTerm(kind=kind))
+
+
+_terms = st.one_of([_kind_terms(kind, entry) for kind, entry in KINDS.items()])
 
 
 @settings(max_examples=100, deadline=None)

@@ -167,10 +167,11 @@ class TestSimulate:
     @pytest.mark.slow
     @pytest.mark.parametrize("which", ["alpha", "beta"])
     def test_long_chain_drift_stays_within_audit_tolerance(self, which):
-        # `Chain.audit`'s 1e-8 tolerance is absolute, and a drift past it is a
-        # program fault that `profile` lets propagate; so the running vector
-        # of a 1e6-proposal chain on a 400x200 network (the one
-        # `perfbench.workloads.random_bipartite(101)` draws) must stay within it
+        # `Chain.audit` allows 1e-8 plus one ulp of the largest |statistic|
+        # per accepted toggle, and a drift past that is a program fault that
+        # `profile` lets propagate; on a 400x200 network (the one
+        # `perfbench.workloads.random_bipartite(101)` draws) at a stable theta
+        # the running vector of a 1e6-proposal chain stays within 1e-8 itself
         rng = np.random.default_rng(101)
         B = rng.random((400, 200)) < 0.025
         groups = rng.integers(0, 3, size=400)
@@ -186,6 +187,26 @@ class TestSimulate:
             # compared without `audit`, which would reset the running vector
             drift = float(np.max(np.abs(model.stats(net) - np.asarray(chain.stats))))
             assert drift <= 1e-8
+
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_audit_passes_a_sound_chain_on_a_large_network(self, which):
+        # a 2000x1000 chain that grows from 6000 edges towards density 0.2;
+        # after 2e5 proposals the rounding of its running sums alone puts the
+        # alpha statistic about 1.3e-6 (beta 6.5e-8) off the recount, which
+        # the audit must accept, since that error grows with the accepted
+        # toggles and the size of the statistic
+        rng = np.random.default_rng(3)
+        n1, n2 = 2000, 1000
+        dyads = rng.choice(n1 * n2, size=6000, replace=False).tolist()
+        groups = rng.integers(0, 3, size=n1)
+        net = from_edge_list(n1, n2, [(d // n2 + 1, n1 + 1 + d % n2) for d in dyads])
+        spec = ModelSpec(
+            (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: 0.5}))
+        )
+        control = SamplerControl(burn_in=200_000, interval=1, sample_size=1, seed=3)
+        sample = simulate(spec, make_attrs1([f"g{g}" for g in groups]), [math.log(0.2 / 0.8), 0.0],
+                          net, control)
+        assert sample.proposals == 200_001
 
 
 @pytest.mark.parametrize("proposal", ["tnt", "uniform"])
