@@ -148,10 +148,9 @@ def cmd_fit(args) -> int:
     config = _config_json(args, canonical)
     with _warnings_to_stderr() as caught:
         if args.method == "mple":
-            fit = estimate.mple(spec, net, attrs, formula=canonical)
+            fit = estimate.mple(spec, net, attrs)
         else:
-            control = _sampler_control(args)
-            fit = estimate.mcmcmle(spec, net, attrs, control=control, formula=canonical)
+            fit = estimate.mcmcmle(spec, net, attrs, control=_sampler_control(args))
     _emit(args, "fit.txt", fit.summary() + "\n", config)
     record = _fit_record(fit, config)
     if args.out:
@@ -220,10 +219,9 @@ def cmd_simulate(args) -> int:
     net, attrs = _load_inputs(args)
     spec, canonical = _read_model(args)
     config = _config_json(args, canonical)
-    theta = _parse_floats(args.theta)
-    control = _sampler_control(args)
-    sample = sampler.simulate(spec, attrs, theta, net, control)
-    lines = [",".join(sample.names)]
+    model = terms.bind(spec, net, attrs)
+    sample = sampler.simulate(model, _parse_floats(args.theta), net, _sampler_control(args))
+    lines = [",".join(model.names)]
     lines += [",".join(_num(v) for v in row) for row in sample.stats]
     _emit(args, "sample.csv", "\n".join(lines) + "\n", config)
     if args.save_final_network:

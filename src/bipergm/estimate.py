@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import erfc, expit, logsumexp
 
+from .formula import format_spec
 from .graph import Attributes, BipartiteNetwork
 from .oracle import EstimationError, hull_direction
 from .sampler import RNG_ALGORITHM, SamplerControl, simulate
@@ -38,8 +39,8 @@ class NonConvergenceError(EstimationError):
 
 
 class DegeneracyWarning(UserWarning):
-    """Simulated chains produced near-constant statistics, or a pseudo-
-    likelihood design column is zero on every dyad."""
+    """Simulated chains produced near-constant statistics, or the design or
+    sample behind a covariance leaves some coefficients unidentified."""
 
 
 def significance_stars(p_value: float) -> str:
@@ -109,6 +110,33 @@ def contrast(fit: FitResult, weights) -> tuple[float, float]:
     return estimate, math.sqrt(max(variance, 0.0))
 
 
+def _covariance(info: np.ndarray, rows: np.ndarray, names: list[str], what: str) -> tuple[np.ndarray, list[str]]:
+    """Covariance from the information `info` built on `rows`: the inverse
+    of `info` when `rows` has full column rank.  Otherwise a statistic in
+    the null space (a zero column, or one that others add up to) is not
+    identified: its row and column are NaN and a DegeneracyWarning starting
+    with `what` names it.  The rest invert `info` on its other eigenvectors,
+    as any full-rank reparametrization would; returns the names too."""
+    p = len(names)
+    rank = np.linalg.matrix_rank(rows)
+    if rank == p:
+        try:
+            cov = np.linalg.inv(info)
+            return 0.5 * (cov + cov.T), []
+        except np.linalg.LinAlgError:
+            # full-rank rows whose weights vanish on all but a few of them
+            rank = np.linalg.matrix_rank(info)
+    vals, vecs = np.linalg.eigh(info)
+    lost = np.linalg.norm(vecs[:, : p - rank], axis=1) > 1e-8
+    kept = vecs[:, p - rank :]
+    cov = (kept / vals[p - rank :]) @ kept.T
+    cov[lost] = cov[:, lost] = np.nan
+    unknown = [name for name, bad in zip(names, lost) if bad]
+    if unknown:
+        warnings.warn(DegeneracyWarning(f"{what}: " + ", ".join(unknown)))
+    return 0.5 * (cov + cov.T), unknown
+
+
 # ---------------------------------------------------------------------------
 # maximum pseudo-likelihood
 # ---------------------------------------------------------------------------
@@ -150,7 +178,6 @@ def mple(
     spec: ModelSpec,
     net: BipartiteNetwork,
     attrs: Attributes,
-    formula: str | None = None,
 ) -> FitResult:
     """Maximum pseudo-likelihood: logistic Newton fit of dyad states on
     change statistics, covariance from the inverse negative Hessian.
@@ -160,7 +187,9 @@ def mple(
     per-dyad pseudo-likelihood at a fraction of the work;
     `diagnostics["design_rows"]` reports their number.  Raises
     SeparationError when the logistic MLE does not exist: the origin lies
-    outside the hull of the sign-flipped design rows."""
+    outside the hull of the sign-flipped design rows.  Coefficients the
+    design does not identify get NaN standard errors, named in
+    `diagnostics["not_identified"]`."""
     model = bind(spec, net, attrs)
     net.check_has_dyads()
     X, y, counts = _distinct_rows(*_dyad_design(model, net))
@@ -206,28 +235,16 @@ def mple(
         )
     mu = expit(X @ theta)
     w = counts * mu * (1.0 - mu)
-    # a coefficient whose change statistic is zero on every dyad stays at 0
-    # and gets no variance: the pseudo-likelihood does not depend on it
-    known = np.any(X != 0.0, axis=0)
-    Xk = X[:, known]
-    hess = (Xk * w[:, None]).T @ Xk
-    cov = np.full((model.p, model.p), np.nan)
-    try:
-        cov[np.ix_(known, known)] = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        warnings.warn("singular pseudo-likelihood Hessian; using pseudo-inverse")
-        cov[np.ix_(known, known)] = np.linalg.pinv(hess)
-    cov = 0.5 * (cov + cov.T)
+    # column-major as before: the layout picks the BLAS kernel, so the last bits
+    XF = np.asfortranarray(X)
+    cov, unknown = _covariance(
+        (XF * w[:, None]).T @ XF, X, model.names,
+        "the pseudo-likelihood does not identify coefficients whose change "
+        "statistics are zero on every dyad or a combination of other columns",
+    )
     diagnostics = {"iterations": iterations, "dyads": net.dyad_count, "design_rows": len(y)}
-    unknown = [name for name, ok in zip(model.names, known) if not ok]
     if unknown:
         diagnostics["not_identified"] = unknown
-        warnings.warn(
-            DegeneracyWarning(
-                "the pseudo-likelihood does not identify coefficients whose change "
-                "statistics are zero on every dyad: " + ", ".join(unknown)
-            )
-        )
     return FitResult(
         method="mple",
         names=list(model.names),
@@ -236,7 +253,7 @@ def mple(
         loglik=_pseudo_loglik(X, y, counts, theta),
         loglik_sd=0.0,
         diagnostics=diagnostics,
-        formula=formula,
+        formula=format_spec(spec),
     )
 
 
@@ -340,7 +357,6 @@ def mcmcmle(
     attrs: Attributes,
     theta0=None,
     control: SamplerControl | None = None,
-    formula: str | None = None,
 ) -> FitResult:
     """Monte-Carlo maximum likelihood with re-anchored importance sampling.
 
@@ -352,7 +368,8 @@ def mcmcmle(
     anchor), and the log-likelihood-ratio surrogate is maximized to give
     the next anchor.  The covariance comes from the inverse weighted
     statistic covariance at the estimate, taken from the last anchor
-    inside the hull; the absolute log-likelihood from the zero-parameter
+    inside the hull, NaN where its sample does not identify a coefficient
+    (as in `mple`); the absolute log-likelihood from the zero-parameter
     bridge.
     """
     control = control or SamplerControl()
@@ -385,8 +402,8 @@ def mcmcmle(
 
     for a in range(MAX_ANCHORS):
         size = max(200, min(full, int(math.ceil(full * min(1.0, RAMP * 2**a)))))
-        ctl = replace(control, sample_size=size)
-        sample = simulate(spec, attrs, theta, net, ctl, seed=anchor_seeds[a], model=model)
+        ctl = replace(control, sample_size=size, seed=anchor_seeds[a])
+        sample = simulate(model, theta, net, ctl)
         S = sample.stats
         degenerate.update(_degenerate_columns(S, model.names))
         if hull_direction(S, s_obs) is not None:
@@ -435,19 +452,17 @@ def mcmcmle(
         )
 
     sample, delta, fisher, ess_w, chain_ess = last
-    try:
-        cov = np.linalg.inv(fisher)
-    except np.linalg.LinAlgError:
-        warnings.warn("singular estimated Fisher information; using pseudo-inverse")
-        cov = np.linalg.pinv(fisher)
-    cov = 0.5 * (cov + cov.T)
-
-    loglik, loglik_sd = _bridge_loglik(
-        spec, attrs, net, model, theta, s_obs, control, bridge_root
+    S = sample.stats
+    cov, unknown = _covariance(
+        fisher, S - S.mean(axis=0), model.names,
+        "the simulated sample does not identify coefficients whose statistics "
+        "are constant or a combination of others",
     )
 
+    loglik, loglik_sd = _bridge_loglik(model, net, theta, s_obs, control, bridge_root)
+
     ess = {name: round(e, 1) for name, e in zip(model.names, chain_ess)}
-    draws = sample.stats.shape[0]
+    draws = S.shape[0]
     # Monte-Carlo noise of the estimate itself: inverse information scaled
     # by the effective number of importance draws
     ess_eff = max(1.0, ess_w * min(ess.values()) / draws)
@@ -470,6 +485,8 @@ def mcmcmle(
             f"sample_size={control.sample_size} proposal={control.proposal}"
         ),
     }
+    if unknown:
+        diagnostics["not_identified"] = unknown
     return FitResult(
         method="mcmcmle",
         names=list(model.names),
@@ -478,15 +495,13 @@ def mcmcmle(
         loglik=loglik,
         loglik_sd=loglik_sd,
         diagnostics=diagnostics,
-        formula=formula,
+        formula=format_spec(spec),
     )
 
 
 def _bridge_loglik(
-    spec: ModelSpec,
-    attrs: Attributes,
-    net: BipartiteNetwork,
     model: BoundModel,
+    net: BipartiteNetwork,
     theta_hat: np.ndarray,
     s_obs: np.ndarray,
     control: SamplerControl,
@@ -512,8 +527,9 @@ def _bridge_loglik(
             burn_in=None if leg == 0 else max(256, 2 * interval),
             interval=interval,
             sample_size=BRIDGE_DRAWS,
+            seed=seeds[leg],
         )
-        sample = simulate(spec, attrs, th_a, current, ctl, seed=seeds[leg], model=model)
+        sample = simulate(model, th_a, current, ctl)
         current = sample.final_network
         x = sample.stats @ (th_b - th_a)
         shift = float(x.max())

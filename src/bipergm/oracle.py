@@ -153,27 +153,18 @@ def hull_direction(points: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """A direction w with w.x >= w.p for every point p and strict slack for
     some, or None if x lies in the hull's relative interior.
 
-    Solved as a bounded LP on the point cloud (deduplicated rows); raises
-    EstimationError if the LP fails.  Besides the hull checks of the exact
-    and Monte-Carlo MLE, this is the MPLE separation check: the logistic
-    fit is separated exactly when the origin lies outside the hull of the
-    sign-flipped design rows.
+    Always solved as one LP on the point cloud (deduplicated rows): w in
+    [-1, 1]^d maximizing the total slack, x outside when that exceeds
+    HULL_TOL; raises EstimationError if the LP fails.  Besides the hull
+    checks of the exact and Monte-Carlo MLE, this is the MPLE separation
+    check: the logistic fit is separated exactly when the origin lies
+    outside the hull of the sign-flipped design rows.
     """
     # imported here, so that a run that solves no LP skips its 0.25 s, 23 MB import
     from scipy.optimize import linprog
 
     points = np.unique(np.round(points, 12), axis=0)
     diffs = x[None, :] - points  # want w @ diffs_r >= 0 for all rows
-    # quick reject: x outside the bounding box
-    for j in range(points.shape[1]):
-        if x[j] > points[:, j].max() + HULL_TOL:
-            w = np.zeros(points.shape[1])
-            w[j] = 1.0
-            return w
-        if x[j] < points[:, j].min() - HULL_TOL:
-            w = np.zeros(points.shape[1])
-            w[j] = -1.0
-            return w
     res = linprog(
         c=-diffs.sum(axis=0),
         A_ub=-diffs,

@@ -51,12 +51,14 @@ class SamplerControl:
     """Chain hyperparameters.
 
     burn_in=None resolves to 2**14 proposals per started thousand dyads.
+    `seed` is an int or a numpy `SeedSequence`; `mcmcmle` takes an int and
+    runs each chain on a copy of the control seeded by a spawned sequence.
     """
 
     burn_in: int | None = None
     interval: int = 1024
     sample_size: int = 1000
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     proposal: str = "tnt"  # "tnt" or "uniform"
 
     def __post_init__(self):
@@ -74,9 +76,8 @@ class SamplerControl:
 
 @dataclass
 class StatSample:
-    """Retained statistic draws from one chain."""
+    """Retained statistic draws from one chain, columns in `model.names` order."""
 
-    names: list[str]
     stats: np.ndarray  # (sample_size, p)
     final_network: BipartiteNetwork
     acceptance_rate: float
@@ -285,22 +286,16 @@ def cond_log_odds(
 
 
 def simulate(
-    spec: ModelSpec,
-    attrs: Attributes,
+    model: BoundModel,
     theta,
     net0: BipartiteNetwork,
     control: SamplerControl,
-    seed=None,
-    model: BoundModel | None = None,
 ) -> StatSample:
     """Burn in, then retain `sample_size` statistic vectors every `interval`
-    proposals.  `net0` is copied, never mutated.  `seed` (int or numpy
-    SeedSequence) overrides `control.seed`."""
-    if model is None:
-        model = bind(spec, net0, attrs)
+    proposals, on a chain seeded by `control.seed`.  `net0` is copied,
+    never mutated."""
     net = net0.copy()
-    rng = _generator(control.seed if seed is None else seed)
-    chain = Chain(net, model, theta, rng, proposal=control.proposal)
+    chain = Chain(net, model, theta, _generator(control.seed), proposal=control.proposal)
     chain.run(control.resolved_burn_in(net.dyad_count))
     rows = np.empty((control.sample_size, model.p))
     for s in range(control.sample_size):
@@ -309,7 +304,6 @@ def simulate(
     chain.audit()
     rate = chain.accepted / chain.proposals if chain.proposals else 0.0
     return StatSample(
-        names=list(model.names),
         stats=rows,
         final_network=net,
         acceptance_rate=rate,

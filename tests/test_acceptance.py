@@ -338,11 +338,11 @@ def _build_synthetic_30x15(tmp_path):
     table.add_categorical("group", ["a" if i % 2 == 0 else "b" for i in range(n1)])
     attrs = Attributes(mode1=table)
     gen_spec = _nodematch("alpha", 0.5)
+    empty = from_edge_list(n1, n2, [])
     sample = simulate(
-        gen_spec,
-        attrs,
+        bind(gen_spec, empty, attrs),
         [-2.6, 0.8],
-        from_edge_list(n1, n2, []),
+        empty,
         SamplerControl(burn_in=60_000, interval=1, sample_size=1, seed=2024),
     )
     net = sample.final_network

@@ -22,9 +22,11 @@ from bipergm import (
     contrast,
     exact_loglik,
     exact_mle,
+    format_spec,
     from_edge_list,
     mcmcmle,
     mple,
+    parse,
     profile,
 )
 from bipergm import estimate
@@ -113,6 +115,30 @@ class TestMple:
         assert "not_identified" not in alone.diagnostics
         assert fit.theta[0] == pytest.approx(alone.theta[0], abs=1e-12)
         assert fit.std_errors[0] == pytest.approx(alone.std_errors[0], rel=1e-12)
+
+    def test_collinear_columns_are_not_identified(self):
+        # every dyad adds 1 to `edges` and to one `b2sociality` statistic, so
+        # those 16 columns are linearly dependent; the rest stay identified
+        rng = np.random.default_rng(5)
+        B = rng.random((30, 15)) < 0.3
+        net = from_edge_list(30, 15, [(i + 1, 31 + k) for i, k in zip(*np.nonzero(B))])
+        attrs = make_attrs1([f"g{g}" for g in rng.integers(0, 3, size=30)])
+        spec = parse('edges + b1factor("group") + b2sociality + b1nodematch("group", alpha = 0.5)')
+        with pytest.warns(DegeneracyWarning, match="edges, b2sociality.31, ") as caught:
+            fit = mple(spec, net, attrs)
+        assert len(caught) == 1
+        lost = ["edges"] + [f"b2sociality.{k}" for k in range(31, 46)]
+        assert fit.diagnostics["not_identified"] == lost
+        unknown = np.isin(fit.names, lost)
+        assert np.isnan(fit.std_errors[unknown]).all() and np.isnan(fit.p_values[unknown]).all()
+        # the identified coefficients get what a full-rank parametrization of
+        # the same model, without `edges`, gives them
+        full = mple(parse('b1factor("group") + b2sociality + b1nodematch("group", alpha = 0.5)'),
+                    net, attrs)
+        assert "not_identified" not in full.diagnostics
+        same = [full.names.index(name) for name in np.array(fit.names)[~unknown]]
+        assert fit.std_errors[~unknown] == pytest.approx(full.std_errors[same], rel=1e-6)
+        assert fit.theta[~unknown] == pytest.approx(full.theta[same], abs=1e-6)
 
     def test_matches_external_logistic_fit(self):
         sklearn = pytest.importorskip("sklearn.linear_model")
@@ -315,7 +341,8 @@ def test_effective_sample_size():
 
 
 def test_summary_contains_stars_and_loglik(fig2_net, fig2_attrs):
-    fit = mple(edges_spec(), fig2_net, fig2_attrs, formula="edges")
+    fit = mple(edges_spec(), fig2_net, fig2_attrs)
+    assert fit.formula == format_spec(edges_spec()) == "edges"
     text = fit.summary()
     assert "edges" in text and "log-likelihood" in text and "Wald" in text
 
@@ -383,11 +410,30 @@ def test_first_step_from_oracle_mle_is_tiny(moderate_net, obs_attrs):
         (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5))
     )
     theta_star = exact_mle(ExactModel(spec, obs_attrs, 3, 3), moderate_net)
-    control = SamplerControl(burn_in=4096, interval=16, sample_size=100_000, seed=30)
     seed = np.random.SeedSequence(30).spawn(1)[0]
-    S = estimate.simulate(spec, obs_attrs, theta_star, moderate_net, control, seed=seed).stats
-    s_obs = bind(spec, moderate_net, obs_attrs).stats(moderate_net)
+    control = SamplerControl(burn_in=4096, interval=16, sample_size=100_000, seed=seed)
+    model = bind(spec, moderate_net, obs_attrs)
+    S = estimate.simulate(model, theta_star, moderate_net, control).stats
+    s_obs = model.stats(moderate_net)
     assert float(np.linalg.norm(_maximize_ratio(S, s_obs))) <= 0.02
+
+
+def test_mcmcmle_names_collinear_statistics():
+    # `edges` is the sum of the three `b2sociality` statistics on every draw
+    rng = np.random.default_rng(5)
+    B = rng.random((8, 3)) < 0.4
+    net = from_edge_list(8, 3, [(i + 1, 9 + k) for i, k in zip(*np.nonzero(B))])
+    attrs = make_attrs1([f"g{g}" for g in rng.integers(0, 2, size=8)])
+    spec = parse('edges + b1factor("group") + b2sociality')
+    control = small_control(sample_size=500, seed=7, burn_in=1024)
+    with pytest.warns(DegeneracyWarning, match="the simulated sample does not identify"):
+        fit = mcmcmle(spec, net, attrs, control=control)
+    lost = ["edges", "b2sociality.9", "b2sociality.10", "b2sociality.11"]
+    assert fit.diagnostics["not_identified"] == lost
+    assert fit.formula == format_spec(spec)
+    unknown = np.isin(fit.names, lost)
+    assert np.isnan(fit.std_errors[unknown]).all() and np.isnan(fit.p_values[unknown]).all()
+    assert np.isfinite(fit.std_errors[~unknown]).all() and np.isfinite(fit.loglik)
 
 
 def test_mcmcmle_hull_violation_reports_nonconvergence():

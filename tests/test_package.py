@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -17,6 +18,16 @@ RETIRED = {
 }
 
 
+# parameters that were a second way in: a chain takes its bound model and
+# its seed from `simulate(model, theta, net0, control)`, and a fit states
+# its own formula (see docs/decisions.md)
+RETIRED_PARAMETERS = {
+    "simulate": {"seed", "spec", "attrs"},
+    "mple": {"formula"},
+    "mcmcmle": {"formula"},
+}
+
+
 def test_public_surface():
     names = bipergm.__all__
     assert len(names) == len(set(names))
@@ -24,6 +35,12 @@ def test_public_surface():
         assert hasattr(bipergm, name), name
     assert not RETIRED & set(names)
     assert not [name for name in RETIRED if hasattr(bipergm, name)]
+    for name, retired in RETIRED_PARAMETERS.items():
+        assert not retired & set(inspect.signature(getattr(bipergm, name)).parameters), name
+    # `model` is the bound model every chain runs on, never an optional override
+    simulate = inspect.signature(bipergm.simulate).parameters.values()
+    assert [p.name for p in simulate] == ["model", "theta", "net0", "control"]
+    assert all(p.default is inspect.Parameter.empty for p in simulate)
 
 
 # run in a fresh interpreter: the test session itself has imported scipy.optimize

@@ -92,41 +92,41 @@ class TestMhStep:
 class TestSimulate:
     def test_sample_size_contract(self, fig2_net, fig2_attrs):
         control = SamplerControl(burn_in=50, interval=3, sample_size=17, seed=4)
-        sample = simulate(edges_spec(), fig2_attrs, [0.3], fig2_net, control)
+        sample = simulate(bind(edges_spec(), fig2_net, fig2_attrs), [0.3], fig2_net, control)
         assert sample.stats.shape == (17, 1)
-        assert sample.names == ["edges"]
         assert sample.final_network is not None
         assert sample.proposals == 50 + 17 * 3
 
     def test_uniform_mean_edge_count(self):
         net = from_edge_list(2, 3, [])
         control = SamplerControl(burn_in=5000, interval=1, sample_size=1_000_000, seed=5)
-        sample = simulate(edges_spec(), Attributes(), [0.0], net, control)
+        sample = simulate(bind(edges_spec(), net, Attributes()), [0.0], net, control)
         assert sample.stats[:, 0].mean() == pytest.approx(3.0, abs=0.01)
 
     def test_bernoulli_mean_edge_count(self):
         net = from_edge_list(3, 2, [])
         control = SamplerControl(burn_in=5000, interval=1, sample_size=1_000_000, seed=6)
-        sample = simulate(edges_spec(), Attributes(), [math.log(5.0)], net, control)
+        sample = simulate(bind(edges_spec(), net, Attributes()), [math.log(5.0)], net, control)
         assert sample.stats[:, 0].mean() == pytest.approx(5.0, abs=0.02)
 
     def test_seed_determinism(self, fig2_net, fig2_attrs):
         spec = ModelSpec(
             (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", beta=0.0))
         )
+        model = bind(spec, fig2_net, fig2_attrs)
         control = SamplerControl(burn_in=500, interval=5, sample_size=200, seed=123)
-        a = simulate(spec, fig2_attrs, [0.2, 0.4], fig2_net, control)
-        b = simulate(spec, fig2_attrs, [0.2, 0.4], fig2_net, control)
+        a = simulate(model, [0.2, 0.4], fig2_net, control)
+        b = simulate(model, [0.2, 0.4], fig2_net, control)
         assert np.array_equal(a.stats, b.stats)
         assert a.final_network == b.final_network
-        c = simulate(spec, fig2_attrs, [0.2, 0.4], fig2_net, SamplerControl(
+        c = simulate(model, [0.2, 0.4], fig2_net, SamplerControl(
             burn_in=500, interval=5, sample_size=200, seed=124))
         assert not np.array_equal(a.stats, c.stats)
 
     def test_input_network_untouched(self, fig2_net, fig2_attrs):
         before = set(fig2_net.edges())
         control = SamplerControl(burn_in=200, interval=2, sample_size=50, seed=8)
-        simulate(edges_spec(), fig2_attrs, [0.0], fig2_net, control)
+        simulate(bind(edges_spec(), fig2_net, fig2_attrs), [0.0], fig2_net, control)
         assert set(fig2_net.edges()) == before
 
     @pytest.mark.parametrize("mode", [1, 2], ids=["mode1", "mode2"])
@@ -154,7 +154,7 @@ class TestSimulate:
             theta = [0.1, 0.5, 0.4, 0.3, 0.2, 0.3, -0.2]
         spec = ModelSpec((ModelTerm(kind="edges"), *homophily, ModelTerm(kind="b2star2")))
         control = SamplerControl(burn_in=0, interval=1, sample_size=20_000, seed=11)
-        sample = simulate(spec, attrs, theta, net, control)
+        sample = simulate(bind(spec, net, attrs), theta, net, control)
         final = bind(spec, net, attrs).stats(sample.final_network)
         assert np.max(np.abs(final - sample.stats[-1])) <= 1e-8
         # the same chain, audited at every 200th state rather than the last
@@ -203,9 +203,9 @@ class TestSimulate:
         spec = ModelSpec(
             (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: 0.5}))
         )
+        model = bind(spec, net, make_attrs1([f"g{g}" for g in groups]))
         control = SamplerControl(burn_in=200_000, interval=1, sample_size=1, seed=3)
-        sample = simulate(spec, make_attrs1([f"g{g}" for g in groups]), [math.log(0.2 / 0.8), 0.0],
-                          net, control)
+        sample = simulate(model, [math.log(0.2 / 0.8), 0.0], net, control)
         assert sample.proposals == 200_001
 
 
