@@ -4,9 +4,9 @@ The pseudo-likelihood estimator is a Newton logistic fit of dyad states
 on change statistics.  The Monte-Carlo MLE re-anchors an importance-
 sampled log-likelihood-ratio surrogate until the anchor stops moving,
 then reports absolute log-likelihood through a bridge of simulations
-along the straight path from the zero parameter (whose normalizer is
-known in closed form) to the estimate, so profile curves over different
-exponents share one reference.
+along the straight path from the MLE of the dyad-independent submodel
+(whose normalizer is known in closed form) to the estimate, so profile
+curves over different exponents share one reference.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class FitResult:
         lines.append(f"method: {self.method}")
         lines.append(f"{'statistic':<{width}}{'estimate':>12}{'s.e.':>12}")
         for name, est, se, p in zip(self.names, self.theta, self.std_errors, self.p_values):
-            lines.append(f"{name:<{width}}{est:>12.4f}{se:>12.4f}  {significance_stars(p)}")
+            lines.append(f"{name:<{width}} {est:>11.4f} {se:>11.4f}  {significance_stars(p)}")
         lines.append("significance: * p<0.05, ** p<0.001, *** p<0.0001 (Wald z-test)")
         lines.append(f"log-likelihood: {self.loglik:.4f} (mc sd {self.loglik_sd:.4f})")
         for key in ("seed", "rng", "control", "anchors", "acceptance_rate"):
@@ -271,7 +271,7 @@ def mple(
 MAX_ANCHORS = 20
 RAMP = 0.125
 BRIDGE_LEGS = 12
-BRIDGE_DRAWS = 2000
+BRIDGE_DRAWS = 1000
 
 
 def _effective_sample_size(column: np.ndarray) -> float:
@@ -351,6 +351,40 @@ def _degenerate_columns(S: np.ndarray, names: list[str]) -> list[str]:
     return [name for name, s in zip(names, spread) if s == 0.0]
 
 
+def _check_int_seed(control: SamplerControl) -> None:
+    # a fit spawns its chains' seeds from one root, which numpy builds from an int
+    if not isinstance(control.seed, (int, np.integer)):
+        raise ValueError(f"a fit needs an int seed, got {type(control.seed).__name__}")
+
+
+def _dyad_independent_start(
+    model: BoundModel, net: BipartiteNetwork, attrs: Attributes, s_obs: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The bridge's start and its exact log-normalizer.
+
+    The start is the MLE of the submodel of the dyad-independent terms on
+    their slots and 0 elsewhere.  For that submodel the pseudo-likelihood
+    is the likelihood, so `mple` gives it, and log kappa(start) is
+    theta_I . s_obs[I] minus its log-likelihood.  With no such term, or
+    when that MLE does not exist, the start is 0 and log kappa(0) is
+    D log 2.
+    """
+    start = np.zeros(model.p)
+    parts = [(t, ev) for t, ev in zip(model.spec.terms, model.evaluators) if ev.dyad_independent]
+    if parts:
+        index = np.concatenate([np.arange(ev.offset, ev.offset + ev.width) for _, ev in parts])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegeneracyWarning)
+                fit = mple(ModelSpec(tuple(t for t, _ in parts)), net, attrs)
+        except EstimationError:
+            pass
+        else:
+            start[index] = fit.theta
+            return start, float(fit.theta @ s_obs[index]) - fit.loglik
+    return start, net.dyad_count * math.log(2.0)
+
+
 def mcmcmle(
     spec: ModelSpec,
     net: BipartiteNetwork,
@@ -369,10 +403,12 @@ def mcmcmle(
     the next anchor.  The covariance comes from the inverse weighted
     statistic covariance at the estimate, taken from the last anchor
     inside the hull, NaN where its sample does not identify a coefficient
-    (as in `mple`); the absolute log-likelihood from the zero-parameter
-    bridge.
+    (as in `mple`); the absolute log-likelihood from the bridge that starts
+    at the MLE of the dyad-independent submodel (`_dyad_independent_start`).
+    `control.seed` must be an int: every chain's seed is spawned from it.
     """
     control = control or SamplerControl()
+    _check_int_seed(control)
     model = bind(spec, net, attrs)
     s_obs = model.stats(net)
     if theta0 is None:
@@ -459,7 +495,10 @@ def mcmcmle(
         "are constant or a combination of others",
     )
 
-    loglik, loglik_sd = _bridge_loglik(model, net, theta, s_obs, control, bridge_root)
+    start, log_kappa_start = _dyad_independent_start(model, net, attrs, s_obs)
+    loglik, loglik_sd = _bridge_loglik(
+        model, net, theta, s_obs, control, bridge_root, start, log_kappa_start
+    )
 
     ess = {name: round(e, 1) for name, e in zip(model.names, chain_ess)}
     draws = S.shape[0]
@@ -506,17 +545,20 @@ def _bridge_loglik(
     s_obs: np.ndarray,
     control: SamplerControl,
     seed_root: np.random.SeedSequence,
+    start: np.ndarray,
+    log_kappa_start: float,
 ) -> tuple[float, float]:
-    """Absolute log-likelihood at theta_hat via a straight bridge from 0.
+    """Absolute log-likelihood at theta_hat via a straight bridge from
+    `start`, whose log-normalizer `log_kappa_start` is exact.
 
-    log kappa(0) is exact (D log 2); each leg estimates one normalizer
-    ratio from draws at the leg's left endpoint, with a batch-means
-    variance that accounts for chain autocorrelation.
+    Each leg estimates one normalizer ratio from draws at the leg's left
+    endpoint, with a batch-means variance that accounts for chain
+    autocorrelation.
     """
-    D = net.dyad_count
     interval = max(1, control.interval // 4)
     seeds = seed_root.spawn(BRIDGE_LEGS)
-    path = np.linspace(0.0, 1.0, BRIDGE_LEGS + 1)[:, None] * theta_hat[None, :]
+    t = np.linspace(0.0, 1.0, BRIDGE_LEGS + 1)[:, None]
+    path = (1.0 - t) * start[None, :] + t * theta_hat[None, :]
     total = 0.0
     variance = 0.0
     current = net
@@ -541,7 +583,7 @@ def _bridge_loglik(
         batch_means = r[: nb * bs].reshape(nb, bs).mean(axis=1)
         var_mean = float(batch_means.var(ddof=1)) / nb
         variance += var_mean / mean_r**2
-    loglik = float(theta_hat @ s_obs) - D * math.log(2.0) - total
+    loglik = float(theta_hat @ s_obs) - log_kappa_start - total
     return loglik, math.sqrt(variance)
 
 
@@ -576,8 +618,9 @@ def profile(
     an IndexError or a drifted chain's RuntimeError, propagate.  Each
     point's warnings are raised again once it ends, in grid order, with the
     point appended to the message, e.g. " (alpha=0.3)".
-    All log-likelihoods share the zero-parameter bridge reference, so
-    they are comparable across points and across exponent kinds.
+    All log-likelihoods are absolute (each bridge starts where the
+    normalizer is exact), so they are comparable across points and across
+    exponent kinds.  `control.seed` must be an int.
     """
     if template.unbound_index() is None:
         raise ValueError(
@@ -587,6 +630,7 @@ def profile(
     if method not in ("mple", "mcmcmle"):
         raise ValueError(f"method must be 'mple' or 'mcmcmle', got {method!r}")
     control = control or SamplerControl()
+    _check_int_seed(control)
     grid = sorted(float(g) for g in grid)
     # one seed branch per (exponent kind, grid point), all off the root seed
     kind_root = np.random.SeedSequence(

@@ -180,6 +180,8 @@ class _Evaluator:
     names: list[str]
     width: int
     delta_into: Callable[[BipartiteNetwork, int, int, list], None]
+    # a dyad's change statistics do not depend on the rest of the network
+    dyad_independent = False
 
     def stats(self, net: BipartiteNetwork) -> np.ndarray:
         raise NotImplementedError
@@ -194,6 +196,8 @@ class _NodeSlot(_Evaluator):
     in the slot of the node's level for `b1factor` and `b2factor`, and in
     the node's own slot for `b2sociality`.  A node that counts nowhere has
     slot 0 and value 0.0, so the kernel writes one slot with no branch."""
+
+    dyad_independent = True
 
     def __init__(self, offset: int, names: list[str], mode: int, n1: int,
                  slots: list[int], values: list[float]):

@@ -33,6 +33,7 @@ from bipergm import estimate
 from bipergm.estimate import (
     FitResult,
     _dyad_design,
+    _dyad_independent_start,
     _effective_sample_size,
     _maximize_ratio,
     significance_stars,
@@ -347,6 +348,15 @@ def test_summary_contains_stars_and_loglik(fig2_net, fig2_attrs):
     assert "edges" in text and "log-likelihood" in text and "Wald" in text
 
 
+def test_summary_separates_values_wider_than_their_column():
+    fit = FitResult("mple", ["edges"], np.array([-12345678.9]), np.array([[1e16]]), 0.0, 0.0)
+    row = fit.summary().splitlines()[2]
+    assert row.split() == ["edges", "-12345678.9000", "100000000.0000"]
+    # values that fit their column print as they always did
+    fit = FitResult("mple", ["edges"], np.array([-0.5]), np.array([[0.04]]), 0.0, 0.0)
+    assert fit.summary().splitlines()[2] == f"{'edges':<12}{-0.5:>12.4f}{0.2:>12.4f}  *"
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo MLE
 # ---------------------------------------------------------------------------
@@ -434,6 +444,46 @@ def test_mcmcmle_names_collinear_statistics():
     unknown = np.isin(fit.names, lost)
     assert np.isnan(fit.std_errors[unknown]).all() and np.isnan(fit.p_values[unknown]).all()
     assert np.isfinite(fit.std_errors[~unknown]).all() and np.isfinite(fit.loglik)
+
+
+def test_bridge_starts_at_the_exact_dyad_independent_mle(moderate_net, obs_attrs):
+    spec = parse('edges + b1factor("group") + b1nodematch("group", alpha = 0.5)')
+    model = bind(spec, moderate_net, obs_attrs)
+    start, log_kappa = _dyad_independent_start(model, moderate_net, obs_attrs, model.stats(moderate_net))
+    assert start[2] == 0.0
+    np.testing.assert_allclose(start[:2], mple(parse('edges + b1factor("group")'), moderate_net, obs_attrs).theta)
+    assert abs(log_kappa - ExactModel(spec, obs_attrs, 3, 3).log_kappa(start)) <= 1e-9
+
+
+def test_bridge_starts_at_zero_without_a_dyad_independent_mle():
+    # mode-2 node 9 has no edge: its sociality MLE is at minus infinity
+    rng = np.random.default_rng(1)
+    B = rng.random((6, 3)) < 0.5
+    B[:, 2] = False
+    net = from_edge_list(6, 3, [(i + 1, 7 + k) for i, k in zip(*np.nonzero(B))])
+    attrs = make_attrs1(["a", "a", "a", "b", "b", "b"])
+    spec = parse('edges + b2sociality + b1nodematch("group", alpha = 0.5)')
+    model = bind(spec, net, attrs)
+    start, log_kappa = _dyad_independent_start(model, net, attrs, model.stats(net))
+    assert not start.any() and log_kappa == 18 * math.log(2.0)
+    nodematch_only = parse('b1nodematch("group", alpha = 0.5)')
+    start, log_kappa = _dyad_independent_start(bind(nodematch_only, net, attrs), net, attrs, np.zeros(1))
+    assert not start.any() and log_kappa == 18 * math.log(2.0)
+    # the fit itself completes from a start that keeps node 9 empty
+    control = small_control(sample_size=2000, seed=0, burn_in=1024)
+    with pytest.warns(DegeneracyWarning):
+        fit = mcmcmle(spec, net, attrs, theta0=[0.0, 0.0, 0.0, -40.0, 0.0], control=control)
+    assert np.isfinite(fit.loglik) and fit.loglik_sd > 0.0
+
+
+@pytest.mark.parametrize("fit", ["mcmcmle", "profile"])
+def test_a_fit_refuses_a_seed_sequence(obs_net, obs_attrs, fit):
+    control = small_control(seed=np.random.SeedSequence(3))
+    with pytest.raises(ValueError, match="a fit needs an int seed, got SeedSequence"):
+        if fit == "mcmcmle":
+            mcmcmle(edges_spec(), obs_net, obs_attrs, control=control)
+        else:
+            profile(NODEMATCH_TEMPLATE, "alpha", [0.5], obs_net, obs_attrs, control=control)
 
 
 def test_mcmcmle_hull_violation_reports_nonconvergence():
@@ -565,12 +615,13 @@ def test_profile_alpha_one_equals_beta_one(obs_net, obs_attrs):
 # A seeded fit is a pure function of its inputs: this digest over theta,
 # covariance, log-likelihood and its sd was recorded on the frozen 30x15
 # benchmark network before the chain kept its own nodematch count tables,
-# so it pins the whole estimate path (MPLE start, anchors, hull, bridge).
+# and again when the bridge started at the dyad-independent MLE, so it pins
+# the whole estimate path (MPLE start, anchors, hull, bridge).
 FROZEN_30X15 = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 MCMCMLE_DIGESTS = {
-    "alpha": "bc917f4dc2de86823a7df2447d1b44353ed4275b6d07040beb76ca0d7ada7e28",
-    "beta": "7a86c8c053034f78598d4f4bf6c52afce7e02309ccebddfb7e5266b27ffeb963",
+    "alpha": "7bbbc0e09553bec3ac26e3555d8679addeb090c592fe41794105316aec2c16ac",
+    "beta": "20ccec4579014e86f908add4afd9444742e0274a6ad125f13b37e28bdc0df964",
 }
 
 
@@ -587,3 +638,27 @@ def test_seeded_mcmcmle_keeps_its_digest(which):
     for part in (fit.theta, fit.covariance, np.array([fit.loglik, fit.loglik_sd])):
         h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
     assert h.hexdigest() == MCMCMLE_DIGESTS[which]
+
+
+# theta and covariance of the same seeded fits, recorded before the bridge
+# started at the dyad-independent MLE: the bridge runs after the anchors
+# and draws from its own seed branch, so it must not move the estimate
+MCMCMLE_ESTIMATE_DIGESTS = {
+    "alpha": "be2786449a04b95c14f5a088b3336609ee31ff7ceb8c295ddbcda72cc0271fcf",
+    "beta": "ae9b9a394b115311771e80c823cf0446f078073167cf218b4d1c8d94512390db",
+}
+
+
+@pytest.mark.parametrize("which", sorted(MCMCMLE_ESTIMATE_DIGESTS))
+def test_seeded_mcmcmle_estimate_keeps_its_digest(which):
+    net = load_network(FROZEN_30X15 / "profile_30x15.edges")
+    attrs = Attributes(mode1=load_attributes(FROZEN_30X15 / "profile_30x15_attrs1.tsv", 1, 30, 15))
+    spec = ModelSpec(
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: 0.5}))
+    )
+    control = SamplerControl(burn_in=1024, interval=8, sample_size=400, seed=31)
+    fit = mcmcmle(spec, net, attrs, control=control)
+    h = hashlib.sha256()
+    for part in (fit.theta, fit.covariance):
+        h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+    assert h.hexdigest() == MCMCMLE_ESTIMATE_DIGESTS[which]
