@@ -227,8 +227,6 @@ def mple(
                 theta = cand
                 break
             scale *= 0.5
-        if float(np.linalg.norm(theta)) > 40.0:
-            break
     if not converged:
         raise EstimationError(
             "pseudo-likelihood Newton did not converge in 100 iterations"

@@ -2,13 +2,13 @@
 
 Nodes are 1-based integers: mode-1 nodes are 1..n1, mode-2 nodes are
 n1+1..n1+n2.  Edges are only permitted between modes.  The structure keeps
-one node-indexed list of neighbor sets, `adj[node]` for either mode (`adj[0]`
-is unused), the same neighbors as one int bitmask per node, `mask[node]`,
-so that a count of shared neighbors is a popcount, plus an indexed edge
-list so that samplers can pick a uniformly random edge in O(1).
-`node_bits` is the one place that lays out the mask bits.
-`shared_partners` is the one walk over all two-paths of a network.
-"""
+each node's neighbours only as one int bitmask per node, `mask[node]`
+(`mask[0]` is 0), so that an edge query is one bit and a count of shared
+neighbours is a popcount, plus an indexed edge list so that samplers can
+pick a uniformly random edge in O(1).  `node_bits` is the one place that
+lays out the mask bits; `partners` is the one walk from a mask back to
+nodes, in ascending node order.  `shared_partners` is the one walk over all
+two-paths of a network."""
 
 from __future__ import annotations
 
@@ -37,24 +37,34 @@ class AttributeLookupError(KeyError):
 
 def node_bits(n1: int, n2: int) -> list[int]:
     """`bits[node]` is the bit that stands for `node` in the masks of its
-    partners (`bits[0]` is 0).  Each mode numbers its nodes from bit 0, so a
-    mask is no longer than the other mode has nodes."""
-    return [0] + [1 << b for b in range(n1)] + [1 << b for b in range(n2)]
+    partners (`bits[0]` is 0).  Each mode gives its last node bit 0 and its
+    first node its top bit, so a mask is no longer than the other mode has
+    nodes, and the node of a mask's highest bit is `end - bit_length()`,
+    `end` being one past the mode's last node."""
+    return [0] + [1 << b for b in reversed(range(n1))] + [1 << b for b in reversed(range(n2))]
+
+
+def partners(mask: int, end: int) -> list[int]:
+    """The nodes whose bits `mask` sets, in ascending order; `end` is one
+    past the last node of their mode."""
+    nodes = []
+    while mask:
+        nodes.append(end - mask.bit_length())
+        mask ^= 1 << (mask.bit_length() - 1)
+    return nodes
 
 
 class BipartiteNetwork:
-    """Binary two-mode network on n1 + n2 nodes; hot paths read `adj` and
-    `mask` directly."""
+    """Binary two-mode network on n1 + n2 nodes; hot paths read `mask`
+    directly."""
 
-    __slots__ = ("n1", "n2", "adj", "mask", "_bit", "_edge_list", "_edge_pos")
+    __slots__ = ("n1", "n2", "mask", "_bit", "_edge_list", "_edge_pos")
 
     def __init__(self, n1: int, n2: int):
         if n1 < 0 or n2 < 0:
             raise ValueError(f"node counts must be nonnegative, got n1={n1} n2={n2}")
-        self.n1 = n1
-        self.n2 = n2
-        self.adj: list[set[int]] = [set() for _ in range(n1 + n2 + 1)]
-        # mask[node] ORs bits[s] over the partners s in adj[node]
+        self.n1, self.n2 = n1, n2
+        # mask[node] ORs bits[s] over the partners s of node
         self.mask: list[int] = [0] * (n1 + n2 + 1)
         self._bit = node_bits(n1, n2)
         self._edge_list: list[tuple[int, int]] = []
@@ -76,20 +86,21 @@ class BipartiteNetwork:
 
     def has_edge(self, i: int, k: int) -> bool:
         self.check_dyad(i, k)
-        return k in self.adj[i]
+        return bool(self.mask[i] & self._bit[k])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate current edges in insertion order."""
         return iter(self._edge_list)
 
-    def neighbors(self, node: int) -> set[int]:
-        """Validated `adj[node]`: the mode-2 partners of a mode-1 node and
-        vice versa.  The returned set is live; do not mutate it."""
+    def neighbors(self, node: int) -> tuple[int, ...]:
+        """The mode-2 partners of a mode-1 node and vice versa, in ascending
+        order, read from `mask[node]` into a fresh tuple."""
         self._check_node(node)
-        return self.adj[node]
+        return tuple(partners(self.mask[node], self.n + 1 if node <= self.n1 else self.n1 + 1))
 
     def degree(self, node: int) -> int:
-        return len(self.neighbors(node))
+        self._check_node(node)
+        return self.mask[node].bit_count()
 
     # -- validation ---------------------------------------------------------
 
@@ -118,20 +129,15 @@ class BipartiteNetwork:
     # -- mutation -----------------------------------------------------------
 
     def toggle(self, i: int, k: int) -> bool:
-        """Flip the state of dyad (i, k) in place.
-
-        Returns True if the edge is present after the toggle.
-        """
+        """Flip dyad (i, k) in place; True if the edge is present after."""
         self.check_dyad(i, k)
-        if k in self.adj[i]:
+        if self.mask[i] & self._bit[k]:
             self._remove(i, k)
             return False
         self._add(i, k)
         return True
 
     def _add(self, i: int, k: int) -> None:
-        self.adj[i].add(k)
-        self.adj[k].add(i)
         mask, bit = self.mask, self._bit
         mask[i] ^= bit[k]
         mask[k] ^= bit[i]
@@ -139,8 +145,6 @@ class BipartiteNetwork:
         self._edge_list.append((i, k))
 
     def _remove(self, i: int, k: int) -> None:
-        self.adj[i].discard(k)
-        self.adj[k].discard(i)
         mask, bit = self.mask, self._bit
         mask[i] ^= bit[k]
         mask[k] ^= bit[i]
@@ -152,7 +156,6 @@ class BipartiteNetwork:
 
     def copy(self) -> "BipartiteNetwork":
         dup = BipartiteNetwork(self.n1, self.n2)
-        dup.adj = [set(s) for s in self.adj]
         dup.mask = list(self.mask)
         dup._edge_list = list(self._edge_list)
         dup._edge_pos = dict(self._edge_pos)
@@ -166,28 +169,21 @@ class BipartiteNetwork:
         return mat
 
     def check_consistency(self) -> None:
-        """Debug-level audit that all internal views agree."""
-        if len(self.adj) != self.n + 1 or self.adj[0]:
-            raise AssertionError("adjacency list must hold n + 1 sets with adj[0] empty")
-        deg1 = sum(len(s) for s in self.adj[1 : self.n1 + 1])
-        deg2 = sum(len(s) for s in self.adj[self.n1 + 1 :])
-        if not deg1 == deg2 == len(self._edge_list) == len(self._edge_pos):
+        """Debug-level audit: the edge index must place each listed edge at its
+        position, and the masks must equal masks rebuilt from the edge list."""
+        if self._edge_pos != {edge: p for p, edge in enumerate(self._edge_list)}:
             raise AssertionError("edge bookkeeping out of sync")
+        bit, rebuilt = self._bit, [0] * (self.n + 1)
         for i, k in self._edge_list:
-            if k not in self.adj[i] or i not in self.adj[k]:
-                raise AssertionError(f"edge ({i},{k}) missing from a neighbor set")
-        bit = self._bit
-        if self.mask != [sum(bit[s] for s in nbrs) for nbrs in self.adj]:
-            raise AssertionError("neighbor masks out of sync with the neighbor sets")
+            rebuilt[i] |= bit[k]
+            rebuilt[k] |= bit[i]
+        if self.mask != rebuilt:
+            raise AssertionError("neighbor masks out of sync with the edge list")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteNetwork):
             return NotImplemented
-        return (
-            self.n1 == other.n1
-            and self.n2 == other.n2
-            and set(self._edge_list) == set(other._edge_list)
-        )
+        return self.n1 == other.n1 and self.n2 == other.n2 and self.mask == other.mask
 
     def __repr__(self) -> str:
         return f"BipartiteNetwork(n1={self.n1}, n2={self.n2}, edges={self.edge_count})"
@@ -336,13 +332,13 @@ def shared_partners(
     - spectra: each group mapped to {u: number of edges with exactly u
       matching co-edges}, for u >= 1.
     """
-    adj = net.adj
-    centers = range(net.n1 + 1, net.n + 1) if mode == 1 else range(1, net.n1 + 1)
+    n1, n = net.n1, net.n
+    centers, end = (range(n1 + 1, n + 1), n1 + 1) if mode == 1 else (range(1, n1 + 1), n + 1)
     counts: dict[tuple[int, int], int] = {}
     spectra: dict[int, dict[int, int]] = {}
     for center in centers:
         buckets: dict[int, list[int]] = {}
-        for node in sorted(adj[center]):
+        for node in partners(net.mask[center], end):
             g = group[node]
             if g >= 0:
                 buckets.setdefault(g, []).append(node)

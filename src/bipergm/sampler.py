@@ -62,10 +62,15 @@ class SamplerControl:
     proposal: str = "tnt"  # "tnt" or "uniform"
 
     def __post_init__(self):
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
-        if self.interval <= 0 or self.sample_size <= 0:
-            raise ValueError("interval and sample_size must be positive")
+        # a float would fail deep inside the chain, and True would run as 1
+        for name, least in (("burn_in", 0), ("interval", 1), ("sample_size", 1)):
+            value = getattr(self, name)
+            if value is None and name == "burn_in":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         _check_proposal(self.proposal)
 
     def resolved_burn_in(self, dyad_count: int) -> int:
@@ -112,8 +117,8 @@ class Chain:
 
     Once the chain is built the network must change only through the
     chain, or the running statistics go stale; `audit()` also checks the
-    network's own bookkeeping, its neighbour masks included, and raises
-    on any part that went stale.
+    network's own bookkeeping, its edge index and its neighbour masks, and
+    raises on any part that went stale.
 
     A chain whose `run` or `step` raised is dead: the exception may have
     left the network and the statistics out of step, so every later `run`
@@ -166,11 +171,15 @@ class Chain:
             raise RuntimeError(_DEAD_CHAIN) from None
 
     def audit(self) -> None:
-        """Recompute statistics from scratch and check the running vector
+        """Check the network's bookkeeping (`check_consistency`), which the
+        recount reads, then recompute statistics and check the running vector
         agrees to within 1e-8 + 2**-52 * accepted * M, M being the largest
-        |statistic| in the recount or the running vector: the float error
-        of a sum that adds one change vector per accepted toggle.  Also
-        check the network's edge list, neighbour sets and masks agree exactly."""
+        |statistic| in the recount or the running vector: the float error of
+        a sum that adds one change vector per accepted toggle."""
+        try:
+            self.net.check_consistency()
+        except AssertionError as exc:
+            raise RuntimeError(f"network bookkeeping drifted: {exc}") from None
         fresh = self.model.stats(self.net)
         running = np.asarray(self.stats)
         drift = float(np.max(np.abs(fresh - running), initial=0.0))
@@ -178,10 +187,6 @@ class Chain:
         tol = 1e-8 + 2.0**-52 * self.accepted * scale
         if drift > tol:
             raise RuntimeError(f"incremental statistics drifted by {drift:g} (tol {tol:g})")
-        try:
-            self.net.check_consistency()
-        except AssertionError as exc:
-            raise RuntimeError(f"network bookkeeping drifted: {exc}") from None
         # in place: the loop holds this list
         self.stats[:] = [float(s) for s in fresh]
 
@@ -193,7 +198,7 @@ def _mh_loop(net, theta, stats, tnt, deltas, uniform):
     the running `(accepted, proposals, last_dyad)`.  It holds no reference
     to its chain, so a dropped chain is freed at once."""
     exp = math.exp
-    adj, edge_list, add, remove = net.adj, net._edge_list, net._add, net._remove
+    mask, bit, edge_list, add, remove = net.mask, net._bit, net._edge_list, net._add, net._remove
     n1, n2 = net.n1, net.n2
     D, first2 = n1 * n2, n1 + 1
     q_add, q_remove = {}, {}  # TNT log proposal ratios by edge count, filled on first use
@@ -215,7 +220,7 @@ def _mh_loop(net, theta, stats, tnt, deltas, uniform):
                         d = int(uniform() * D)
                         i = d // n2 + 1
                         k = first2 + d % n2
-                        if k not in adj[i]:
+                        if not mask[i] & bit[k]:
                             break
                     else:
                         # dense fallback: enumerate the complement once
@@ -223,7 +228,7 @@ def _mh_loop(net, theta, stats, tnt, deltas, uniform):
                             (a, b)
                             for a in range(1, n1 + 1)
                             for b in range(first2, n1 + n2 + 1)
-                            if b not in adj[a]
+                            if not mask[a] & bit[b]
                         ]
                         i, k = empties[int(uniform() * len(empties))]
                     try:
@@ -240,7 +245,7 @@ def _mh_loop(net, theta, stats, tnt, deltas, uniform):
                 d = int(uniform() * D)
                 i = d // n2 + 1
                 k = first2 + d % n2
-                adding = k not in adj[i]
+                adding = not mask[i] & bit[k]
                 log_q = 0.0
 
             # terms that skip a slot leave it zero

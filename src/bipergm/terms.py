@@ -230,26 +230,22 @@ class _NodeSlot(_Evaluator):
 class _Mode2Degree(_Evaluator):
     """Sum over mode-2 nodes of `value[degree]`.  A dyad's change statistic
     is the gain `value[d + 1] - value[d]`, d being the mode-2 node's degree
-    without the dyad."""
+    without the dyad; the kernel reads it at the popcount d + 1."""
 
     width = 1
 
-    def __init__(self, offset: int, name: str, value: list[float]):
+    def __init__(self, offset: int, name: str, value: list[float], n1: int, n2: int):
         self.offset, self.names, self.value = offset, [name], value
         self.gain = gain = [b - a for a, b in zip(value, value[1:])]
+        gain_with, bit = [0.0] + gain, node_bits(n1, n2)
 
         def delta_into(net, i, k, out):
-            nk = net.adj[k]
-            out[offset] = gain[len(nk) - (i in nk)]
+            out[offset] = gain_with[(net.mask[k] | bit[i]).bit_count()]
 
         self.delta_into = delta_into
 
     def stats(self, net):
-        value = self.value
-        total = 0.0
-        for k in range(net.n1 + 1, net.n + 1):
-            total += value[net.degree(k)]
-        return np.array([total])
+        return np.array([sum(self.value[mk.bit_count()] for mk in net.mask[net.n1 + 1 :])])
 
     def columns(self, B):
         d_other = (B.sum(axis=0) - B).astype(np.int64)
@@ -259,11 +255,13 @@ class _Mode2Degree(_Evaluator):
 class _Nodematch(_Evaluator):
     """Homophily statistic with a node-centric or edge-centric exponent.
 
-    Both change statistics count neighbours with the network's masks: the
-    node-centric one the partners that focal shares with each same-level
-    neighbour j of the shared node, the edge-centric one the partners of the
-    shared node in focal's level.  The counts are the integers that set
-    intersections give, so the statistics keep their bits."""
+    Both change statistics count neighbours with the network's masks and
+    `others[focal]`, the mask of the kept nodes in focal's level other than
+    focal: the node-centric one walks the bits of `mask[shared] &
+    others[focal]`, the same-level partners j of the shared node, in
+    ascending node order and adds the gain of the partners that focal
+    shares with each j; the edge-centric one is the popcount of that mask.
+    The order is fixed, so the float sum depends on the network alone."""
 
     def __init__(self, term: ModelTerm, offset: int, n1: int, n2: int, attrs: Attributes):
         if term.is_unbound_nodematch:
@@ -306,18 +304,18 @@ class _Nodematch(_Evaluator):
         e = float(term.exponent)
         self.pw = [0.0] + [float(i) ** e for i in range(1, max(n1, n2) + 1)]
         self.dpw = [b - a for a, b in zip(self.pw, self.pw[1:])]
-        if not self.node_centric:
-            # others[f]: the mask of the kept nodes in f's level other than f
-            bits = node_bits(n1, n2)
-            level = [0] * len(levels)
-            for node, g in enumerate(self.group):
-                if g >= 0:
-                    level[g] |= bits[node]
-            self.others = [
-                level[g] ^ bits[node] if g >= 0 else 0 for node, g in enumerate(self.group)
-            ]
+        # others[f]: the mask of the kept nodes in f's level other than f
+        self.bits = bits = node_bits(n1, n2)
+        level = [0] * len(levels)
+        for node, g in enumerate(self.group):
+            if g >= 0:
+                level[g] |= bits[node]
+        self.others = [
+            level[g] ^ bits[node] if g >= 0 else 0 for node, g in enumerate(self.group)
+        ]
         self.offset = offset
-        self.delta_into = self._kernel(offset)
+        # one past the last node of focal's mode
+        self.delta_into = self._kernel(offset, n1 + 1 if self.mode == 1 else n1 + n2 + 1)
 
     def stats(self, net):
         out = np.zeros(self.width)
@@ -333,17 +331,19 @@ class _Nodematch(_Evaluator):
         out *= 0.5
         return out
 
-    def _kernel(self, offset: int):
+    def _kernel(self, offset: int, end: int):
         """The change-statistic function, a closure over the term's tables.
         Plain assignments in each branch of `if mode1` skip the tuple that a
         conditional pair would build on every call."""
         mode1, group, slot_of = self.mode == 1, self.group, self.slot_of_code
+        others = self.others
 
         if self.node_centric:
             # the popcount of focal's and j's masks counts the shared node,
             # a partner of j, when focal has the edge; the gain then reads
-            # dpw one entry lower, from a copy shifted by one
-            dpw = self.dpw
+            # dpw one entry lower, from a copy shifted by one.  The highest
+            # bit of a focal-mode mask m stands for node end - m.bit_length().
+            dpw, bit = self.dpw, self.bits
             dpw_less = [0.0] + dpw
 
             def delta_into(net, i, k, out):
@@ -355,18 +355,19 @@ class _Nodematch(_Evaluator):
                 if cf < 0:
                     return
                 mask = net.mask
-                ns = net.adj[shared]
-                gain = dpw_less if focal in ns else dpw
                 mf = mask[focal]
+                gain = dpw_less if mf & bit[shared] else dpw
+                m = mask[shared] & others[focal]
                 total = 0.0
-                for j in ns:
-                    if j != focal and group[j] == cf:
-                        total += gain[(mf & mask[j]).bit_count()]
+                while m:
+                    j = end - m.bit_length()
+                    m ^= bit[j]
+                    total += gain[(mf & mask[j]).bit_count()]
                 out[offset + slot_of[cf]] = total
 
             return delta_into
 
-        pw, others = self.pw, self.others
+        pw = self.pw
 
         def delta_into(net, i, k, out):
             if mode1:
@@ -444,9 +445,9 @@ def _build_evaluator(
         names = [f"b2sociality.{k}" for k in range(n1 + 1, n1 + n2 + 1)]
         return _NodeSlot(offset, names, 2, n1, list(range(n2)), [1.0] * n2)
     if kind == "b2star2":
-        return _Mode2Degree(offset, "b2star2", [d * (d - 1) / 2.0 for d in range(n1 + 1)])
+        return _Mode2Degree(offset, "b2star2", [d * (d - 1) / 2.0 for d in range(n1 + 1)], n1, n2)
     if kind == "b2degree1":
-        return _Mode2Degree(offset, "b2degree1", [float(d == 1) for d in range(n1 + 1)])
+        return _Mode2Degree(offset, "b2degree1", [float(d == 1) for d in range(n1 + 1)], n1, n2)
     # ModelTerm admits only the kinds in KINDS, so this is b1nodematch or b2nodematch
     return _Nodematch(term, offset, n1, n2, attrs)
 

@@ -3,8 +3,8 @@
 Everything here works on raw (n1, n2, edge-set, category-dict) data via
 literal triple sums, so the values are computed along a different path
 than the package's evaluators.  The one exception, `nodematch_delta_into`,
-reads a nodematch evaluator's tables but counts with neighbour sets where
-the package counts with neighbour masks.
+reads a nodematch evaluator's tables but counts with neighbour sets that it
+builds from `net.edges()`, where the package counts with neighbour masks.
 """
 
 from __future__ import annotations
@@ -95,19 +95,23 @@ def nodematch_beta_mode2(n1, n2, edges, cats, beta, level=None):
 def nodematch_delta_into(ev, net, i, k, out):
     """The change statistic of nodematch evaluator `ev` at dyad (i, k),
     written into its slot of `out`, from set intersections and set loops
-    over `net.adj` in the order the package visits neighbours."""
+    over neighbour sets built from `net.edges()`.  The node-centric sum
+    adds its terms in ascending node order, as the package does."""
     focal, shared = (i, k) if ev.mode == 1 else (k, i)
     group = ev.group
     cf = group[focal]
     if cf < 0:
         return
     slot = ev.slot_of_code[cf]
-    adj = net.adj
+    adj = {node: set() for node in range(1, net.n + 1)}
+    for a, b in net.edges():
+        adj[a].add(b)
+        adj[b].add(a)
     if ev.node_centric:
         nf = adj[focal]
         has_edge = shared in nf
         total = 0.0
-        for j in adj[shared]:
+        for j in sorted(adj[shared]):
             if j != focal and group[j] == cf:
                 # two-paths not through the toggled shared node
                 total += ev.dpw[len(nf & adj[j]) - has_edge]

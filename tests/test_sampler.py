@@ -263,7 +263,7 @@ def test_chain_refuses_a_non_finite_theta(bad):
 
 
 def test_control_validation():
-    with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+    with pytest.raises(ValueError, match="burn_in must be at least 0"):
         SamplerControl(burn_in=-1)
     with pytest.raises(ValueError, match="interval"):
         SamplerControl(interval=0)
@@ -272,6 +272,17 @@ def test_control_validation():
     assert SamplerControl(burn_in=None).resolved_burn_in(450) == 2**14
     assert SamplerControl(burn_in=None).resolved_burn_in(1500) == 2**15
     assert SamplerControl(burn_in=7).resolved_burn_in(450) == 7
+    assert SamplerControl(interval=np.int64(8)).interval == 8
+
+
+@pytest.mark.parametrize("field,value", [
+    ("burn_in", 100.0), ("burn_in", True), ("interval", 8.0), ("interval", True),
+    ("interval", None), ("sample_size", 10.5), ("sample_size", False), ("sample_size", "10"),
+])
+def test_control_refuses_a_count_that_is_not_an_int(field, value):
+    # a float fails deep inside the chain, and True would run as 1
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        SamplerControl(**{field: value})
 
 
 # -- the uniform-stream contract ------------------------------------------
@@ -285,6 +296,10 @@ def test_control_validation():
 # with 20,000 proposals draws more than one 16,384-uniform block.  The
 # keep-levels, b2beta-diff and exponent-end cases were recorded before the
 # chain kept its own nodematch count tables, which must not change a bit.
+# The six cases with an alpha strictly between 0 and 1 were re-recorded
+# when the alpha kernel began to sum in ascending node order instead of
+# neighbour-set order: the same toggles, with sums that differ in the last
+# bits.
 
 
 def _digest(rows, net, accepted) -> str:
@@ -381,10 +396,10 @@ CONTRACT_CASES = {
 }
 
 CONTRACT_DIGESTS = {
-    "tnt-alpha": "d810677d43c9316ac8e980efeb8396057083318595e1f79d54a2bd28cc20864e",
+    "tnt-alpha": "b588b67fd71f9b4a349e667190b7c0426059981eadfa5daf27af0715fa1bb0c4",
     "tnt-alpha-0-1": "3a4181b8ae08462b46d28fc98c44e23d9b19d16f5d99533a8e4fae8b0b8cc32c",
     "tnt-b2beta-diff": "748f240a38c534d6f48d2de8acab261e9b72b69b353068b14dbe1d60dcf4866d",
-    "tnt-b2diff": "cad835d6981d8b36ae41064c1ebae2ebeb365eb04986ede504774d5c0a09d7aa",
+    "tnt-b2diff": "5f3d47954e095601ea8d1c622d594a488799342628b653b6f2790cfa42e3746c",
     "tnt-beta": "7296e6e7b46d387f54d0c1bc51dce00e3c2144e3beae291b8c8c21be935312a4",
     "tnt-beta-0-1": "7c950c52154d613e140ebc2da10a3472fac7fee8610b2ecab7e510656d9f9cbc",
     "tnt-dense-fallback": "bfe4286ed5f26415e756282a25efc780b7c71082a39838d5f4e1686942744e0c",
@@ -392,15 +407,15 @@ CONTRACT_DIGESTS = {
     "tnt-empty-30x15": "6b83043857407d0c82a0e935ed6a9b7827c7863a0430f8c79f7d94143829dc3b",
     "tnt-from-empty": "fd28a999b40b854e3ad501ba64f67137c1fb6dc61629e5603817ba73a153e5ca",
     "tnt-from-full": "c96e1afa25466ecb919ba24116ff678361999343a9baa9ba170f11dee3332dc6",
-    "tnt-keep-levels": "7ccab8cd03a40626de73877a05405c14bfbe274068fc98d033279aad6b6bb171",
+    "tnt-keep-levels": "22828c251ec1d5bfe5088b208209dc37eba22aad47f0b61ebadb23ac03053785",
     "tnt-one-dyad": "4c529adc3044d5b46fdf9d823dda1aec85f6a4ec4e8aa6e7b26b4da1d9be67bf",
-    "uniform-alpha": "90cd997a4c9e885f7d0dd6a7160805bf9c6c2e96b09d031c491e0de416bb2c68",
+    "uniform-alpha": "34515436a53a4bfd75d819282c6a967e6117a1491809c75f907ffd721f1c5333",
     "uniform-b2beta-diff": "4076207383d6b09d8911369f613789734674f92cb4694c7d87276a2445e21c03",
-    "uniform-b2diff": "350abae95ba6c988d631f6560c21f577d3988999aa7c1b5a6259782c1315188a",
+    "uniform-b2diff": "bd8880eb76453addac6101794dbcf72c1158ed47ad22e2d6048a067b2b7310d1",
     "uniform-beta": "2a8e594ac7dffc98d49842d44cb5f9d8e22de18456b14b0ce18f1419879f953f",
     "uniform-edges": "a4f7ffb53d7b58e3034b798a05040f0b6ad8929c3685535c231264210cfbcfad",
     "uniform-from-full": "1ea9f275d9c0fdfd15f6932793d9859f1fc695e1f43bc4e1b8649d56525714f4",
-    "uniform-keep-levels": "5303fffd9815c35ec0f8ec4ed4f51168af175e01b6072c920d82cda49d29a807",
+    "uniform-keep-levels": "243ab7ee1dfaf1b2c1aa86f9f21ae1997aaf169706034aef216278b786a86920",
 }
 
 
@@ -440,6 +455,48 @@ def test_audit_catches_a_stale_neighbour_mask(term):
     net.mask[a] &= net.mask[a] - 1
     with pytest.raises(RuntimeError, match="network bookkeeping drifted: neighbor masks"):
         chain.audit()
+
+
+def test_audit_catches_an_edge_dropped_behind_the_masks_back():
+    net = _net30(0.2)
+    spec = ModelSpec((ModelTerm(kind="edges"), ALPHA))
+    chain = Chain(net, bind(spec, net, _contract_attrs()), [-1.5, 0.1], _generator(17))
+    chain.run(2000)
+    chain.audit()
+    # the last edge leaves the edge index but keeps its mask bits
+    del net._edge_pos[net._edge_list.pop()]
+    with pytest.raises(RuntimeError, match="network bookkeeping drifted: neighbor masks"):
+        chain.audit()
+
+
+# A network's answers depend on its edges alone, not on the toggles that
+# built it: after a seeded history of toggles, the network, its copy and a
+# network rebuilt from its sorted edges give the same bits at every dyad and
+# run the same seeded chain.  The uniform proposal runs on all three; TNT
+# picks the edge to remove by its place in the edge list, which the rebuilt
+# network orders differently, so it runs on the network and its copy.
+
+
+def _toggled_twins():
+    rng = np.random.default_rng(25)
+    net = _net30(0.2)
+    for _ in range(3000):
+        net.toggle(int(rng.integers(1, 31)), int(rng.integers(31, 46)))
+    return [net, net.copy(), from_edge_list(30, 15, sorted(net.edges()))]
+
+
+def test_copies_and_rebuilds_give_the_same_bits():
+    twins = _toggled_twins()
+    terms = (ALPHA, ModelTerm(kind="b2nodematch", attribute="kind", alpha=0.5))
+    model = bind(ModelSpec((ModelTerm(kind="edges"), *terms)), twins[0], _contract_attrs())
+    for i in range(1, 31):
+        for k in range(31, 46):
+            deltas = {model.delta(net, i, k).tobytes() for net in twins}
+            assert len(deltas) == 1, (i, k)
+    theta = [-1.5, 0.6, 0.3]
+    for proposal, nets in (("uniform", twins), ("tnt", _toggled_twins()[:2])):
+        digests = {_chain_case(net, terms, theta, proposal, 26, 5, 1000) for net in nets}
+        assert len(digests) == 1, proposal
 
 
 # The criterion-5 chains of the chain-2x2 benchmark, driven one `step()` at
