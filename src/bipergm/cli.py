@@ -83,7 +83,6 @@ def _sampler_control(args) -> sampler.SamplerControl:
         interval=args.interval,
         sample_size=args.samplesize,
         seed=args.seed,
-        proposal=args.proposal,
     )
 
 
@@ -281,7 +280,6 @@ def _add_sampler_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--burnin", type=int, default=None)
     p.add_argument("--interval", type=int, default=1024)
     p.add_argument("--samplesize", type=int, default=1000)
-    p.add_argument("--proposal", choices=["tnt", "uniform"], default="tnt")
 
 
 def build_parser() -> argparse.ArgumentParser:

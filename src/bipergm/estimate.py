@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import erfc, expit, logsumexp
@@ -35,7 +35,7 @@ class SeparationError(EstimationError):
 
 
 class NonConvergenceError(EstimationError):
-    """The Monte-Carlo MLE loop gave up (hull violations or step limit)."""
+    """The Monte-Carlo MLE loop gave up (hull violations or anchor limit)."""
 
 
 class DegeneracyWarning(UserWarning):
@@ -264,7 +264,8 @@ def mple(
 # runs on the fraction min(1, RAMP * 2**a) of the sample size, and at
 # most MAX_ANCHORS anchors run.  At full sample size the loop ends once
 # the anchor step norm is at most 1e-4 or the step is within the
-# Monte-Carlo noise of the estimate.  The bridge has BRIDGE_LEGS legs of
+# Monte-Carlo noise of the estimate; a fit that has not ended by then
+# raises NonConvergenceError.  The bridge has BRIDGE_LEGS legs of
 # BRIDGE_DRAWS draws each, thinned every `control.interval // 4` proposals.
 MAX_ANCHORS = 20
 RAMP = 0.125
@@ -471,11 +472,11 @@ def mcmcmle(
             var_theta = np.full(model.p, np.inf)
         if np.all(np.abs(delta) <= 2.0 * np.sqrt(np.clip(var_theta, 0.0, None))):
             break
-
-    if last is None:
-        raise NonConvergenceError(
-            "no anchor produced a usable sample (persistent hull violations)"
-        )
+    else:
+        # only a full-size anchor inside the hull can stop the loop
+        step = "no anchor inside the hull" if last is None else (
+            f"last step norm {float(np.linalg.norm(last[1])):.3g}")
+        raise NonConvergenceError(f"no convergence after {MAX_ANCHORS} anchors ({step})")
 
     if degenerate:
         warnings.warn(
@@ -517,9 +518,8 @@ def mcmcmle(
         "mc_sd": [float(s) for s in mc_sd],
         "sample_size": draws,
         "warnings": sorted(degenerate),
-        "control": (
-            f"burn_in={control.burn_in} interval={control.interval} "
-            f"sample_size={control.sample_size} proposal={control.proposal}"
+        "control": " ".join(
+            f"{f.name}={getattr(control, f.name)}" for f in fields(control) if f.name != "seed"
         ),
     }
     if unknown:

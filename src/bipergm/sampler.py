@@ -1,20 +1,19 @@
 """Metropolis-Hastings simulation of the network distribution.
 
-Proposals are either uniform over dyads or tie-no-tie (an even coin
-between a uniformly random existing edge and a uniformly random empty
-dyad), with the exact Hastings correction, including the degenerate
-empty- and full-graph cases where one branch has nothing to pick.
+Every chain proposes with tie-no-tie (TNT): an even coin between a
+uniformly random existing edge and a uniformly random empty dyad, with
+the exact Hastings correction, including the degenerate empty- and
+full-graph cases where one branch has nothing to pick.
 
 Randomness comes from numpy's counter-based Philox generator; a chain is
 fully determined by its seed.  A chain takes its uniforms from a block of
 `rng.random(UNIFORM_BLOCK).tolist()`, drawn only when a uniform is needed
 and the last block is spent, and uses them per proposal in this order:
 
-1. TNT only: the coin, only when 0 < E < D edges (below 0.5 removes);
-2. the dyad: under TNT either the index of the edge to remove, or up to
-   64 tries at a uniform dyad until one is empty, then, if all 64 hit
-   edges, one index into the enumerated empty dyads; under the uniform
-   proposal one dyad index;
+1. the coin, only when 0 < E < D edges (below 0.5 removes);
+2. the dyad: either the index of the edge to remove, or up to 64 tries
+   at a uniform dyad until one is empty, then, if all 64 hit edges, one
+   index into the enumerated empty dyads;
 3. the accept uniform, only when the log acceptance ratio is negative.
 
 Changing that order changes every seeded chain, `simulate` sample and fit;
@@ -41,11 +40,6 @@ LOG_HALF = math.log(0.5)
 _DEAD_CHAIN = "the chain stopped when an earlier run or step raised; build a new Chain"
 
 
-def _check_proposal(proposal: str) -> None:
-    if proposal not in ("tnt", "uniform"):
-        raise ValueError(f"proposal must be 'tnt' or 'uniform', got {proposal!r}")
-
-
 @dataclass(frozen=True)
 class SamplerControl:
     """Chain hyperparameters.
@@ -59,19 +53,19 @@ class SamplerControl:
     interval: int = 1024
     sample_size: int = 1000
     seed: int | np.random.SeedSequence = 0
-    proposal: str = "tnt"  # "tnt" or "uniform"
 
     def __post_init__(self):
         # a float would fail deep inside the chain, and True would run as 1
-        for name, least in (("burn_in", 0), ("interval", 1), ("sample_size", 1)):
+        for name, least in (("burn_in", 0), ("interval", 1), ("sample_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if value is None and name == "burn_in":
+                continue
+            if name == "seed" and isinstance(value, np.random.SeedSequence):
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an int, got {type(value).__name__}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        _check_proposal(self.proposal)
 
     def resolved_burn_in(self, dyad_count: int) -> int:
         if self.burn_in is not None:
@@ -111,9 +105,9 @@ class Chain:
 
     The chain mutates `net` in place and keeps the statistic vector
     incrementally up to date; `audit()` recomputes from scratch and
-    verifies agreement.  Theta and the proposal are fixed when the chain
-    is built.  Each `run` or `step` updates `accepted`, `proposals` and
-    `last_dyad`, the dyad of the last proposal (None before the first).
+    verifies agreement.  Theta is fixed when the chain is built.  Each
+    `run` or `step` updates `accepted`, `proposals` and `last_dyad`, the
+    dyad of the last proposal (None before the first).
 
     Once the chain is built the network must change only through the
     chain, or the running statistics go stale; `audit()` also checks the
@@ -125,21 +119,13 @@ class Chain:
     or `step` raises `RuntimeError`.
     """
 
-    def __init__(
-        self,
-        net: BipartiteNetwork,
-        model: BoundModel,
-        theta,
-        rng: np.random.Generator,
-        proposal: str = "tnt",
-    ):
+    def __init__(self, net: BipartiteNetwork, model: BoundModel, theta, rng: np.random.Generator):
         if len(theta) != model.p:
             raise ValueError(f"theta has {len(theta)} entries for {model.p} statistics")
         theta = [float(t) for t in theta]
         if not all(map(math.isfinite, theta)):
             # a NaN log ratio would accept every proposal
             raise ValueError(f"theta must be finite, got {theta}")
-        _check_proposal(proposal)
         net.check_has_dyads()
         self.net = net
         self.model = model
@@ -147,10 +133,7 @@ class Chain:
         uniform = itertools.chain.from_iterable(
             iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
         ).__next__
-        loop = _mh_loop(
-            net, theta, self.stats, proposal == "tnt",
-            [ev.delta_into for ev in model.evaluators], uniform,
-        )
+        loop = _mh_loop(net, theta, self.stats, [ev.delta_into for ev in model.evaluators], uniform)
         self.accepted, self.proposals, self.last_dyad = next(loop)
         self._send = loop.send
 
@@ -191,7 +174,7 @@ class Chain:
         self.stats[:] = [float(s) for s in fresh]
 
 
-def _mh_loop(net, theta, stats, tnt, deltas, uniform):
+def _mh_loop(net, theta, stats, deltas, uniform):
     """The only MH loop body: a generator that holds a chain's locals
     between calls.  Each value sent is a number of proposals to make,
     reading `uniform()` in the order the module docstring gives; it yields
@@ -209,44 +192,37 @@ def _mh_loop(net, theta, stats, tnt, deltas, uniform):
     while True:
         n = yield accepted, proposals, last
         for _ in range(n):
-            if tnt:
-                E = len(edge_list)
-                if 0 < E < D:
-                    adding = uniform() >= 0.5
-                else:
-                    adding = E == 0
-                if adding:
-                    for _ in range(64):
-                        d = int(uniform() * D)
-                        i = d // n2 + 1
-                        k = first2 + d % n2
-                        if not mask[i] & bit[k]:
-                            break
-                    else:
-                        # dense fallback: enumerate the complement once
-                        empties = [
-                            (a, b)
-                            for a in range(1, n1 + 1)
-                            for b in range(first2, n1 + n2 + 1)
-                            if not mask[a] & bit[b]
-                        ]
-                        i, k = empties[int(uniform() * len(empties))]
-                    try:
-                        log_q = q_add[E]
-                    except KeyError:
-                        log_q = q_add[E] = _tnt_log_q(D, E, True)
-                else:
-                    i, k = edge_list[int(uniform() * E)]
-                    try:
-                        log_q = q_remove[E]
-                    except KeyError:
-                        log_q = q_remove[E] = _tnt_log_q(D, E, False)
+            E = len(edge_list)
+            if 0 < E < D:
+                adding = uniform() >= 0.5
             else:
-                d = int(uniform() * D)
-                i = d // n2 + 1
-                k = first2 + d % n2
-                adding = not mask[i] & bit[k]
-                log_q = 0.0
+                adding = E == 0
+            if adding:
+                for _ in range(64):
+                    d = int(uniform() * D)
+                    i = d // n2 + 1
+                    k = first2 + d % n2
+                    if not mask[i] & bit[k]:
+                        break
+                else:
+                    # dense fallback: enumerate the complement once
+                    empties = [
+                        (a, b)
+                        for a in range(1, n1 + 1)
+                        for b in range(first2, n1 + n2 + 1)
+                        if not mask[a] & bit[b]
+                    ]
+                    i, k = empties[int(uniform() * len(empties))]
+                try:
+                    log_q = q_add[E]
+                except KeyError:
+                    log_q = q_add[E] = _tnt_log_q(D, E, True)
+            else:
+                i, k = edge_list[int(uniform() * E)]
+                try:
+                    log_q = q_remove[E]
+                except KeyError:
+                    log_q = q_remove[E] = _tnt_log_q(D, E, False)
 
             # terms that skip a slot leave it zero
             buf[:] = zeros
@@ -300,7 +276,7 @@ def simulate(
     proposals, on a chain seeded by `control.seed`.  `net0` is copied,
     never mutated."""
     net = net0.copy()
-    chain = Chain(net, model, theta, _generator(control.seed), proposal=control.proposal)
+    chain = Chain(net, model, theta, _generator(control.seed))
     chain.run(control.resolved_burn_in(net.dyad_count))
     rows = np.empty((control.sample_size, model.p))
     for s in range(control.sample_size):

@@ -334,9 +334,11 @@ class _Nodematch(_Evaluator):
     def _kernel(self, offset: int, end: int):
         """The change-statistic function, a closure over the term's tables.
         Plain assignments in each branch of `if mode1` skip the tuple that a
-        conditional pair would build on every call."""
-        mode1, group, slot_of = self.mode == 1, self.group, self.slot_of_code
-        others = self.others
+        conditional pair would build on every call.  `index[focal]` is the
+        output slot of focal's level; a node outside the kept levels gets
+        the term's first slot and has no others, so it writes 0.0 there."""
+        mode1, others = self.mode == 1, self.others
+        index = [offset + (self.slot_of_code[g] if g >= 0 else 0) for g in self.group]
 
         if self.node_centric:
             # the popcount of focal's and j's masks counts the shared node,
@@ -351,9 +353,6 @@ class _Nodematch(_Evaluator):
                     focal, shared = i, k
                 else:
                     focal, shared = k, i
-                cf = group[focal]
-                if cf < 0:
-                    return
                 mask = net.mask
                 mf = mask[focal]
                 gain = dpw_less if mf & bit[shared] else dpw
@@ -363,7 +362,7 @@ class _Nodematch(_Evaluator):
                     j = end - m.bit_length()
                     m ^= bit[j]
                     total += gain[(mf & mask[j]).bit_count()]
-                out[offset + slot_of[cf]] = total
+                out[index[focal]] = total
 
             return delta_into
 
@@ -374,15 +373,12 @@ class _Nodematch(_Evaluator):
                 focal, shared = i, k
             else:
                 focal, shared = k, i
-            cf = group[focal]
-            if cf < 0:
-                return
             # u: partners of the shared node in focal's level, focal aside
             u = (net.mask[shared] & others[focal]).bit_count()
             # exact change ((1+u)*u**b - u*(u-1)**b)/2; at b=0 it is 0, 1, 1/2
             # for u=0, 1, >=2.  At u=0, pw[u - 1] wraps to the last (finite)
             # entry and is multiplied by u = 0, so it adds nothing.
-            out[offset + slot_of[cf]] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
+            out[index[focal]] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
 
         return delta_into
 

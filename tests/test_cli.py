@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -5,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bipergm import estimate, oracle
-from bipergm.cli import main
+from bipergm import SamplerControl, estimate, oracle
+from bipergm.cli import _add_sampler_args, _sampler_control, main
 
 from conftest import FIG2_EDGES
 
@@ -251,14 +253,41 @@ def test_simulate_saves_final_network(inputs):
     assert loaded.n1 == 3 and loaded.n2 == 2
 
 
-@pytest.mark.parametrize("proposal", ["tnt", "uniform"])
+def test_simulate_refuses_a_negative_seed(inputs, capsys):
+    net, attrs, _ = inputs
+    code = main(
+        ["simulate", "--network", str(net), "--attrs1", str(attrs), "--model", "edges",
+         "--theta", "0.0", "--seed", "-1", "--burnin", "10", "--samplesize", "2"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: model: seed must be at least 0, got -1\n"
+
+
+def test_each_control_field_has_one_sampler_flag():
+    parser = argparse.ArgumentParser()
+    _add_sampler_args(parser)
+    flags = [a.option_strings for a in parser._actions if a.dest != "help"]
+    names = [f.name for f in dataclasses.fields(SamplerControl)]
+    assert sorted(flags) == sorted([f"--{name.replace('_', '')}"] for name in names)
+    args = parser.parse_args(["--burnin", "5", "--interval", "6", "--samplesize", "7", "--seed", "8"])
+    assert _sampler_control(args) == SamplerControl(burn_in=5, interval=6, sample_size=7, seed=8)
+
+
+def test_there_is_no_proposal_flag(inputs, capsys):
+    net, _, _ = inputs
+    with pytest.raises(SystemExit) as exit_:
+        main(["fit", "--network", str(net), "--model", "edges", "--proposal", "tnt"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --proposal tnt" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("header,mode", [("n1 0 n2 3", 1), ("n1 3 n2 0", 2)])
-def test_simulate_without_dyads_exit_code(tmp_path, capsys, proposal, header, mode):
+def test_simulate_without_dyads_exit_code(tmp_path, capsys, header, mode):
     net = tmp_path / "net.edges"
     net.write_text(header + "\n")
     code = main(
         ["simulate", "--network", str(net), "--model", "edges", "--theta", "0.0",
-         "--proposal", proposal, "--burnin", "10", "--interval", "1", "--samplesize", "2"]
+         "--burnin", "10", "--interval", "1", "--samplesize", "2"]
     )
     assert code == 2
     err = capsys.readouterr().err

@@ -680,3 +680,23 @@ def test_seeded_mcmcmle_estimate_keeps_its_digest(which):
     for part in (fit.theta, fit.covariance):
         h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
     assert h.hexdigest() == MCMCMLE_ESTIMATE_DIGESTS[which]
+
+
+def test_a_fit_that_runs_out_of_anchors_does_not_converge(monkeypatch):
+    # with three anchors the criterion-8 fit stops at 1500 of its 3000 draws,
+    # before the stopping rule ever runs, so it must not report an estimate
+    monkeypatch.setattr(estimate, "MAX_ANCHORS", 3)
+    net = load_network(FROZEN_30X15 / "profile_30x15.edges")
+    attrs = Attributes(mode1=load_attributes(FROZEN_30X15 / "profile_30x15_attrs1.tsv", 1, 30, 15))
+    spec = ModelSpec(
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5))
+    )
+    control = SamplerControl(burn_in=8192, interval=48, sample_size=3000, seed=88)
+    with pytest.raises(NonConvergenceError, match=r"after 3 anchors \(last step norm \d"):
+        mcmcmle(spec, net, attrs, control=control)
+
+
+def test_the_fit_states_every_control_field_but_the_seed(obs_net, obs_attrs):
+    fit = mcmcmle(edges_spec(), obs_net, obs_attrs, control=small_control(sample_size=500, seed=4))
+    assert fit.diagnostics["control"] == "burn_in=4096 interval=8 sample_size=500"
+    assert fit.diagnostics["seed"] == 4

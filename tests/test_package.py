@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -19,12 +20,14 @@ RETIRED = {
 
 
 # parameters that were a second way in: a chain takes its bound model and
-# its seed from `simulate(model, theta, net0, control)`, and a fit states
-# its own formula (see docs/decisions.md)
+# its seed from `simulate(model, theta, net0, control)`, a fit states its
+# own formula, and every chain proposes with TNT (see docs/decisions.md)
 RETIRED_PARAMETERS = {
     "simulate": {"seed", "spec", "attrs"},
     "mple": {"formula"},
     "mcmcmle": {"formula"},
+    "Chain": {"proposal"},
+    "SamplerControl": {"proposal"},
 }
 
 
@@ -41,6 +44,10 @@ def test_public_surface():
     simulate = inspect.signature(bipergm.simulate).parameters.values()
     assert [p.name for p in simulate] == ["model", "theta", "net0", "control"]
     assert all(p.default is inspect.Parameter.empty for p in simulate)
+    chain = inspect.signature(bipergm.Chain).parameters
+    assert list(chain) == ["net", "model", "theta", "rng"]
+    control = [f.name for f in dataclasses.fields(bipergm.SamplerControl)]
+    assert control == ["burn_in", "interval", "sample_size", "seed"]
 
 
 # run in a fresh interpreter: the test session itself has imported scipy.optimize

@@ -52,32 +52,25 @@ class TestCondLogOdds:
 
 
 class TestMhStep:
-    def test_flat_target_uniform_proposal_always_accepts(self):
-        net = from_edge_list(2, 3, [])
-        bound = bind(edges_spec(), net, Attributes())
-        chain = Chain(net, bound, [0.0], _generator(0), proposal="uniform")
-        assert sum(chain.step() for _ in range(300)) == 300
-
     def test_strong_negative_edges_empties_a_full_network(self):
         net = from_edge_list(2, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
         bound = bind(edges_spec(), net, Attributes())
-        chain = Chain(net, bound, [-10.0], _generator(1), proposal="tnt")
+        chain = Chain(net, bound, [-10.0], _generator(1))
         chain.run(200)
         assert net.edge_count <= 1
 
     def test_tnt_grows_from_empty(self):
         net = from_edge_list(2, 2, [])
         bound = bind(edges_spec(), net, Attributes())
-        chain = Chain(net, bound, [10.0], _generator(2), proposal="tnt")
+        chain = Chain(net, bound, [10.0], _generator(2))
         chain.run(200)
         assert net.edge_count >= 3
 
-    @pytest.mark.parametrize("proposal", ["tnt", "uniform"])
-    def test_edges_only_long_run_density(self, proposal):
+    def test_edges_only_long_run_density(self):
         theta = 0.5
         net = from_edge_list(2, 2, [])
         bound = bind(edges_spec(), net, Attributes())
-        chain = Chain(net, bound, [theta], _generator(9), proposal=proposal)
+        chain = Chain(net, bound, [theta], _generator(9))
         chain.run(2000)
         total = 0.0
         draws = 300_000
@@ -209,8 +202,7 @@ class TestSimulate:
         assert sample.proposals == 200_001
 
 
-@pytest.mark.parametrize("proposal", ["tnt", "uniform"])
-def test_detailed_balance_against_enumeration(proposal):
+def test_detailed_balance_against_enumeration():
     attrs = make_attrs1(["a", "a"])
     spec = ModelSpec(
         (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5))
@@ -219,7 +211,7 @@ def test_detailed_balance_against_enumeration(proposal):
     theta = [1.0, -1.0]
     exact = exact_model.probabilities(theta)
     net = from_edge_list(2, 2, [])
-    chain = Chain(net, bind(spec, net, attrs), theta, _generator(21), proposal=proposal)
+    chain = Chain(net, bind(spec, net, attrs), theta, _generator(21))
     chain.run(2000)
     draws = 300_000
     counts = np.zeros(16)
@@ -234,22 +226,12 @@ def test_detailed_balance_against_enumeration(proposal):
     assert tv <= 0.015
 
 
-@pytest.mark.parametrize("proposal", ["tnt", "uniform"])
 @pytest.mark.parametrize("n1,n2,empty", [(0, 3, 1), (3, 0, 2), (0, 0, 1)])
-def test_chain_refuses_a_network_without_dyads(proposal, n1, n2, empty):
+def test_chain_refuses_a_network_without_dyads(n1, n2, empty):
     net = from_edge_list(n1, n2, [])
     model = bind(edges_spec(), net, Attributes())
     with pytest.raises(ValueError, match=f"mode {empty} has no nodes"):
-        Chain(net, model, [0.0], _generator(0), proposal=proposal)
-
-
-@pytest.mark.parametrize("proposal", ["Uniform", "TNT", "bogus", ""])
-def test_chain_validates_the_proposal(proposal):
-    net = from_edge_list(2, 2, [])
-    model = bind(edges_spec(), net, Attributes())
-    with pytest.raises(ValueError, match="proposal must be 'tnt' or 'uniform'"):
-        Chain(net, model, [0.0], _generator(0), proposal=proposal)
-    assert net.edge_count == 0
+        Chain(net, model, [0.0], _generator(0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -267,12 +249,13 @@ def test_control_validation():
         SamplerControl(burn_in=-1)
     with pytest.raises(ValueError, match="interval"):
         SamplerControl(interval=0)
-    with pytest.raises(ValueError, match="proposal"):
-        SamplerControl(proposal="bogus")
     assert SamplerControl(burn_in=None).resolved_burn_in(450) == 2**14
     assert SamplerControl(burn_in=None).resolved_burn_in(1500) == 2**15
     assert SamplerControl(burn_in=7).resolved_burn_in(450) == 7
     assert SamplerControl(interval=np.int64(8)).interval == 8
+    assert SamplerControl(seed=np.int64(3)).seed == 3
+    sequence = np.random.SeedSequence(3)
+    assert SamplerControl(seed=sequence).seed is sequence
 
 
 @pytest.mark.parametrize("field,value", [
@@ -283,6 +266,13 @@ def test_control_refuses_a_count_that_is_not_an_int(field, value):
     # a float fails deep inside the chain, and True would run as 1
     with pytest.raises(ValueError, match=f"{field} must be an int"):
         SamplerControl(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1, "7"], ids=repr)
+def test_control_refuses_a_seed_that_is_not_a_count(seed):
+    # True would run as seed 1, and 1.5 would fail inside numpy
+    with pytest.raises(ValueError, match="seed must be"):
+        SamplerControl(seed=seed)
 
 
 # -- the uniform-stream contract ------------------------------------------
@@ -314,10 +304,10 @@ def _contract_attrs():
     return random_attrs(np.random.default_rng(7), 30, 15)
 
 
-def _chain_case(net, terms, theta, proposal, seed, chunks, chunk, attrs=None):
+def _chain_case(net, terms, theta, seed, chunks, chunk, attrs=None):
     attrs = _contract_attrs() if attrs is None else attrs
     spec = ModelSpec((ModelTerm(kind="edges"), *terms))
-    chain = Chain(net, bind(spec, net, attrs), theta, _generator(seed), proposal=proposal)
+    chain = Chain(net, bind(spec, net, attrs), theta, _generator(seed))
     rows = []
     for _ in range(chunks):
         chain.run(chunk)
@@ -354,45 +344,38 @@ BETA_ENDS = tuple(
 )
 
 
-def _case30(terms, theta, proposal, seed):
-    return lambda: _chain_case(_net30(0.2), terms, theta, proposal, seed, 20, 1000)
+def _case30(terms, theta, seed):
+    return lambda: _chain_case(_net30(0.2), terms, theta, seed, 20, 1000)
 
 
-def _case2x2(net, theta, proposal, seed):
-    return lambda: _chain_case(net(), (), theta, proposal, seed, 20, 100, attrs=Attributes())
+def _case2x2(net, theta, seed):
+    return lambda: _chain_case(net(), (), theta, seed, 20, 100, attrs=Attributes())
 
 
 CONTRACT_CASES = {
-    "tnt-edges": _case30((), [-1.3], "tnt", 1),
-    "uniform-edges": _case30((), [-1.3], "uniform", 1),
-    "tnt-alpha": _case30((ALPHA,), [-1.5, 0.6], "tnt", 2),
-    "uniform-alpha": _case30((ALPHA,), [-1.5, 0.6], "uniform", 2),
-    "tnt-beta": _case30((BETA,), [-1.5, 0.6], "tnt", 3),
-    "uniform-beta": _case30((BETA,), [-1.5, 0.6], "uniform", 3),
-    "tnt-b2diff": _case30((B2DIFF,), [-1.5, 0.4, -0.3], "tnt", 4),
-    "uniform-b2diff": _case30((B2DIFF,), [-1.5, 0.4, -0.3], "uniform", 4),
+    "tnt-edges": _case30((), [-1.3], 1),
+    "tnt-alpha": _case30((ALPHA,), [-1.5, 0.6], 2),
+    "tnt-beta": _case30((BETA,), [-1.5, 0.6], 3),
+    "tnt-b2diff": _case30((B2DIFF,), [-1.5, 0.4, -0.3], 4),
     # E == 0 and E == 1 recur on a sparse 2x2 chain started empty
-    "tnt-from-empty": _case2x2(lambda: from_edge_list(2, 2, []), [-2.0], "tnt", 5),
+    "tnt-from-empty": _case2x2(lambda: from_edge_list(2, 2, []), [-2.0], 5),
     # N0 == 0 and N0 == 1 recur on a dense 2x2 chain started full
-    "tnt-from-full": _case2x2(lambda: _full(2, 2), [2.0], "tnt", 6),
-    "uniform-from-full": _case2x2(lambda: _full(2, 2), [2.0], "uniform", 6),
+    "tnt-from-full": _case2x2(lambda: _full(2, 2), [2.0], 6),
     # D == 1: both TNT branches collapse onto the one dyad
     "tnt-one-dyad": lambda: _chain_case(
-        from_edge_list(1, 1, []), (), [0.3], "tnt", 7, 20, 50, attrs=Attributes()),
+        from_edge_list(1, 1, []), (), [0.3], 7, 20, 50, attrs=Attributes()),
     # one empty dyad out of 450: the 64 tries mostly miss and the
     # enumerated complement supplies the dyad
     "tnt-dense-fallback": lambda: _chain_case(
-        _full(30, 15, missing={(7, 40)}), (ALPHA,), [8.0, 0.1], "tnt", 8, 10, 100),
+        _full(30, 15, missing={(7, 40)}), (ALPHA,), [8.0, 0.1], 8, 10, 100),
     "tnt-empty-30x15": lambda: _chain_case(
-        from_edge_list(30, 15, []), (BETA,), [-1.5, 0.6], "tnt", 9, 20, 1000),
+        from_edge_list(30, 15, []), (BETA,), [-1.5, 0.6], 9, 20, 1000),
     # nodes outside the kept levels have group -1 and no count-table row
-    "tnt-keep-levels": _case30((KEEP_ALPHA, KEEP_BETA), [-1.5, 0.4, 0.3], "tnt", 12),
-    "uniform-keep-levels": _case30((KEEP_ALPHA, KEEP_BETA), [-1.5, 0.4, 0.3], "uniform", 12),
-    "tnt-b2beta-diff": _case30((B2BETA_DIFF,), [-1.5, 0.5, -0.2], "tnt", 13),
-    "uniform-b2beta-diff": _case30((B2BETA_DIFF,), [-1.5, 0.5, -0.2], "uniform", 13),
+    "tnt-keep-levels": _case30((KEEP_ALPHA, KEEP_BETA), [-1.5, 0.4, 0.3], 12),
+    "tnt-b2beta-diff": _case30((B2BETA_DIFF,), [-1.5, 0.5, -0.2], 13),
     # exponents 0 and 1, the two ends of the pw/dpw tables
-    "tnt-alpha-0-1": _case30(ALPHA_ENDS, [-1.5, 0.4, 0.05, 0.3, 0.05], "tnt", 14),
-    "tnt-beta-0-1": _case30(BETA_ENDS, [-1.5, 0.4, 0.05, 0.3, 0.05], "tnt", 15),
+    "tnt-alpha-0-1": _case30(ALPHA_ENDS, [-1.5, 0.4, 0.05, 0.3, 0.05], 14),
+    "tnt-beta-0-1": _case30(BETA_ENDS, [-1.5, 0.4, 0.05, 0.3, 0.05], 15),
 }
 
 CONTRACT_DIGESTS = {
@@ -409,13 +392,6 @@ CONTRACT_DIGESTS = {
     "tnt-from-full": "c96e1afa25466ecb919ba24116ff678361999343a9baa9ba170f11dee3332dc6",
     "tnt-keep-levels": "22828c251ec1d5bfe5088b208209dc37eba22aad47f0b61ebadb23ac03053785",
     "tnt-one-dyad": "4c529adc3044d5b46fdf9d823dda1aec85f6a4ec4e8aa6e7b26b4da1d9be67bf",
-    "uniform-alpha": "34515436a53a4bfd75d819282c6a967e6117a1491809c75f907ffd721f1c5333",
-    "uniform-b2beta-diff": "4076207383d6b09d8911369f613789734674f92cb4694c7d87276a2445e21c03",
-    "uniform-b2diff": "bd8880eb76453addac6101794dbcf72c1158ed47ad22e2d6048a067b2b7310d1",
-    "uniform-beta": "2a8e594ac7dffc98d49842d44cb5f9d8e22de18456b14b0ce18f1419879f953f",
-    "uniform-edges": "a4f7ffb53d7b58e3034b798a05040f0b6ad8929c3685535c231264210cfbcfad",
-    "uniform-from-full": "1ea9f275d9c0fdfd15f6932793d9859f1fc695e1f43bc4e1b8649d56525714f4",
-    "uniform-keep-levels": "243ab7ee1dfaf1b2c1aa86f9f21ae1997aaf169706034aef216278b786a86920",
 }
 
 
@@ -424,15 +400,14 @@ def test_seeded_chains_keep_their_uniform_stream(case):
     assert CONTRACT_CASES[case]() == CONTRACT_DIGESTS[case]
 
 
-@pytest.mark.parametrize("proposal", ["tnt", "uniform"])
-def test_steps_one_at_a_time_equal_one_run(proposal):
+def test_steps_one_at_a_time_equal_one_run():
     attrs = _contract_attrs()
     spec = ModelSpec((ModelTerm(kind="edges"), ALPHA))
     chains = []
     for _ in range(2):
         net = _net30(0.2)
         model = bind(spec, net, attrs)
-        chains.append(Chain(net, model, [-1.5, 0.6], _generator(10), proposal=proposal))
+        chains.append(Chain(net, model, [-1.5, 0.6], _generator(10)))
     stepped, ran = chains
     for _ in range(20_000):
         stepped.step()
@@ -471,10 +446,10 @@ def test_audit_catches_an_edge_dropped_behind_the_masks_back():
 
 # A network's answers depend on its edges alone, not on the toggles that
 # built it: after a seeded history of toggles, the network, its copy and a
-# network rebuilt from its sorted edges give the same bits at every dyad and
-# run the same seeded chain.  The uniform proposal runs on all three; TNT
-# picks the edge to remove by its place in the edge list, which the rebuilt
-# network orders differently, so it runs on the network and its copy.
+# network rebuilt from its sorted edges give the same bits at every dyad,
+# and the network and its copy run the same seeded chain.  TNT picks the
+# edge to remove by its place in the edge list, which the rebuilt network
+# orders differently, so the rebuild runs a chain of its own.
 
 
 def _toggled_twins():
@@ -494,9 +469,8 @@ def test_copies_and_rebuilds_give_the_same_bits():
             deltas = {model.delta(net, i, k).tobytes() for net in twins}
             assert len(deltas) == 1, (i, k)
     theta = [-1.5, 0.6, 0.3]
-    for proposal, nets in (("uniform", twins), ("tnt", _toggled_twins()[:2])):
-        digests = {_chain_case(net, terms, theta, proposal, 26, 5, 1000) for net in nets}
-        assert len(digests) == 1, proposal
+    digests = {_chain_case(net, terms, theta, 26, 5, 1000) for net in twins[:2]}
+    assert len(digests) == 1
 
 
 # The criterion-5 chains of the chain-2x2 benchmark, driven one `step()` at
@@ -546,8 +520,7 @@ def test_step_driven_tallies_keep_their_bits(theta):
 # and the recount has the same bits as the running vector.
 
 
-@pytest.mark.parametrize("proposal", ["tnt", "uniform"])
-def test_interleaved_calls_equal_one_run(proposal):
+def test_interleaved_calls_equal_one_run():
     attrs = _contract_attrs()
     spec = ModelSpec((
         ModelTerm(kind="edges"),
@@ -559,7 +532,7 @@ def test_interleaved_calls_equal_one_run(proposal):
     chains = []
     for _ in range(2):
         net = _net30(0.2)
-        chains.append(Chain(net, bind(spec, net, attrs), theta, _generator(23), proposal=proposal))
+        chains.append(Chain(net, bind(spec, net, attrs), theta, _generator(23)))
     mixed, ran = chains
     rng = np.random.default_rng(24)
     total = 0
@@ -627,8 +600,10 @@ def test_a_dropped_chain_is_freed_at_once():
 
 
 def test_the_chain_draws_a_block_only_when_it_needs_a_uniform():
-    # under the uniform proposal at theta 0 every proposal reads exactly one
-    # uniform: the dyad index, and a log ratio of 0 needs no accept uniform
+    # on one dyad at theta 0 every TNT proposal reads exactly one uniform:
+    # the network is empty or full, so there is no coin; the dyad is the
+    # first empty-dyad try or the edge index; and the log ratio is 0, so
+    # there is no accept uniform
     class CountingRng:
         def __init__(self):
             self.calls = 0
@@ -638,9 +613,9 @@ def test_the_chain_draws_a_block_only_when_it_needs_a_uniform():
             self.calls += 1
             return self.rng.random(n)
 
-    net = from_edge_list(3, 4, [])
+    net = from_edge_list(1, 1, [])
     rng = CountingRng()
-    chain = Chain(net, bind(edges_spec(), net, Attributes()), [0.0], rng, proposal="uniform")
+    chain = Chain(net, bind(edges_spec(), net, Attributes()), [0.0], rng)
     chain.run(0)
     assert rng.calls == 0
     assert (chain.accepted, chain.proposals, chain.last_dyad) == (0, 0, None)
