@@ -13,15 +13,12 @@ from .terms import (
     ModelTerm,
     SharedPartnerSpectrum,
     bind,
-    change_stats,
-    eval_stats,
     mdsp_spectrum,
     mesp_spectrum,
     recompose_from_spectrum,
-    stat_names,
 )
 from .formula import FormulaSyntaxError, format_spec, parse
-from .sampler import Chain, SamplerControl, StatSample, cond_log_odds, simulate
+from .sampler import Chain, SamplerControl, StatSample, simulate
 from .estimate import (
     DegeneracyWarning,
     EstimationError,
@@ -67,10 +64,7 @@ __all__ = [
     "StatSample",
     "WeightedProjection",
     "bind",
-    "change_stats",
-    "cond_log_odds",
     "contrast",
-    "eval_stats",
     "exact_dyad_distribution",
     "exact_loglik",
     "exact_mle",
@@ -85,5 +79,4 @@ __all__ = [
     "project",
     "recompose_from_spectrum",
     "simulate",
-    "stat_names",
 ]

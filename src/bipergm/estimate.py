@@ -39,8 +39,8 @@ class NonConvergenceError(EstimationError):
 
 
 class DegeneracyWarning(UserWarning):
-    """Simulated chains produced near-constant statistics, or the design or
-    sample behind a covariance leaves some coefficients unidentified."""
+    """The design behind an MPLE covariance, or the final sample behind an
+    MC-MLE covariance, leaves some coefficients unidentified."""
 
 
 def significance_stars(p_value: float) -> str:
@@ -345,11 +345,6 @@ def _maximize_ratio(S: np.ndarray, s_obs: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _degenerate_columns(S: np.ndarray, names: list[str]) -> list[str]:
-    spread = S.max(axis=0) - S.min(axis=0)
-    return [name for name, s in zip(names, spread) if s == 0.0]
-
-
 def _check_int_seed(control: SamplerControl) -> None:
     # a fit spawns its chains' seeds from one root, which numpy builds from an int
     if not isinstance(control.seed, (int, np.integer)):
@@ -412,8 +407,8 @@ def mcmcmle(
     s_obs = model.stats(net)
     if theta0 is None:
         with warnings.catch_warnings():
-            # an unidentified MPLE start says nothing of the fit; the chains
-            # check their own statistics below
+            # an unidentified MPLE start says nothing of the fit; the final
+            # sample's covariance judges identification below
             warnings.simplefilter("ignore", DegeneracyWarning)
             theta = mple(spec, net, attrs).theta
     else:
@@ -433,14 +428,12 @@ def mcmcmle(
     # the last anchor inside the hull: its sample, step, weighted Fisher
     # information, weight ESS and per-statistic chain ESS
     last = None
-    degenerate: set[str] = set()
 
     for a in range(MAX_ANCHORS):
         size = max(200, min(full, int(math.ceil(full * min(1.0, RAMP * 2**a)))))
         ctl = replace(control, sample_size=size, seed=anchor_seeds[a])
         sample = simulate(model, theta, net, ctl)
         S = sample.stats
-        degenerate.update(_degenerate_columns(S, model.names))
         if hull_direction(S, s_obs) is not None:
             hull_failures += 1
             if hull_failures >= 5:
@@ -478,14 +471,6 @@ def mcmcmle(
             f"last step norm {float(np.linalg.norm(last[1])):.3g}")
         raise NonConvergenceError(f"no convergence after {MAX_ANCHORS} anchors ({step})")
 
-    if degenerate:
-        warnings.warn(
-            DegeneracyWarning(
-                "simulated chains produced near-constant statistics: "
-                + ", ".join(sorted(degenerate))
-            )
-        )
-
     sample, delta, fisher, ess_w, chain_ess = last
     S = sample.stats
     cov, unknown = _covariance(
@@ -517,7 +502,6 @@ def mcmcmle(
         "ess_eff": round(ess_eff, 1),
         "mc_sd": [float(s) for s in mc_sd],
         "sample_size": draws,
-        "warnings": sorted(degenerate),
         "control": " ".join(
             f"{f.name}={getattr(control, f.name)}" for f in fields(control) if f.name != "seed"
         ),

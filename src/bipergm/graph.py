@@ -94,7 +94,10 @@ class BipartiteNetwork:
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         """The mode-2 partners of a mode-1 node and vice versa, in ascending
-        order, read from `mask[node]` into a fresh tuple."""
+        order, read from `mask[node]` into a fresh tuple.
+
+        No path in the package reads it; it stays for the `perfbench` probe
+        `graph.neighbors_ns` and `test_beta_zero_change_values`."""
         self._check_node(node)
         return tuple(partners(self.mask[node], self.n + 1 if node <= self.n1 else self.n1 + 1))
 

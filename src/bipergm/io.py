@@ -153,11 +153,15 @@ def load_attributes(path, mode: int, n1: int, n2: int) -> AttributeTable:
             table.add_categorical(name, values)
         else:
             try:
-                table.add_numeric(name, [float(v) for v in values])
+                numbers = [float(v) for v in values]
             except ValueError:
                 raise FileFormatError(
                     path, None, f"non-numeric value in 'num' column {name!r}"
                 ) from None
+            try:
+                table.add_numeric(name, numbers)
+            except ValueError as err:
+                raise FileFormatError(path, None, str(err)) from None
     return table
 
 

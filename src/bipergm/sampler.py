@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Attributes, BipartiteNetwork
-from .terms import BoundModel, ModelSpec, bind
+from .graph import BipartiteNetwork
+from .terms import BoundModel
 
 RNG_ALGORITHM = "numpy Philox4x64-10"
 # uniforms per `rng.random` call of a chain
@@ -248,22 +248,6 @@ def _mh_loop(net, theta, stats, deltas, uniform):
         proposals += n
         if n > 0:
             last = i, k
-
-
-def cond_log_odds(
-    spec: ModelSpec,
-    net: BipartiteNetwork,
-    attrs: Attributes,
-    theta,
-    i: int,
-    k: int,
-) -> float:
-    """Conditional log-odds that dyad (i, k) is an edge, given the rest."""
-    model = bind(spec, net, attrs)
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (model.p,):
-        raise ValueError(f"theta has shape {theta.shape}, model dimension is {model.p}")
-    return float(theta @ model.delta(net, i, k))
 
 
 def simulate(

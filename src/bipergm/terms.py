@@ -519,6 +519,7 @@ class BoundModel:
             ev.delta_into(net, i, k, out)
 
     def delta(self, net: BipartiteNetwork, i: int, k: int) -> np.ndarray:
+        """Statistics with edge (i, k) present minus without it, whatever its state."""
         self._check_net(net)
         net.check_dyad(i, k)
         out = np.empty(self.p)
@@ -528,26 +529,6 @@ class BoundModel:
 
 def bind(spec: ModelSpec, net: BipartiteNetwork, attrs: Attributes) -> BoundModel:
     return BoundModel(spec, net.n1, net.n2, attrs)
-
-
-def eval_stats(spec: ModelSpec, net: BipartiteNetwork, attrs: Attributes) -> np.ndarray:
-    """Vector of sufficient statistics, ordered by spec expansion."""
-    return bind(spec, net, attrs).stats(net)
-
-
-def change_stats(
-    spec: ModelSpec, net: BipartiteNetwork, attrs: Attributes, i: int, k: int
-) -> np.ndarray:
-    """Exact change statistics for toggling dyad (i, k).
-
-    The value is the difference between statistics with the edge present
-    and with it absent; it does not depend on the dyad's current state.
-    """
-    return bind(spec, net, attrs).delta(net, i, k)
-
-
-def stat_names(spec: ModelSpec, net: BipartiteNetwork, attrs: Attributes) -> list[str]:
-    return bind(spec, net, attrs).names
 
 
 # ---------------------------------------------------------------------------

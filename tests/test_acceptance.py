@@ -21,7 +21,6 @@ from bipergm import (
     ModelTerm,
     SamplerControl,
     bind,
-    eval_stats,
     exact_loglik,
     exact_mle,
     from_edge_list,
@@ -70,8 +69,8 @@ def test_criterion_1_statistic_coincidence():
         attrs = Attributes(mode1=table)
         cats = {i + 1: table.categorical("group").level_of(i) for i in range(n1)}
         stars = ref.matching_two_stars(n1, n2, ref.edge_set(net), cats)
-        a = eval_stats(_nodematch("alpha", 1.0), net, attrs)[1]
-        b = eval_stats(_nodematch("beta", 1.0), net, attrs)[1]
+        a = bind(_nodematch("alpha", 1.0), net, attrs).stats(net)[1]
+        b = bind(_nodematch("beta", 1.0), net, attrs).stats(net)[1]
         assert a == float(stars) and b == float(stars), (
             f"coincidence broken: alpha1={a} beta1={b} two-stars={stars}"
         )
@@ -206,8 +205,8 @@ def test_criterion_4_spectrum_recomposition_identity():
         mdsp = mdsp_spectrum(net, attrs, "group")
         mesp = mesp_spectrum(net, attrs, "group")
         for expo in GRID:
-            direct_a = eval_stats(_nodematch("alpha", expo), net, attrs)[1]
-            direct_b = eval_stats(_nodematch("beta", expo), net, attrs)[1]
+            direct_a = bind(_nodematch("alpha", expo), net, attrs).stats(net)[1]
+            direct_b = bind(_nodematch("beta", expo), net, attrs).stats(net)[1]
             worst = max(worst, abs(recompose_from_spectrum(mdsp, expo) - direct_a))
             worst = max(worst, abs(recompose_from_spectrum(mesp, expo) - direct_b))
     ok = worst <= 1e-10
@@ -425,9 +424,11 @@ def test_criterion_9_worked_example_fidelity(fig2_net, fig2_attrs):
         assert good, f"{label}: got {got!r}, want {want!r}"
 
     for expo, want in ((0.0, 3.0), (0.5, 2.0 + SQRT2), (1.0, 4.0)):
-        check(f"alpha={expo}", eval_stats(_nodematch("alpha", expo), fig2_net, fig2_attrs)[1], want)
+        model = bind(_nodematch("alpha", expo), fig2_net, fig2_attrs)
+        check(f"alpha={expo}", model.stats(fig2_net)[1], want)
     for expo, want in ((0.0, 2.5), (0.5, (2.0 + 3.0 * SQRT2) / 2.0), (1.0, 4.0)):
-        check(f"beta={expo}", eval_stats(_nodematch("beta", expo), fig2_net, fig2_attrs)[1], want)
+        model = bind(_nodematch("beta", expo), fig2_net, fig2_attrs)
+        check(f"beta={expo}", model.stats(fig2_net)[1], want)
 
     reduced = fig2_net.copy()
     reduced.toggle(1, 4)

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -362,6 +363,29 @@ def test_profile_warning_names_its_grid_point(alpha_zero_inputs, tmp_path, capsy
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].endswith(" (alpha=0)")
+
+
+FROZEN_30X15 = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def test_mcmcmle_profile_warns_only_about_its_final_sample(tmp_path, capsys):
+    # at seed 88 the first ramp anchor's nodematch column is constant, but
+    # the fit moves past it and its final sample identifies the coefficient
+    out_dir = tmp_path / "prof"
+    code = main(
+        ["profile", "--network", str(FROZEN_30X15 / "profile_30x15.edges"),
+         "--attrs1", str(FROZEN_30X15 / "profile_30x15_attrs1.tsv"),
+         "--model", 'edges + b1nodematch("group")', "--method", "mcmcmle",
+         "--alpha-grid", "0", "--seed", "88", "--burnin", "8192", "--interval", "48",
+         "--samplesize", "3000", "--out", str(out_dir)]
+    )
+    assert code == 0
+    rows = [
+        l for l in (out_dir / "profile.csv").read_text().splitlines()
+        if l and not l.startswith("#")
+    ]
+    assert len(rows) == 2 and rows[1].startswith("alpha,0,") and rows[1].endswith(",ok")
+    assert "near-constant" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags,exit_code", [([], 0), (["--degeneracy-error"], 5)])

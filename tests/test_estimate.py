@@ -518,7 +518,9 @@ def test_mcmcmle_warns_on_constant_statistics(obs_net):
         warnings.simplefilter("always")
         fit = mcmcmle(spec, obs_net, attrs, control=small_control(sample_size=2000, seed=5))
     assert any(isinstance(w.message, DegeneracyWarning) for w in caught)
-    assert "b1nodematch.group" in fit.diagnostics["warnings"]
+    # the final sample is the one that decides; no other sample is reported
+    assert fit.diagnostics["not_identified"] == ["b1nodematch.group"]
+    assert "warnings" not in fit.diagnostics
 
 
 def test_mcmcmle_diagnostics_fields(obs_net, obs_attrs):

@@ -72,6 +72,7 @@ def test_load_attributes_mode2_ids(tmp_path):
         ("id\tg\ntype\tcat\n0\ta\n2\tb\n", "range"),
         ("id\tg\ntype\tblob\n1\ta\n2\tb\n", "'cat' or 'num'"),
         ("id\tg\ntype\tnum\n1\ta\n2\tb\n", "non-numeric"),
+        ("id\tg\ntype\tnum\n1\tinf\n2\t0.5\n", "non-finite"),
     ],
 )
 def test_load_attributes_rejects(tmp_path, content, fragment):

@@ -14,7 +14,6 @@ from bipergm import (
     ModelTerm,
     SamplerControl,
     bind,
-    cond_log_odds,
     from_edge_list,
     simulate,
 )
@@ -29,26 +28,22 @@ def edges_spec():
 
 class TestCondLogOdds:
     def test_zero_parameter(self, fig2_net, fig2_attrs):
-        spec = edges_spec()
+        model = bind(edges_spec(), fig2_net, fig2_attrs)
         for i in (1, 2, 3):
             for k in (4, 5):
-                assert cond_log_odds(spec, fig2_net, fig2_attrs, [0.0], i, k) == 0.0
+                assert np.array([0.0]) @ model.delta(fig2_net, i, k) == 0.0
 
     def test_edges_only_logodds_is_theta(self, fig2_net, fig2_attrs):
         # conditional probability is expit(theta1) for every dyad
-        spec = edges_spec()
-        assert cond_log_odds(spec, fig2_net, fig2_attrs, [1.3], 2, 5) == pytest.approx(1.3)
+        model = bind(edges_spec(), fig2_net, fig2_attrs)
+        assert np.array([1.3]) @ model.delta(fig2_net, 2, 5) == pytest.approx(1.3)
 
     def test_beta_zero_bound_case(self, fig2_net, fig2_attrs):
         spec = ModelSpec(
             (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", beta=0.0))
         )
-        value = cond_log_odds(spec, fig2_net, fig2_attrs, [0.0, 2.0], 1, 4)
+        value = np.array([0.0, 2.0]) @ bind(spec, fig2_net, fig2_attrs).delta(fig2_net, 1, 4)
         assert value == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self, fig2_net, fig2_attrs):
-        with pytest.raises(ValueError, match="dimension"):
-            cond_log_odds(edges_spec(), fig2_net, fig2_attrs, [0.0, 1.0], 1, 4)
 
 
 class TestMhStep:

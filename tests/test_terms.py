@@ -12,13 +12,10 @@ from bipergm import (
     ModelSpec,
     ModelTerm,
     bind,
-    change_stats,
-    eval_stats,
     from_edge_list,
     mdsp_spectrum,
     mesp_spectrum,
     recompose_from_spectrum,
-    stat_names,
 )
 from bipergm.graph import ColumnTypeError
 
@@ -56,34 +53,36 @@ class TestWorkedExample:
     )
     def test_alpha_statistics(self, fig2_net, fig2_attrs, alpha, value):
         spec = spec_of(term("b1nodematch", attribute="group", alpha=alpha))
-        assert eval_stats(spec, fig2_net, fig2_attrs)[0] == pytest.approx(value, abs=1e-12)
+        got = bind(spec, fig2_net, fig2_attrs).stats(fig2_net)[0]
+        assert got == pytest.approx(value, abs=1e-12)
 
     @pytest.mark.parametrize(
         "beta,value", [(0.0, 2.5), (0.5, (2.0 + 3.0 * SQRT2) / 2.0), (1.0, 4.0)]
     )
     def test_beta_statistics(self, fig2_net, fig2_attrs, beta, value):
         spec = spec_of(term("b1nodematch", attribute="group", beta=beta))
-        assert eval_stats(spec, fig2_net, fig2_attrs)[0] == pytest.approx(value, abs=1e-12)
+        got = bind(spec, fig2_net, fig2_attrs).stats(fig2_net)[0]
+        assert got == pytest.approx(value, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_alpha_change_statistic(self, fig2_net, fig2_attrs, alpha):
         fig2_net.toggle(1, 4)  # remove the focal edge
         spec = spec_of(term("b1nodematch", attribute="group", alpha=alpha))
-        delta = change_stats(spec, fig2_net, fig2_attrs, 1, 4)
+        delta = bind(spec, fig2_net, fig2_attrs).delta(fig2_net, 1, 4)
         assert delta[0] == pytest.approx(2.0**alpha, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_beta_change_statistic(self, fig2_net, fig2_attrs, beta):
         fig2_net.toggle(1, 4)
         spec = spec_of(term("b1nodematch", attribute="group", beta=beta))
-        delta = change_stats(spec, fig2_net, fig2_attrs, 1, 4)
+        delta = bind(spec, fig2_net, fig2_attrs).delta(fig2_net, 1, 4)
         assert delta[0] == pytest.approx((3.0 * 2.0**beta - 2.0) / 2.0, abs=1e-12)
 
     def test_edges_change_is_one(self, fig2_net, fig2_attrs):
         spec = spec_of(term("edges"))
         for i in (1, 2, 3):
             for k in (4, 5):
-                assert change_stats(spec, fig2_net, fig2_attrs, i, k)[0] == 1.0
+                assert bind(spec, fig2_net, fig2_attrs).delta(fig2_net, i, k)[0] == 1.0
 
     def test_mdsp_and_mesp(self, fig2_net, fig2_attrs):
         assert mdsp_spectrum(fig2_net, fig2_attrs, "group").counts == {1: 2, 2: 1}
@@ -112,27 +111,27 @@ def test_nodematch_matches_brute_force(seed):
     cats2 = categories_dict(attrs, 2, "kind", net.n1)
     rng = np.random.default_rng(seed + 10_000)
     for expo in rng.uniform(0.0, 1.0, size=2).tolist() + [0.0, 1.0]:
-        a1 = eval_stats(
+        a1 = bind(
             spec_of(term("b1nodematch", attribute="group", alpha=expo)), net, attrs
-        )[0]
+        ).stats(net)[0]
         assert a1 == pytest.approx(
             ref.nodematch_alpha(net.n1, net.n2, edges, cats1, expo), abs=1e-10
         )
-        b1 = eval_stats(
+        b1 = bind(
             spec_of(term("b1nodematch", attribute="group", beta=expo)), net, attrs
-        )[0]
+        ).stats(net)[0]
         assert b1 == pytest.approx(
             ref.nodematch_beta(net.n1, net.n2, edges, cats1, expo), abs=1e-10
         )
-        a2 = eval_stats(
+        a2 = bind(
             spec_of(term("b2nodematch", attribute="kind", alpha=expo)), net, attrs
-        )[0]
+        ).stats(net)[0]
         assert a2 == pytest.approx(
             ref.nodematch_alpha_mode2(net.n1, net.n2, edges, cats2, expo), abs=1e-10
         )
-        b2 = eval_stats(
+        b2 = bind(
             spec_of(term("b2nodematch", attribute="kind", beta=expo)), net, attrs
-        )[0]
+        ).stats(net)[0]
         assert b2 == pytest.approx(
             ref.nodematch_beta_mode2(net.n1, net.n2, edges, cats2, expo), abs=1e-10
         )
@@ -144,7 +143,7 @@ def test_nodematch_matches_brute_force(seed):
             levels = attrs.table_for(mode).categorical(column).levels
             for which, reference in zip(("alpha", "beta"), refs):
                 diff_term = term(f"b{mode}nodematch", attribute=column, diff=True, **{which: expo})
-                per_level = eval_stats(spec_of(diff_term), net, attrs)
+                per_level = bind(spec_of(diff_term), net, attrs).stats(net)
                 expected = [
                     reference(net.n1, net.n2, edges, cats, expo, level=lev) for lev in levels
                 ]
@@ -153,7 +152,7 @@ def test_nodematch_matches_brute_force(seed):
         keep = attrs.table_for(1).categorical("group").levels[:-1]
         for which, reference in (("alpha", ref.nodematch_alpha), ("beta", ref.nodematch_beta)):
             kept_term = term("b1nodematch", attribute="group", keep_levels=keep, **{which: expo})
-            kept = eval_stats(spec_of(kept_term), net, attrs)[0]
+            kept = bind(spec_of(kept_term), net, attrs).stats(net)[0]
             assert kept == pytest.approx(
                 reference(net.n1, net.n2, edges, cats1, expo, keep=set(keep)), abs=1e-10
             )
@@ -171,8 +170,9 @@ def test_auxiliary_terms_match_brute_force(seed):
         term("b2degree1"),
         term("b2sociality"),
     )
-    values = eval_stats(spec, net, attrs)
-    names = stat_names(spec, net, attrs)
+    model = bind(spec, net, attrs)
+    values = model.stats(net)
+    names = model.names
     x = attrs.mode1.numeric("x").values
     z = attrs.mode2.numeric("z").values
     assert values[0] == len(edges)
@@ -192,15 +192,16 @@ def test_factor_drops_first_sorted_level():
     net = from_edge_list(3, 2, FIG2_EDGES)
     attrs = make_attrs1(["Male", "Female", "Male"], name="gender")
     spec = spec_of(term("b1factor", attribute="gender"))
-    assert stat_names(spec, net, attrs) == ["b1factor.gender.Male"]
+    model = bind(spec, net, attrs)
+    assert model.names == ["b1factor.gender.Male"]
     # edges with a Male endpoint: (1,4), (1,5), (3,4)
-    assert eval_stats(spec, net, attrs)[0] == 3.0
+    assert model.stats(net)[0] == 3.0
 
 
 def test_factor_needs_two_levels(fig2_net, fig2_attrs):
     spec = spec_of(term("b1factor", attribute="group"))
     with pytest.raises(ValueError, match="two levels"):
-        eval_stats(spec, fig2_net, fig2_attrs)
+        bind(spec, fig2_net, fig2_attrs).stats(fig2_net)
 
 
 def test_nodematch_diff_names_follow_convention():
@@ -209,7 +210,7 @@ def test_nodematch_diff_names_follow_convention():
     t2.add_categorical("gender", ["Female", "Male"])
     attrs = Attributes(mode2=t2)
     spec = spec_of(term("b2nodematch", attribute="gender", beta=0.1, diff=True))
-    assert stat_names(spec, net, attrs) == [
+    assert bind(spec, net, attrs).names == [
         "b2nodematch.gender.Female",
         "b2nodematch.gender.Male",
     ]
@@ -221,12 +222,13 @@ def test_duplicate_nodematch_terms_get_exponent_tags(fig2_net, fig2_attrs):
         term("b1nodematch", attribute="group", alpha=0.5),
         term("b1nodematch", attribute="group", alpha=1.0),
     )
-    assert stat_names(spec, fig2_net, fig2_attrs) == [
+    model = bind(spec, fig2_net, fig2_attrs)
+    assert model.names == [
         "b1nodematch.group.alpha0",
         "b1nodematch.group.alpha0.5",
         "b1nodematch.group.alpha1",
     ]
-    values = eval_stats(spec, fig2_net, fig2_attrs)
+    values = model.stats(fig2_net)
     assert values.tolist() == pytest.approx([3.0, 2.0 + SQRT2, 4.0], abs=1e-12)
 
 
@@ -307,7 +309,7 @@ def test_alpha_zero_counts_connected_matching_pairs():
         edges = ref.edge_set(net)
         cats = categories_dict(attrs, 1, "group", net.n1)
         spec = spec_of(term("b1nodematch", attribute="group", alpha=0.0))
-        assert eval_stats(spec, net, attrs)[0] == ref.pairs_with_two_path(
+        assert bind(spec, net, attrs).stats(net)[0] == ref.pairs_with_two_path(
             net.n1, net.n2, edges, cats
         )
 
@@ -317,7 +319,7 @@ def test_zero_power_zero_is_zero():
     net = from_edge_list(2, 2, [(1, 3), (2, 4)])
     attrs = make_attrs1(["a", "a"])
     spec = spec_of(term("b1nodematch", attribute="group", alpha=0.0))
-    assert eval_stats(spec, net, attrs)[0] == 0.0
+    assert bind(spec, net, attrs).stats(net)[0] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -326,8 +328,8 @@ def test_linear_end_coincidence(seed):
     edges = ref.edge_set(net)
     cats = categories_dict(attrs, 1, "group", net.n1)
     stars = ref.matching_two_stars(net.n1, net.n2, edges, cats)
-    a = eval_stats(spec_of(term("b1nodematch", attribute="group", alpha=1.0)), net, attrs)[0]
-    b = eval_stats(spec_of(term("b1nodematch", attribute="group", beta=1.0)), net, attrs)[0]
+    a = bind(spec_of(term("b1nodematch", attribute="group", alpha=1.0)), net, attrs).stats(net)[0]
+    b = bind(spec_of(term("b1nodematch", attribute="group", beta=1.0)), net, attrs).stats(net)[0]
     assert a == float(stars)
     assert b == float(stars)
 
@@ -337,33 +339,33 @@ def test_linear_end_coincidence(seed):
 def test_differential_decomposition(seed, which):
     net, attrs = _stat_case(seed)
     levels = attrs.mode1.categorical("group").levels
-    uniform = eval_stats(
+    uniform = bind(
         spec_of(term("b1nodematch", attribute="group", **{which: 0.3})), net, attrs
-    )[0]
-    diff = eval_stats(
+    ).stats(net)[0]
+    diff = bind(
         spec_of(term("b1nodematch", attribute="group", **{which: 0.3}, diff=True)),
         net,
         attrs,
-    )
+    ).stats(net)
     assert diff.size == len(levels)
     assert diff.sum() == pytest.approx(uniform, abs=1e-10)
 
 
 def test_keep_levels_restrict_matching(fig2_net):
     attrs = make_attrs1(["a", "a", "b"])
-    full = eval_stats(
+    full = bind(
         spec_of(term("b1nodematch", attribute="group", alpha=1.0)), fig2_net, attrs
-    )[0]
-    kept = eval_stats(
+    ).stats(fig2_net)[0]
+    kept = bind(
         spec_of(term("b1nodematch", attribute="group", alpha=1.0, keep_levels=("a",))),
         fig2_net,
         attrs,
-    )[0]
-    only_b = eval_stats(
+    ).stats(fig2_net)[0]
+    only_b = bind(
         spec_of(term("b1nodematch", attribute="group", alpha=1.0, keep_levels=("b",))),
         fig2_net,
         attrs,
-    )[0]
+    ).stats(fig2_net)[0]
     assert kept + only_b == pytest.approx(full, abs=1e-12)
     assert only_b == 0.0  # node 3 is the sole "b"
 
@@ -430,12 +432,12 @@ def test_recomposition_identity_on_grid(seed):
     mesp = mesp_spectrum(net, attrs, "group")
     for g in range(11):
         expo = g / 10.0
-        alpha_stat = eval_stats(
+        alpha_stat = bind(
             spec_of(term("b1nodematch", attribute="group", alpha=expo)), net, attrs
-        )[0]
-        beta_stat = eval_stats(
+        ).stats(net)[0]
+        beta_stat = bind(
             spec_of(term("b1nodematch", attribute="group", beta=expo)), net, attrs
-        )[0]
+        ).stats(net)[0]
         assert abs(recompose_from_spectrum(mdsp, expo) - alpha_stat) <= 1e-10
         assert abs(recompose_from_spectrum(mesp, expo) - beta_stat) <= 1e-10
 
@@ -462,26 +464,27 @@ class TestValidation:
     def test_unknown_attribute(self, fig2_net, fig2_attrs):
         spec = spec_of(term("b1nodematch", attribute="nope", alpha=0.5))
         with pytest.raises(KeyError, match="nope"):
-            eval_stats(spec, fig2_net, fig2_attrs)
+            bind(spec, fig2_net, fig2_attrs).stats(fig2_net)
 
     def test_type_mismatch(self, fig2_net):
         attrs = make_attrs1(["a", "a", "a"], numeric=("x", [1.0, 2.0, 3.0]))
         with pytest.raises(ColumnTypeError):
-            eval_stats(spec_of(term("b1nodematch", attribute="x", alpha=0.5)), fig2_net, attrs)
+            spec = spec_of(term("b1nodematch", attribute="x", alpha=0.5))
+            bind(spec, fig2_net, attrs).stats(fig2_net)
         with pytest.raises(ColumnTypeError):
-            eval_stats(spec_of(term("b1cov", attribute="group")), fig2_net, attrs)
+            bind(spec_of(term("b1cov", attribute="group")), fig2_net, attrs).stats(fig2_net)
 
     def test_unbound_exponent_rejected_at_eval(self, fig2_net, fig2_attrs):
         spec = spec_of(term("b1nodematch", attribute="group"))
         with pytest.raises(ValueError, match="no exponent"):
-            eval_stats(spec, fig2_net, fig2_attrs)
+            bind(spec, fig2_net, fig2_attrs).stats(fig2_net)
 
     def test_bind_exponent(self, fig2_net, fig2_attrs):
         spec = spec_of(term("edges"), term("b1nodematch", attribute="group"))
         assert spec.unbound_index() == 1
         bound = spec.bind_exponent("alpha", 0.5)
         assert bound.terms[1].alpha == 0.5
-        assert eval_stats(bound, fig2_net, fig2_attrs)[1] == pytest.approx(2 + SQRT2)
+        assert bind(bound, fig2_net, fig2_attrs).stats(fig2_net)[1] == pytest.approx(2 + SQRT2)
         with pytest.raises(ValueError, match="exponent kind must be 'alpha' or 'beta'"):
             spec.bind_exponent("gamma", 0.5)
         with pytest.raises(ValueError, match="no nodematch term with an unbound exponent"):
@@ -493,14 +496,14 @@ class TestValidation:
     def test_missing_attribute_table(self, fig2_net):
         spec = spec_of(term("b2cov", attribute="z"))
         with pytest.raises(KeyError, match="mode 2"):
-            eval_stats(spec, fig2_net, Attributes())
+            bind(spec, fig2_net, Attributes()).stats(fig2_net)
 
     def test_unknown_keep_level(self, fig2_net, fig2_attrs):
         spec = spec_of(
             term("b1nodematch", attribute="group", alpha=0.5, keep_levels=("zzz",))
         )
         with pytest.raises(KeyError, match="zzz"):
-            eval_stats(spec, fig2_net, fig2_attrs)
+            bind(spec, fig2_net, fig2_attrs).stats(fig2_net)
 
 
 @settings(max_examples=60, deadline=None)
