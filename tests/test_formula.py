@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,3 +168,105 @@ def test_parse_format_round_trip(terms):
     text = format_spec(spec)
     assert parse(text) == spec
     assert format_spec(parse(text)) == text  # idempotent canonical form
+
+
+# ---------------------------------------------------------------------------
+# the formula language, pinned row by row
+# ---------------------------------------------------------------------------
+
+
+def _nodematch_term(kind="b1nodematch", attribute="g", **fields):
+    return ModelTerm(kind=kind, attribute=attribute, **fields)
+
+
+class _Refused(NamedTuple):
+    fragment: str  # a piece of the message
+    position: int  # where the fault lies
+
+
+_ACCEPTED = [
+    pytest.param(
+        'edges + b1nodematch("group")',
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group")),
+        id="benchmark-model",
+    ),
+    pytest.param("edges()", (ModelTerm(kind="edges"),), id="empty-call"),
+    pytest.param(
+        "b2star(2) + b2degree(1) + b2sociality",
+        (ModelTerm(kind="b2star2"), ModelTerm(kind="b2degree1"), ModelTerm(kind="b2sociality")),
+        id="integer-kinds",
+    ),
+    pytest.param(
+        'b1nodematch("g", alpha = 0, keep = "A")',
+        (_nodematch_term(alpha=0.0, keep_levels=("A",)),),
+        id="keep-one",
+    ),
+    pytest.param(
+        'b1nodematch("g", alpha = 0, keep = c("B", "A"))',
+        (_nodematch_term(alpha=0.0, keep_levels=("A", "B")),),
+        id="keep-many",
+    ),
+    pytest.param(
+        '  edges +\n\tb2nodematch(\n    "gender",\n    beta = 0.1,\n    diff = TRUE\n  )\n  ',
+        (ModelTerm(kind="edges"), _nodematch_term("b2nodematch", "gender", beta=0.1, diff=True)),
+        id="multi-line",
+    ),
+    pytest.param(
+        'b1nodematch("g", alpha = .5) + b2nodematch("h", beta = 5e-1)',
+        (_nodematch_term(alpha=0.5), _nodematch_term("b2nodematch", "h", beta=0.5)),
+        id="number-forms",
+    ),
+    pytest.param(
+        'b1cov("género")', (ModelTerm(kind="b1cov", attribute="género"),), id="non-ascii"
+    ),
+    pytest.param(
+        'b1cov("a\\b") + b2cov("x\\")',
+        (ModelTerm(kind="b1cov", attribute="a\\b"), ModelTerm(kind="b2cov", attribute="x\\")),
+        id="backslash",
+    ),
+    pytest.param(
+        "b1cov('say \"hi\"') + b2cov(\"a\nb\")",
+        (
+            ModelTerm(kind="b1cov", attribute='say "hi"'),
+            ModelTerm(kind="b2cov", attribute="a\nb"),
+        ),
+        id="quote-and-line-break",
+    ),
+    pytest.param("b2star(02)", (ModelTerm(kind="b2star2"),), id="leading-zero"),
+]
+
+_REFUSED = [
+    pytest.param("edges + + edges", _Refused("got '+", 8), id="double-plus"),
+    pytest.param("edges edges", _Refused("expected '+' or end of formula", 6), id="missing-plus"),
+    pytest.param("edges # note", _Refused("unexpected character '#'", 6), id="comment"),
+    pytest.param('b1cov("x" "y")', _Refused("expected ')'", 10), id="adjacent-strings"),
+    pytest.param('b1cov(r"x")', _Refused("string", 6), id="raw-prefix"),
+    pytest.param('b1cov(f"x")', _Refused("string", 6), id="f-prefix"),
+    pytest.param('b1cov(b"x")', _Refused("string", 6), id="bytes-prefix"),
+    pytest.param(
+        'b1nodematch("g", beta = 0, diff = True)', _Refused("TRUE or FALSE", 34), id="python-true"
+    ),
+    pytest.param('b1nodematch("g", alpha = +0.5)', _Refused("number", 25), id="plus-sign"),
+    pytest.param('b1nodematch("g", alpha = 0x1)', _Refused("got 'x1'", 26), id="hex"),
+    pytest.param('b1nodematch("g", alpha = 0.2_5)', _Refused("got '_5'", 28), id="underscore"),
+    pytest.param("b2star(2.0)", _Refused("takes an integer", 7), id="float-for-integer"),
+    pytest.param("edges(1)", _Refused("got '1'", 6), id="argument-to-edges"),
+    pytest.param("edges\x00", _Refused("unexpected character", 5), id="null-byte"),
+    pytest.param(
+        "(" * 300 + "edges" + ")" * 300, _Refused("expected 'ident'", 0), id="deep-parentheses"
+    ),
+    pytest.param('b1cov("género") + "foo"', _Refused("foo", 18), id="position-counts-characters"),
+    pytest.param("(edges)", _Refused("expected 'ident'", 0), id="parenthesised-term"),
+    pytest.param('b1cov("x",)', _Refused("expected 'ident'", 10), id="trailing-comma"),
+]
+
+
+@pytest.mark.parametrize("text,expected", _ACCEPTED + _REFUSED)
+def test_formula_language(text, expected):
+    if isinstance(expected, _Refused):
+        with pytest.raises(FormulaSyntaxError) as caught:
+            parse(text)
+        assert expected.fragment in str(caught.value)
+        assert caught.value.position == expected.position
+    else:
+        assert parse(text) == ModelSpec(expected)
