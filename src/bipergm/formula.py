@@ -1,15 +1,25 @@
 """Textual model formulas: `edges + b2nodematch("gender", beta = 0.1, diff = TRUE)`.
 
-A formula is a `+`-separated list of term calls.  The attribute name comes
-first as a quoted string (an integer for b2star/b2degree), followed by the
-named arguments alpha, beta, diff and keep.  Booleans are TRUE/FALSE or
-true/false; keep accepts one quoted level or c("A", "B").  The network
-itself is supplied separately, so there is no response side or tilde.
+A formula is a `+`-separated list of terms, each a kind name, bare or
+called: `b2star(2)` and `b2degree(1)` take their integer, the other kinds
+with arguments a quoted attribute name, and the nodematch kinds then the
+named arguments alpha and beta (numbers), diff (TRUE/FALSE or true/false)
+and keep (one quoted level or c("A", "B")).  There is no response side.
+
+Python's expression parser reads the text, with three rules of its own.  A
+string is the raw text between two equal quotes: no escapes, prefixes,
+triple quotes or adjacent literals, and a line break may stand inside.  A
+number is an optional `-`, digits 0-9 with at most one point, and an
+optional exponent.  Any whitespace may stand between tokens; every other
+character outside a string must be printable ASCII other than `#`.
+Parentheses around a part and a trailing comma in a call change nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ast
+import re
+import warnings
 
 from .terms import ATTRIBUTE, KINDS, ModelSpec, ModelTerm
 
@@ -22,205 +32,131 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, number, string, symbol, end
-    value: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+(),=":
-            tokens.append(_Token("symbol", ch, i))
-            i += 1
-            continue
-        if ch == '"' or ch == "'":
-            quote = ch
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 1
-            if j >= n:
-                raise FormulaSyntaxError("unterminated string", i)
-            tokens.append(_Token("string", text[i + 1 : j], i))
-            i = j + 1
-            continue
-        if ch.isdigit() or ch == "." or (ch == "-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-_BOOL_WORDS = {"TRUE": True, "true": True, "FALSE": False, "false": False}
+_STRING = re.compile(r"\"[^\"]*\"|'[^']*'")
+_LEXEME = re.compile(_STRING.pattern + r'|\s|[^ -"$-~]')  # or whitespace, or a refused character
+_NUMBER = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]+")
+_BOOLEAN = re.compile("TRUE|true|FALSE|false")
 
 # formula spelling -> term kind
 _KIND_OF = {entry.spelling: kind for kind, entry in KINDS.items()}
 _NAMED_ARGS = ("alpha", "beta", "diff", "keep")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _blank(match: re.Match) -> str:
+    """What Python reads for one lexeme, at its length: a string keeps its
+    quotes around `_`s, and whitespace becomes a form feed, which Python
+    skips even before the first token.  Any other character is refused."""
+    lexeme = match.group()
+    if len(lexeme) > 1:
+        return lexeme[0] + "_" * (len(lexeme) - 2) + lexeme[0]
+    if not lexeme.isspace():
+        raise FormulaSyntaxError(f"unexpected character {lexeme!r}", match.start())
+    return "\f"
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _source(text: str, node: ast.AST) -> tuple[int, str]:
+    """A node's position and text; Python read one ASCII line, so columns count characters."""
+    return node.col_offset, text[node.col_offset : node.end_col_offset]
 
-    def expect(self, kind: str, value: str | None = None) -> _Token:
-        tok = self.take()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            raise FormulaSyntaxError(f"expected {want!r}, got {tok.value!r}", tok.pos)
-        return tok
 
-    def parse(self) -> ModelSpec:
-        terms = [self.term()]
-        while self.peek().kind == "symbol" and self.peek().value == "+":
-            self.take()
-            terms.append(self.term())
-        tok = self.peek()
-        if tok.kind != "end":
-            raise FormulaSyntaxError(f"expected '+' or end of formula, got {tok.value!r}", tok.pos)
-        return ModelSpec(tuple(terms))
+def _read(text: str, node: ast.AST, pattern: re.Pattern, message: str) -> str:
+    at, value = _source(text, node)
+    if not pattern.fullmatch(value):
+        raise FormulaSyntaxError(f"{message}, got {value!r}", at)
+    return value
 
-    def term(self) -> ModelTerm:
-        tok = self.expect("ident")
-        name, pos = tok.value, tok.pos
-        has_parens = self.peek().kind == "symbol" and self.peek().value == "("
-        if name not in _KIND_OF:
-            raise FormulaSyntaxError(f"unknown term kind {name!r}", pos)
-        kind = _KIND_OF[name]
-        takes = KINDS[kind].takes
-        if takes is None:
-            if has_parens:
-                self.take()
-                self.expect("symbol", ")")
-            return ModelTerm(kind=kind)
-        if takes != ATTRIBUTE:
-            if not has_parens:
-                raise FormulaSyntaxError(f"{name} needs an integer argument, e.g. {name}({takes})", pos)
-            self.take()
-            arg = self.expect("number")
-            try:
-                value = int(arg.value)
-            except ValueError:
-                raise FormulaSyntaxError(f"{name} takes an integer, got {arg.value!r}", arg.pos) from None
-            if value != takes:
-                raise FormulaSyntaxError(f"only {name}({takes}) is supported, got {name}({value})", arg.pos)
-            self.expect("symbol", ")")
-            return ModelTerm(kind=kind)
-        if not has_parens:
-            raise FormulaSyntaxError(f'{name} needs a quoted attribute, e.g. {name}("attr")', pos)
-        self.take()
-        attr_tok = self.expect("string")
-        kwargs = self.named_args(name, pos)
-        self.expect("symbol", ")")
-        try:
-            return ModelTerm(kind=kind, attribute=attr_tok.value, **kwargs)
-        except ValueError as exc:
-            raise FormulaSyntaxError(str(exc), pos) from None
 
-    def named_args(self, term_name: str, term_pos: int) -> dict:
-        kwargs: dict = {}
-        while self.peek().kind == "symbol" and self.peek().value == ",":
-            self.take()
-            key_tok = self.expect("ident")
-            key = key_tok.value
-            if key not in _NAMED_ARGS:
-                raise FormulaSyntaxError(
-                    f"unknown argument {key!r} for {term_name} (expected one of {list(_NAMED_ARGS)})",
-                    key_tok.pos,
-                )
-            if key in kwargs:
-                raise FormulaSyntaxError(f"argument {key!r} given twice", key_tok.pos)
-            self.expect("symbol", "=")
-            if key in ("alpha", "beta"):
-                num = self.expect("number")
-                try:
-                    kwargs[key] = float(num.value)
-                except ValueError:
-                    raise FormulaSyntaxError(f"bad number {num.value!r}", num.pos) from None
-            elif key == "diff":
-                word = self.expect("ident")
-                if word.value not in _BOOL_WORDS:
-                    raise FormulaSyntaxError(
-                        f"diff must be TRUE or FALSE, got {word.value!r}", word.pos
-                    )
-                kwargs["diff"] = _BOOL_WORDS[word.value]
-            else:  # keep
-                kwargs["keep_levels"] = tuple(self.level_list())
-        return kwargs
+def _term(text: str, node: ast.expr) -> ModelTerm:
+    if not isinstance(node, ast.Call):
+        node = ast.Call(node, [], [])  # a bare name reads as a call without arguments
+    pos, name = _source(text, node.func)
+    if not isinstance(node.func, ast.Name):
+        raise FormulaSyntaxError(f"expected a term, got {name!r}", pos)
+    if name not in _KIND_OF:
+        raise FormulaSyntaxError(f"unknown term kind {name!r}", pos)
+    kind = _KIND_OF[name]
+    takes, args = KINDS[kind].takes, node.args
+    if takes == ATTRIBUTE and not args:
+        raise FormulaSyntaxError(f'{name} needs a quoted attribute, e.g. {name}("attr")', pos)
+    if takes not in (None, ATTRIBUTE) and not args:
+        raise FormulaSyntaxError(f"{name} needs an integer argument, e.g. {name}({takes})", pos)
+    extra = args[0 if takes is None else 1 :]
+    if extra:
+        at, got = _source(text, extra[0])
+        raise FormulaSyntaxError(f"expected ')', got {got!r}", at)
+    attribute = None
+    if takes == ATTRIBUTE:
+        attribute = _read(text, args[0], _STRING, "expected a quoted string")[1:-1]
+    elif takes is not None:
+        value = int(_read(text, args[0], _INTEGER, f"{name} takes an integer"))
+        if value != takes:
+            message = f"only {name}({takes}) is supported, got {name}({value})"
+            raise FormulaSyntaxError(message, args[0].col_offset)
+    kwargs = _named_args(text, node.keywords)
+    try:
+        return ModelTerm(kind, attribute, keep_levels=kwargs.pop("keep", None), **kwargs)
+    except ValueError as exc:
+        raise FormulaSyntaxError(str(exc), pos) from None
 
-    def level_list(self) -> list[str]:
-        tok = self.peek()
-        if tok.kind == "string":
-            self.take()
-            return [tok.value]
-        if tok.kind == "ident" and tok.value == "c":
-            self.take()
-            self.expect("symbol", "(")
-            levels = [self.expect("string").value]
-            while self.peek().kind == "symbol" and self.peek().value == ",":
-                self.take()
-                levels.append(self.expect("string").value)
-            self.expect("symbol", ")")
-            return levels
-        raise FormulaSyntaxError(
-            f'keep expects a quoted level or c("A", "B"), got {tok.value!r}', tok.pos
-        )
+
+def _named_args(text: str, keywords: list[ast.keyword]) -> dict:
+    kwargs: dict = {}
+    for keyword in keywords:
+        at, source = _source(text, keyword)
+        key = source.partition("=")[0].rstrip()
+        if key not in _NAMED_ARGS:
+            raise FormulaSyntaxError(f"unknown argument {key!r}, expected one of {_NAMED_ARGS}", at)
+        if key in kwargs:
+            raise FormulaSyntaxError(f"argument {key!r} given twice", at)
+        value = keyword.value
+        if key in ("alpha", "beta"):
+            kwargs[key] = float(_read(text, value, _NUMBER, "expected a number"))
+        elif key == "diff":
+            word = _read(text, value, _BOOLEAN, "diff must be TRUE or FALSE")
+            kwargs[key] = word in ("TRUE", "true")
+        else:
+            is_c = isinstance(value, ast.Call) and _source(text, value.func)[1] == "c"
+            levels = value.args if is_c and value.args and not value.keywords else [value]
+            kwargs[key] = tuple(
+                _read(text, level, _STRING, "expected a quoted level")[1:-1] for level in levels
+            )
+    return kwargs
 
 
 def parse(text: str) -> ModelSpec:
     """Parse formula text into a ModelSpec, preserving term order."""
-    return _Parser(text).parse()
-
-
-def _fmt_num(value: float) -> str:
-    return f"{value:g}"
+    blanked = _LEXEME.sub(_blank, text)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # hints such as "invalid decimal literal"
+            body = ast.parse(blanked, mode="eval").body
+    except SyntaxError as exc:
+        raise FormulaSyntaxError(exc.msg, max((exc.offset or 1) - 1, 0)) from None
+    except (RecursionError, MemoryError):
+        raise FormulaSyntaxError("too many terms or nested parts", 0) from None
+    terms, stack = [], [body]
+    while stack:  # a + b + c is (a + b) + c: walk it without recursion
+        node = stack.pop()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            stack += (node.right, node.left)
+        else:
+            terms.append(_term(text, node))
+    return ModelSpec(tuple(terms))
 
 
 def format_term(term: ModelTerm) -> str:
     spelling, takes, _ = KINDS[term.kind]
-    if takes is None:
-        return spelling
     if takes != ATTRIBUTE:
-        return f"{spelling}({takes})"
+        return spelling if takes is None else f"{spelling}({takes})"
     parts = [f'"{term.attribute}"']
-    if term.alpha is not None:
-        parts.append(f"alpha = {_fmt_num(term.alpha)}")
-    if term.beta is not None:
-        parts.append(f"beta = {_fmt_num(term.beta)}")
+    if term.exponent is not None:
+        parts.append(f"{'alpha' if term.alpha is not None else 'beta'} = {term.exponent:g}")
     if term.diff:
         parts.append("diff = TRUE")
     if term.keep_levels is not None:
         quoted = ", ".join(f'"{v}"' for v in term.keep_levels)
-        keep = quoted if len(term.keep_levels) == 1 else f"c({quoted})"
-        parts.append(f"keep = {keep}")
+        parts.append(f"keep = {quoted}" if len(term.keep_levels) == 1 else f"keep = c({quoted})")
     return f"{spelling}({', '.join(parts)})"
 
 

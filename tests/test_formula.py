@@ -232,14 +232,19 @@ _ACCEPTED = [
         ),
         id="quote-and-line-break",
     ),
-    pytest.param("b2star(02)", (ModelTerm(kind="b2star2"),), id="leading-zero"),
+    # Python's parser reads the formula, and the tree shows neither grouping
+    # parentheses nor a trailing comma; neither changes the model
+    pytest.param("(edges)", (ModelTerm(kind="edges"),), id="parenthesised-term"),
+    pytest.param('b1cov("x",)', (ModelTerm(kind="b1cov", attribute="x"),), id="trailing-comma"),
 ]
 
 _REFUSED = [
     pytest.param("edges + + edges", _Refused("got '+", 8), id="double-plus"),
-    pytest.param("edges edges", _Refused("expected '+' or end of formula", 6), id="missing-plus"),
+    # a syntax error carries Python's own message
+    pytest.param("edges edges", _Refused("invalid syntax", 6), id="missing-plus"),
     pytest.param("edges # note", _Refused("unexpected character '#'", 6), id="comment"),
-    pytest.param('b1cov("x" "y")', _Refused("expected ')'", 10), id="adjacent-strings"),
+    # adjacent literals are one literal to Python, refused at its start
+    pytest.param('b1cov("x" "y")', _Refused("expected a quoted string", 6), id="adjacent-strings"),
     pytest.param('b1cov(r"x")', _Refused("string", 6), id="raw-prefix"),
     pytest.param('b1cov(f"x")', _Refused("string", 6), id="f-prefix"),
     pytest.param('b1cov(b"x")', _Refused("string", 6), id="bytes-prefix"),
@@ -247,17 +252,28 @@ _REFUSED = [
         'b1nodematch("g", beta = 0, diff = True)', _Refused("TRUE or FALSE", 34), id="python-true"
     ),
     pytest.param('b1nodematch("g", alpha = +0.5)', _Refused("number", 25), id="plus-sign"),
-    pytest.param('b1nodematch("g", alpha = 0x1)', _Refused("got 'x1'", 26), id="hex"),
-    pytest.param('b1nodematch("g", alpha = 0.2_5)', _Refused("got '_5'", 28), id="underscore"),
+    # Python reads 0x1 and 0.2_5 as one number each, refused at its start
+    pytest.param('b1nodematch("g", alpha = 0x1)', _Refused("got '0x1'", 25), id="hex"),
+    pytest.param('b1nodematch("g", alpha = 0.2_5)', _Refused("got '0.2_5'", 25), id="underscore"),
     pytest.param("b2star(2.0)", _Refused("takes an integer", 7), id="float-for-integer"),
     pytest.param("edges(1)", _Refused("got '1'", 6), id="argument-to-edges"),
     pytest.param("edges\x00", _Refused("unexpected character", 5), id="null-byte"),
+    # Python's parser allows 200 nested parentheses, and says so at the next one
     pytest.param(
-        "(" * 300 + "edges" + ")" * 300, _Refused("expected 'ident'", 0), id="deep-parentheses"
+        "(" * 300 + "edges" + ")" * 300,
+        _Refused("too many nested parentheses", 200),
+        id="deep-parentheses",
     ),
     pytest.param('b1cov("género") + "foo"', _Refused("foo", 18), id="position-counts-characters"),
-    pytest.param("(edges)", _Refused("expected 'ident'", 0), id="parenthesised-term"),
-    pytest.param('b1cov("x",)', _Refused("expected 'ident'", 10), id="trailing-comma"),
+    # Python refuses an integer with a leading zero
+    pytest.param("b2star(02)", _Refused("leading zeros", 7), id="leading-zero"),
+    # the parser's tree nests one level per term, and Python limits its depth
+    pytest.param(" + ".join(["edges"] * 10_000), _Refused("too many terms", 0), id="10000-terms"),
+    pytest.param(
+        'b1nodematch("g", alpha = 0, keep = "A", keep = "B")',
+        _Refused("argument 'keep' given twice", 40),
+        id="keep-twice",
+    ),
 ]
 
 
