@@ -72,7 +72,7 @@ def _load_inputs(args) -> tuple:
 def _read_model(args) -> tuple[terms.ModelSpec, str]:
     text = args.model
     if text.startswith("@"):
-        text = Path(text[1:]).read_text(encoding="utf-8").strip()
+        text = io.read_text(text[1:]).strip()
     spec = formula.parse(text)
     return spec, formula.format_spec(spec)
 
@@ -196,10 +196,12 @@ def cmd_profile(args) -> int:
     config = _config_json(args, canonical)
     control = _sampler_control(args)
     grids: list[tuple[str, list[float]]] = []
-    if args.alpha_grid:
-        grids.append(("alpha", DEFAULT_GRID if args.alpha_grid == "default" else _parse_floats(args.alpha_grid)))
-    if args.beta_grid:
-        grids.append(("beta", DEFAULT_GRID if args.beta_grid == "default" else _parse_floats(args.beta_grid)))
+    for which, text in (("alpha", args.alpha_grid), ("beta", args.beta_grid)):
+        if text is not None:
+            grid = DEFAULT_GRID if text == "default" else _parse_floats(text)
+            if not grid:
+                raise ValueError(f"--{which}-grid {text!r} has no values")
+            grids.append((which, grid))
     if not grids:
         grids = [("alpha", DEFAULT_GRID), ("beta", DEFAULT_GRID)]
     header = "kind,exponent,stat,coef,coef_se,coef_mc_sd,p_value,loglik,loglik_sd,status"

@@ -232,7 +232,7 @@ class AttributeTable:
     """Named attribute columns for the nodes of one mode.
 
     Every node of the mode must have a value in every column; loaders
-    enforce this, and `add_*` checks lengths.
+    enforce this, and `add_*` checks lengths and refuses a name twice.
     """
 
     def __init__(self, mode: int, size: int):
@@ -250,7 +250,7 @@ class AttributeTable:
         levels = tuple(sorted(set(str(v) for v in values)))
         index = {lev: c for c, lev in enumerate(levels)}
         codes = np.array([index[str(v)] for v in values], dtype=np.int64)
-        self._columns[name] = CategoricalColumn(name, levels, codes)
+        self._store(CategoricalColumn(name, levels, codes))
 
     def add_numeric(self, name: str, values: Sequence[float]) -> None:
         arr = np.asarray(values, dtype=np.float64)
@@ -260,7 +260,12 @@ class AttributeTable:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"column {name!r}: non-finite values are not allowed")
-        self._columns[name] = NumericColumn(name, arr)
+        self._store(NumericColumn(name, arr))
+
+    def _store(self, column: CategoricalColumn | NumericColumn) -> None:
+        if column.name in self._columns:
+            raise ValueError(f"duplicate column {column.name!r}")
+        self._columns[column.name] = column
 
     @property
     def names(self) -> list[str]:

@@ -38,11 +38,19 @@ class FileFormatError(ValueError):
         self.line_no = line_no
 
 
+def read_text(path) -> str:
+    """The whole text of a file, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:  # decoded at once, so `start` is the file's byte offset
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(path, line_no, f"not UTF-8 text ({exc.reason})") from None
+
+
 def _data_lines(path) -> list[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.readlines()
     lines = []
-    for no, line in enumerate(raw, start=1):
+    for no, line in enumerate(read_text(path).split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -149,19 +157,17 @@ def load_attributes(path, mode: int, n1: int, n2: int) -> AttributeTable:
     table = AttributeTable(mode=mode, size=size)
     for c, (name, kind) in enumerate(zip(columns, kinds)):
         values = [seen[n][c] for n in range(first_node, first_node + size)]
-        if kind == "cat":
-            table.add_categorical(name, values)
-        else:
+        if kind == "num":
             try:
-                numbers = [float(v) for v in values]
+                values = [float(v) for v in values]
             except ValueError:
                 raise FileFormatError(
                     path, None, f"non-numeric value in 'num' column {name!r}"
                 ) from None
-            try:
-                table.add_numeric(name, numbers)
-            except ValueError as err:
-                raise FileFormatError(path, None, str(err)) from None
+        try:
+            (table.add_categorical if kind == "cat" else table.add_numeric)(name, values)
+        except ValueError as err:  # a duplicate column, or a non-finite number
+            raise FileFormatError(path, None, str(err)) from None
     return table
 
 
@@ -190,6 +196,7 @@ def save_attributes(path, table: AttributeTable, n1: int) -> None:
 
 __all__ = [
     "FileFormatError",
+    "read_text",
     "load_network",
     "save_network",
     "load_attributes",

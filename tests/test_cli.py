@@ -108,6 +108,21 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("which", ["network", "model"])
+def test_a_file_that_is_not_utf8_is_an_input_error(inputs, capsys, which):
+    net, attrs, tmp = inputs
+    bad = tmp / "bad.txt"
+    text = NET if which == "network" else "edges + b1cov('tenure')\n"
+    bad.write_bytes(text.encode() + b"\xff\n")
+    model = f"@{bad}" if which == "model" else "edges"
+    network = bad if which == "network" else net
+    code = main(["stats", "--network", str(network), "--attrs1", str(attrs), "--model", model])
+    assert code == 3
+    line_no = text.count("\n") + 1
+    message = f"{bad}:{line_no}: not UTF-8 text (invalid start byte)"
+    assert capsys.readouterr().err == f"error: input: {message}\n"
+
+
 def test_model_from_file(inputs, capsys):
     net, attrs, tmp = inputs
     model_file = tmp / "model.txt"
@@ -326,6 +341,20 @@ def test_profile_mple_grid(inputs):
     alpha_rows = [r for r in rows[1:] if r.startswith("alpha,")]
     beta_rows = [r for r in rows[1:] if r.startswith("beta,")]
     assert len(alpha_rows) == 11 and len(beta_rows) == 11
+
+
+@pytest.mark.parametrize("flag", ["--alpha-grid", "--beta-grid"])
+@pytest.mark.parametrize("grid", [pytest.param("", id="empty"), pytest.param(",", id="comma")])
+def test_profile_refuses_a_grid_without_values(inputs, capsys, flag, grid):
+    net, attrs, tmp = inputs
+    code = main(
+        ["profile", "--network", str(net), "--attrs1", str(attrs),
+         "--model", 'edges + b1nodematch("group")', "--method", "mple",
+         flag, grid, "--out", str(tmp / "prof")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: model: {flag} {grid!r} has no values\n"
+    assert not (tmp / "prof").exists()
 
 
 @pytest.fixture

@@ -131,6 +131,8 @@ def test_attribute_table_guards():
     with pytest.raises(KeyError, match="unknown attribute"):
         table.column("missing")
     table.add_numeric("x", [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="duplicate column 'g'"):
+        table.add_numeric("g", [0.0, 1.0, 2.0])
     with pytest.raises(ColumnTypeError):
         table.categorical("x")
     with pytest.raises(ColumnTypeError):

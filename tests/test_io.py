@@ -73,6 +73,7 @@ def test_load_attributes_mode2_ids(tmp_path):
         ("id\tg\ntype\tblob\n1\ta\n2\tb\n", "'cat' or 'num'"),
         ("id\tg\ntype\tnum\n1\ta\n2\tb\n", "non-numeric"),
         ("id\tg\ntype\tnum\n1\tinf\n2\t0.5\n", "non-finite"),
+        ("id\tg\tg\ntype\tcat\tnum\n1\ta\t1\n2\tb\t2\n", "duplicate column 'g'"),
     ],
 )
 def test_load_attributes_rejects(tmp_path, content, fragment):
