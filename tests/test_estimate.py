@@ -289,6 +289,31 @@ def test_mple_converges_where_a_newton_step_gains_less_than_rounding(seed, which
     assert np.max(np.abs(fit.theta - theta)) <= 1e-10
 
 
+# A seeded MPLE is a pure function of its inputs: this digest over theta,
+# covariance, pseudo-log-likelihood and Newton iteration count pins every
+# bit of the fit on three seeded 30x15 designs
+MPLE_DIGESTS = {
+    'edges + b1nodematch("group", alpha = 0.5)':
+        "ee26e8dcf23439907e422af95f3970068b23b951a4ee86bda69b13c5a6764d30",
+    'edges + b1nodematch("group", beta = 0.1)':
+        "3942395ae2ff80f3a33339a54e8f59621c6a25153810dd823938c7a0fe109c54",
+    'edges + b1cov("x") + b2star(2) + b2nodematch("kind", alpha = 0.5, diff = TRUE)':
+        "fb6b42d169fd5e502868d9daada4010ba4362899613d84ecef2f496673923875",
+}
+
+
+@pytest.mark.parametrize("seed,formula", enumerate(MPLE_DIGESTS))
+def test_seeded_mple_keeps_its_digest(seed, formula):
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, 30, 15, density=0.2)
+    attrs = random_attrs(rng, 30, 15, levels=("a", "b", "c"))
+    fit = mple(parse(formula), net, attrs)
+    h = hashlib.sha256()
+    for part in (fit.theta, fit.covariance, np.array([fit.loglik, fit.diagnostics["iterations"]])):
+        h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+    assert h.hexdigest() == MPLE_DIGESTS[formula]
+
+
 # ---------------------------------------------------------------------------
 # contrasts, stars, diagnostics
 # ---------------------------------------------------------------------------
