@@ -20,7 +20,7 @@ from scipy.special import erfc, expit, logsumexp
 
 from .formula import format_spec
 from .graph import Attributes, BipartiteNetwork
-from .oracle import EstimationError, hull_direction
+from .oracle import EstimationError, hull_direction, newton_ascent, tilt
 from .sampler import RNG_ALGORITHM, SamplerControl, simulate
 from .terms import BoundModel, ModelSpec, bind
 
@@ -200,37 +200,18 @@ def mple(
             f"direction {np.round(direction, 6)}",
             np.asarray(direction),
         )
-    theta = np.zeros(model.p)
-    converged = False
-    iterations = 0
-    for iterations in range(1, 101):
-        eta = X @ theta
-        mu = expit(eta)
-        grad = X.T @ (counts * (y - mu))
-        if float(np.linalg.norm(grad)) <= 1e-8:
-            converged = True
-            break
+
+    def slope(theta):
+        mu = expit(X @ theta)
         w = counts * mu * (1.0 - mu)
-        hess = (X * w[:, None]).T @ X
-        try:
-            step = np.linalg.solve(hess + 1e-12 * np.eye(model.p), grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        # near the optimum a Newton step gains less than the rounding error
-        # of the sum, so a step may lose up to that much and still count
-        base = _pseudo_loglik(X, y, counts, theta)
-        floor = base - 1e-12 * abs(base)
-        scale = 1.0
-        while scale > 1e-12:
-            cand = theta + scale * step
-            if _pseudo_loglik(X, y, counts, cand) >= floor:
-                theta = cand
-                break
-            scale *= 0.5
-    if not converged:
-        raise EstimationError(
-            "pseudo-likelihood Newton did not converge in 100 iterations"
-        )
+        return X.T @ (counts * (y - mu)), (X * w[:, None]).T @ X
+
+    theta, iterations = newton_ascent(
+        lambda theta: _pseudo_loglik(X, y, counts, theta), slope, np.zeros(model.p),
+        tol=1e-8, max_iter=100, ridge=1e-12,
+    )
+    if not iterations:
+        raise EstimationError("pseudo-likelihood Newton did not converge in 100 iterations")
     mu = expit(X @ theta)
     w = counts * mu * (1.0 - mu)
     # column-major as before: the layout picks the BLAS kernel, so the last bits
@@ -299,17 +280,6 @@ def _effective_sample_size(column: np.ndarray) -> float:
     return float(n / tau)
 
 
-def _tilt(Sc: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Importance weights of the centred draws `Sc` tilted by `delta`, with
-    the weighted mean and covariance of the draws."""
-    scores = Sc @ delta
-    w = np.exp(scores - logsumexp(scores))
-    mean = w @ Sc
-    centered = Sc - mean
-    cov = (centered * w[:, None]).T @ centered
-    return w, mean, cov
-
-
 def _maximize_ratio(S: np.ndarray, s_obs: np.ndarray) -> np.ndarray:
     """Maximize d -> d @ s_obs - log mean exp(S @ d); returns the step from
     the anchor.  Concave; Newton with backtracking."""
@@ -317,31 +287,18 @@ def _maximize_ratio(S: np.ndarray, s_obs: np.ndarray) -> np.ndarray:
     center = S.mean(axis=0)
     Sc = S - center
     bc = s_obs - center
-    delta = np.zeros(p)
 
     def value(d):
         return float(d @ bc) - float(logsumexp(Sc @ d)) + math.log(M)
 
-    tol = 1e-9 * max(1.0, float(np.linalg.norm(bc)))
-    for _ in range(200):
-        _, mean, cov = _tilt(Sc, delta)
-        grad = bc - mean
-        if float(np.linalg.norm(grad)) <= tol:
-            break
-        try:
-            step = np.linalg.solve(cov + 1e-10 * np.eye(p), grad)
-        except np.linalg.LinAlgError:
-            step = grad
-        base = value(delta)
-        scale = 1.0
-        while scale > 1e-14:
-            cand = delta + scale * step
-            if value(cand) >= base:
-                delta = cand
-                break
-            scale *= 0.5
-        else:
-            break
+    def slope(d):
+        _, mean, cov = tilt(Sc, d)
+        return bc - mean, cov
+
+    delta, _ = newton_ascent(
+        value, slope, np.zeros(p),
+        tol=1e-9 * max(1.0, float(np.linalg.norm(bc))), max_iter=200, ridge=1e-10,
+    )
     return delta
 
 
@@ -447,7 +404,7 @@ def mcmcmle(
         delta = _maximize_ratio(S, s_obs)
         prev_theta = theta
         theta = theta + delta
-        w, _, fisher = _tilt(S - S.mean(axis=0), delta)
+        w, _, fisher = tilt(S - S.mean(axis=0), delta)
         ess_w = 1.0 / float(np.sum(w**2))
         chain_ess = [_effective_sample_size(S[:, j]) for j in range(model.p)]
         last = (sample, delta, fisher, ess_w, chain_ess)

@@ -5,6 +5,9 @@ stepping with change statistics so every state costs one incremental
 update.  On top of the resulting statistic table sit the exact
 normalizer, log-likelihood, MLE, and per-state/per-dyad distributions
 used to validate the samplers and estimators.
+`estimate` shares two helpers from here: `tilt`, the softmax-weighted
+moments of a statistic table, and `newton_ascent`, the one Newton loop of
+the pseudo-likelihood fit, the Monte-Carlo MLE anchor step and the exact MLE.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ from .terms import ModelSpec, bind
 MAX_DYADS = 22
 # slack above which a point counts as outside a hull
 HULL_TOL = 1e-9
-# exact_mle stops once the score norm is at most this, or after MLE_MAX_ITER Newton steps
-MLE_GRAD_TOL = 1e-10
-MLE_MAX_ITER = 200
 
 
 class EstimationError(RuntimeError):
@@ -96,11 +96,7 @@ class ExactModel:
 
     def moments(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Exact mean and covariance of the statistic vector under theta."""
-        probs = self.probabilities(theta)
-        mean = probs @ self.stats_table
-        centered = self.stats_table - mean
-        cov = (centered * probs[:, None]).T @ centered
-        return mean, cov
+        return tilt(self.stats_table, self._theta(theta))[1:]
 
     def state_index(self, net: BipartiteNetwork) -> int:
         code = 0
@@ -179,6 +175,48 @@ def hull_direction(points: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def tilt(S: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights proportional to exp(S @ theta) over the rows of `S`, summing
+    to 1, with the weighted mean and covariance of the rows."""
+    scores = S @ theta
+    w = np.exp(scores - logsumexp(scores))
+    mean = w @ S
+    centered = S - mean
+    cov = (centered * w[:, None]).T @ centered
+    return w, mean, cov
+
+
+def newton_ascent(value, slope, x, tol: float, max_iter: int, ridge: float) -> tuple[np.ndarray, int]:
+    """Damped Newton ascent of the concave `value` from `x`; `slope(x)` gives
+    the gradient and the negative Hessian.  A step solves the latter plus
+    `ridge` times the identity (the gradient where singular) and is halved
+    until `value` falls by at most 1e-12 of its size; below a scale of 1e-12
+    it has stalled.  Returns the last point and the iteration at which the
+    gradient norm reached `tol`, or 0 if it stalled or never did."""
+    for iteration in range(1, max_iter + 1):
+        grad, neg_hess = slope(x)
+        if float(np.linalg.norm(grad)) <= tol:
+            return x, iteration
+        try:
+            step = np.linalg.solve(neg_hess + ridge * np.eye(x.size), grad)
+        except np.linalg.LinAlgError:
+            step = grad
+        # near the optimum a Newton step gains less than the rounding error
+        # of the value, so a step may lose up to that much and still count
+        base = value(x)
+        floor = base - 1e-12 * abs(base)
+        scale = 1.0
+        while scale > 1e-12:
+            cand = x + scale * step
+            if value(cand) >= floor:
+                x = cand
+                break
+            scale *= 0.5
+        else:
+            break
+    return x, 0
+
+
 def exact_mle(model: ExactModel, y_obs) -> np.ndarray:
     """Exact maximum-likelihood estimate by Newton ascent on the full
     enumeration.  Requires the observed statistics strictly inside the
@@ -191,32 +229,19 @@ def exact_mle(model: ExactModel, y_obs) -> np.ndarray:
             f"the MLE diverges along direction {np.round(direction, 6)}",
             direction,
         )
-    theta = np.zeros(model.p)
-    stalled = False
-    for _ in range(MLE_MAX_ITER):
+
+    def slope(theta):
         mean, cov = model.moments(theta)
-        grad = s_obs - mean
-        if float(np.linalg.norm(grad)) <= MLE_GRAD_TOL:
-            return theta
-        try:
-            step = np.linalg.solve(cov + 1e-12 * np.eye(model.p), grad)
-        except np.linalg.LinAlgError:
-            step = grad
-        # backtracking on the exact log-likelihood
-        base = exact_loglik(model, theta, s_obs)
-        scale = 1.0
-        for _ in range(60):
-            cand = theta + scale * step
-            if exact_loglik(model, cand, s_obs) >= base:
-                theta = cand
-                break
-            scale *= 0.5
-        else:
-            stalled = True
-            break
+        return s_obs - mean, cov
+
+    theta, _ = newton_ascent(
+        lambda theta: exact_loglik(model, theta, s_obs), slope, np.zeros(model.p),
+        tol=1e-10, max_iter=200, ridge=1e-12,
+    )
+    # checked from exact moments, whatever the ascent returned, so that the
+    # oracle stays a ground truth of its own
     mean, _ = model.moments(theta)
     grad_norm = float(np.linalg.norm(s_obs - mean))
     if grad_norm > 1e-6:
-        state = "stalled" if stalled else "hit the iteration cap"
-        raise EstimationError(f"exact MLE {state}; gradient norm {grad_norm:g}")
+        raise EstimationError(f"exact MLE did not converge; gradient norm {grad_norm:g}")
     return theta

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from bipergm import (
     AttributeTable,
@@ -466,6 +466,20 @@ def test_first_step_from_oracle_mle_is_tiny(moderate_net, obs_attrs):
     S = estimate.simulate(model, theta_star, moderate_net, control).stats
     s_obs = model.stats(moderate_net)
     assert float(np.linalg.norm(_maximize_ratio(S, s_obs))) <= 0.02
+
+
+def test_anchor_step_reaches_its_tolerance_where_a_step_gains_less_than_rounding():
+    # near this optimum a full Newton step lowers the computed ratio by
+    # rounding alone; a line search that rejects it stalls above tolerance
+    rng = np.random.default_rng(1183)
+    S = rng.normal(size=(rng.integers(50, 800), 3)) @ rng.normal(size=(3, 3)) + rng.normal(size=3)
+    s_obs = S.mean(0) + rng.normal(size=3) * S.std(0) * rng.uniform(0, 1)
+    delta = _maximize_ratio(S, s_obs)
+    Sc = S - S.mean(0)
+    bc = s_obs - S.mean(0)
+    scores = Sc @ delta
+    grad = bc - np.exp(scores - logsumexp(scores)) @ Sc
+    assert float(np.linalg.norm(grad)) <= 1e-9 * max(1.0, float(np.linalg.norm(bc)))
 
 
 def test_mcmcmle_names_collinear_statistics():

@@ -155,6 +155,22 @@ def test_exact_mle_moment_equation_and_reproducibility():
     assert np.max(np.abs(mean - model.stats_of(net))) <= 1e-8
 
 
+def test_exact_mle_reaches_its_tolerance_where_a_step_gains_less_than_rounding():
+    # near this optimum a full Newton step lowers the computed log-likelihood
+    # by rounding alone; a line search that rejects it stalls at a score norm
+    # of about 1e-8, above the 1e-10 the ascent asks for
+    edges = [(1, 5), (1, 6), (1, 7), (2, 5), (2, 7), (2, 8), (3, 5), (3, 6), (3, 8), (4, 8)]
+    net = from_edge_list(4, 4, edges)
+    attrs = make_attrs1(["0", "1", "1", "1"], name="g")
+    spec = ModelSpec(
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="g", beta=0.3))
+    )
+    model = ExactModel(spec, attrs, 4, 4)
+    theta = exact_mle(model, net)
+    mean, _ = model.moments(theta)
+    assert float(np.linalg.norm(model.stats_of(net) - mean)) <= 1e-10
+
+
 def test_hull_direction_basics():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     assert hull_direction(points, np.array([0.5, 0.5])) is None
