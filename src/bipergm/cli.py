@@ -97,8 +97,11 @@ def _warnings_to_stderr():
         print(f"warning: {warning.message}", file=sys.stderr)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(f) for f in text.split(",") if f.strip() != ""]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(f) for f in text.split(",") if f.strip() != ""]
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text!r}: {exc}") from None
 
 
 def _fit_record(fit: estimate.FitResult, config: str) -> dict:
@@ -198,7 +201,7 @@ def cmd_profile(args) -> int:
     grids: list[tuple[str, list[float]]] = []
     for which, text in (("alpha", args.alpha_grid), ("beta", args.beta_grid)):
         if text is not None:
-            grid = DEFAULT_GRID if text == "default" else _parse_floats(text)
+            grid = DEFAULT_GRID if text == "default" else _parse_floats(text, f"--{which}-grid")
             if not grid:
                 raise ValueError(f"--{which}-grid {text!r} has no values")
             grids.append((which, grid))
@@ -221,7 +224,7 @@ def cmd_simulate(args) -> int:
     spec, canonical = _read_model(args)
     config = _config_json(args, canonical)
     model = terms.bind(spec, net, attrs)
-    sample = sampler.simulate(model, _parse_floats(args.theta), net, _sampler_control(args))
+    sample = sampler.simulate(model, _parse_floats(args.theta, "--theta"), net, _sampler_control(args))
     lines = [",".join(model.names)]
     lines += [",".join(_num(v) for v in row) for row in sample.stats]
     _emit(args, "sample.csv", "\n".join(lines) + "\n", config)
@@ -240,7 +243,7 @@ def cmd_oracle(args) -> int:
     config = _config_json(args, canonical)
     model = oracle.ExactModel(spec, attrs, net.n1, net.n2)
     if args.what == "kappa":
-        theta = _parse_floats(args.theta)
+        theta = _parse_floats(args.theta, "--theta")
         value = model.log_kappa(theta)
         _emit(args, "kappa.txt", f"log_kappa,{_num(value)}\n", config)
         return EXIT_OK
@@ -252,7 +255,7 @@ def cmd_oracle(args) -> int:
         lines.append(f"loglik,{_num(loglik)}")
         _emit(args, "exact_mle.csv", "\n".join(lines) + "\n", config)
         return EXIT_OK
-    theta = _parse_floats(args.theta)
+    theta = _parse_floats(args.theta, "--theta")
     dist = oracle.exact_dyad_distribution(model, theta)
     lines = ["state,probability"]
     lines += [f"{code},{_num(p)}" for code, p in enumerate(dist.probabilities)]

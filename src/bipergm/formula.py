@@ -145,17 +145,22 @@ def parse(text: str) -> ModelSpec:
     return ModelSpec(tuple(terms))
 
 
+def _quoted(text: str) -> str:
+    # a string is the raw text between two equal quotes: one holding `"` takes `'`
+    return f"'{text}'" if '"' in text else f'"{text}"'
+
+
 def format_term(term: ModelTerm) -> str:
     spelling, takes, _ = KINDS[term.kind]
     if takes != ATTRIBUTE:
         return spelling if takes is None else f"{spelling}({takes})"
-    parts = [f'"{term.attribute}"']
+    parts = [_quoted(term.attribute)]
     if term.exponent is not None:
         parts.append(f"{'alpha' if term.alpha is not None else 'beta'} = {term.exponent:g}")
     if term.diff:
         parts.append("diff = TRUE")
     if term.keep_levels is not None:
-        quoted = ", ".join(f'"{v}"' for v in term.keep_levels)
+        quoted = ", ".join(_quoted(v) for v in term.keep_levels)
         parts.append(f"keep = {quoted}" if len(term.keep_levels) == 1 else f"keep = c({quoted})")
     return f"{spelling}({', '.join(parts)})"
 

@@ -357,6 +357,23 @@ def test_profile_refuses_a_grid_without_values(inputs, capsys, flag, grid):
     assert not (tmp / "prof").exists()
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [("profile", "--alpha-grid"), ("profile", "--beta-grid"), ("simulate", "--theta")],
+)
+def test_a_malformed_number_names_its_flag(inputs, capsys, command, flag):
+    net, attrs, tmp = inputs
+    code = main(
+        [command, "--network", str(net), "--attrs1", str(attrs),
+         "--model", 'edges + b1nodematch("group", alpha = 0.5)', "--samplesize", "10",
+         flag, "0.5,abc", "--out", str(tmp / "out")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: model: {flag} '0.5,abc': could not convert string to float: 'abc'\n"
+    assert not (tmp / "out").exists()
+
+
 @pytest.fixture
 def alpha_zero_inputs(tmp_path):
     # at alpha=0 every b1nodematch change statistic on this 3x3 network is 0

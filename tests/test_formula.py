@@ -232,6 +232,17 @@ _ACCEPTED = [
         ),
         id="quote-and-line-break",
     ),
+    # a name that holds `"` is written back between `'`
+    pytest.param(
+        "b2nodematch('say \"hi\"', beta = 0.5)",
+        (_nodematch_term("b2nodematch", 'say "hi"', beta=0.5),),
+        id="quote-in-nodematch-attribute",
+    ),
+    pytest.param(
+        'b1nodematch("g", alpha = 0, keep = c(\'a "b"\', "c"))',
+        (_nodematch_term(alpha=0.0, keep_levels=('a "b"', "c")),),
+        id="quote-in-keep",
+    ),
     # Python's parser reads the formula, and the tree shows neither grouping
     # parentheses nor a trailing comma; neither changes the model
     pytest.param("(edges)", (ModelTerm(kind="edges"),), id="parenthesised-term"),
@@ -285,4 +296,6 @@ def test_formula_language(text, expected):
         assert expected.fragment in str(caught.value)
         assert caught.value.position == expected.position
     else:
-        assert parse(text) == ModelSpec(expected)
+        spec = parse(text)
+        assert spec == ModelSpec(expected)
+        assert parse(format_spec(spec)) == spec
