@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import sys
 import warnings
 from datetime import datetime, timezone
+from io import StringIO
 from pathlib import Path
 
 from . import estimate, formula, io, oracle, sampler, terms
@@ -36,6 +38,14 @@ DEFAULT_GRID = [round(0.1 * g, 10) for g in range(11)]
 def _num(value) -> str:
     """Full-precision decimal text for a scalar."""
     return repr(float(value))
+
+
+def _csv(rows) -> str:
+    """CSV text with `\n` line ends; a field that holds a comma, a quote or
+    a line break is quoted, and any other field is written as it is."""
+    buffer = StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _config_json(args: argparse.Namespace, model_text: str | None) -> str:
@@ -130,9 +140,8 @@ def cmd_stats(args) -> int:
     spec, canonical = _read_model(args)
     model = terms.bind(spec, net, attrs)
     values = model.stats(net)
-    lines = ["statistic,value"]
-    lines += [f"{name},{_num(value)}" for name, value in zip(model.names, values)]
-    _emit(args, "stats.csv", "\n".join(lines) + "\n", _config_json(args, canonical))
+    rows = [["statistic", "value"]] + [[name, _num(value)] for name, value in zip(model.names, values)]
+    _emit(args, "stats.csv", _csv(rows), _config_json(args, canonical))
     return EXIT_OK
 
 
@@ -170,14 +179,12 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _profile_rows(points: list[estimate.ProfilePoint]) -> list[str]:
+def _profile_rows(points: list[estimate.ProfilePoint]) -> list[list[str]]:
     """The rows of the homophily statistics, whose names start with a nodematch kind."""
     rows = []
     for point in points:
         if point.fit is None:
-            rows.append(
-                f"{point.kind},{point.value:g},,,,,,,failed: {point.error}"
-            )
+            rows.append([point.kind, f"{point.value:g}"] + [""] * 7 + [f"failed: {point.error}"])
             continue
         fit = point.fit
         mc_sd = fit.diagnostics.get("mc_sd", [0.0] * len(fit.names))
@@ -186,10 +193,10 @@ def _profile_rows(points: list[estimate.ProfilePoint]) -> list[str]:
         ):
             if not name.startswith(terms.NODEMATCH_KINDS):
                 continue
-            rows.append(
-                f"{point.kind},{point.value:g},{name},{_num(est)},{_num(se)},"
-                f"{_num(mc_sd[j])},{_num(p)},{_num(fit.loglik)},{_num(fit.loglik_sd)},ok"
-            )
+            rows.append([
+                point.kind, f"{point.value:g}", name, _num(est), _num(se),
+                _num(mc_sd[j]), _num(p), _num(fit.loglik), _num(fit.loglik_sd), "ok",
+            ])
     return rows
 
 
@@ -207,15 +214,15 @@ def cmd_profile(args) -> int:
             grids.append((which, grid))
     if not grids:
         grids = [("alpha", DEFAULT_GRID), ("beta", DEFAULT_GRID)]
-    header = "kind,exponent,stat,coef,coef_se,coef_mc_sd,p_value,loglik,loglik_sd,status"
-    rows = [header]
+    rows = [["kind", "exponent", "stat", "coef", "coef_se", "coef_mc_sd", "p_value",
+             "loglik", "loglik_sd", "status"]]
     with _warnings_to_stderr():
         for which, grid in grids:
             points = estimate.profile(
                 spec, which, grid, net, attrs, control=control, method=args.method
             )
             rows += _profile_rows(points)
-    _emit(args, "profile.csv", "\n".join(rows) + "\n", config)
+    _emit(args, "profile.csv", _csv(rows), config)
     return EXIT_OK
 
 
@@ -225,9 +232,8 @@ def cmd_simulate(args) -> int:
     config = _config_json(args, canonical)
     model = terms.bind(spec, net, attrs)
     sample = sampler.simulate(model, _parse_floats(args.theta, "--theta"), net, _sampler_control(args))
-    lines = [",".join(model.names)]
-    lines += [",".join(_num(v) for v in row) for row in sample.stats]
-    _emit(args, "sample.csv", "\n".join(lines) + "\n", config)
+    rows = [model.names] + [[_num(v) for v in row] for row in sample.stats]
+    _emit(args, "sample.csv", _csv(rows), config)
     if args.save_final_network:
         io.save_network(
             args.save_final_network,
@@ -250,20 +256,16 @@ def cmd_oracle(args) -> int:
     if args.what == "mle":
         theta_hat = oracle.exact_mle(model, net)
         loglik = oracle.exact_loglik(model, theta_hat, net)
-        lines = ["statistic,estimate"]
-        lines += [f"{n},{_num(v)}" for n, v in zip(model.names, theta_hat)]
-        lines.append(f"loglik,{_num(loglik)}")
-        _emit(args, "exact_mle.csv", "\n".join(lines) + "\n", config)
+        rows = [["statistic", "estimate"]] + [[n, _num(v)] for n, v in zip(model.names, theta_hat)]
+        rows.append(["loglik", _num(loglik)])
+        _emit(args, "exact_mle.csv", _csv(rows), config)
         return EXIT_OK
     theta = _parse_floats(args.theta, "--theta")
     dist = oracle.exact_dyad_distribution(model, theta)
-    lines = ["state,probability"]
-    lines += [f"{code},{_num(p)}" for code, p in enumerate(dist.probabilities)]
-    lines.append("dyad_i,dyad_k,marginal")
-    lines += [
-        f"{i},{k},{_num(m)}" for (i, k), m in zip(dist.dyads, dist.marginals)
-    ]
-    _emit(args, "distribution.csv", "\n".join(lines) + "\n", config)
+    rows = [["state", "probability"]] + [[code, _num(p)] for code, p in enumerate(dist.probabilities)]
+    rows.append(["dyad_i", "dyad_k", "marginal"])
+    rows += [[i, k, _num(m)] for (i, k), m in zip(dist.dyads, dist.marginals)]
+    _emit(args, "distribution.csv", _csv(rows), config)
     return EXIT_OK
 
 

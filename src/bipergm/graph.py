@@ -7,12 +7,14 @@ each node's neighbours only as one int bitmask per node, `mask[node]`
 neighbours is a popcount, plus an indexed edge list so that samplers can
 pick a uniformly random edge in O(1).  `node_bits` is the one place that
 lays out the mask bits; `partners` is the one walk from a mask back to
-nodes, in ascending node order.  `shared_partners` is the one walk over all
-two-paths of a network."""
+nodes, in ascending node order.  Two-paths are counted per centre, as the
+pairs of its partners (`project`, `terms._Nodematch.spectrum`)."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -325,48 +327,12 @@ class WeightedProjection:
         return self.weights.get((a, b), 0)
 
 
-def shared_partners(
-    net: BipartiteNetwork, mode: int, group: Sequence[int], pairs: bool = True
-) -> tuple[dict[tuple[int, int], int], dict[int, dict[int, int]]]:
-    """Two-path structure among the mode-`mode` nodes, within groups.
-
-    `group[node]` is a node-indexed group code for the nodes of that mode;
-    -1 leaves a node out.  Each node of the other mode is visited once and
-    its neighbors are bucketed by group.  Returns two things:
-
-    - pairs: each same-group pair (a, b), a < b, with at least one
-      two-path, mapped to its two-path count (left empty, and its
-      quadratic walk skipped, when `pairs` is False);
-    - spectra: each group mapped to {u: number of edges with exactly u
-      matching co-edges}, for u >= 1.
-    """
-    n1, n = net.n1, net.n
-    centers, end = (range(n1 + 1, n + 1), n1 + 1) if mode == 1 else (range(1, n1 + 1), n + 1)
-    counts: dict[tuple[int, int], int] = {}
-    spectra: dict[int, dict[int, int]] = {}
-    for center in centers:
-        buckets: dict[int, list[int]] = {}
-        for node in partners(net.mask[center], end):
-            g = group[node]
-            if g >= 0:
-                buckets.setdefault(g, []).append(node)
-        for g, nodes in buckets.items():
-            size = len(nodes)
-            if size < 2:
-                continue
-            spectrum = spectra.setdefault(g, {})
-            spectrum[size - 1] = spectrum.get(size - 1, 0) + size
-            if pairs:
-                for x in range(size - 1):
-                    a = nodes[x]
-                    for b in nodes[x + 1 :]:
-                        counts[(a, b)] = counts.get((a, b), 0) + 1
-    return counts, spectra
-
-
 def project(net: BipartiteNetwork, mode: int) -> WeightedProjection:
     """Project onto one mode; pairs without a two-path are omitted."""
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    weights, _ = shared_partners(net, mode, [0] * (net.n + 1))
+    n1, n = net.n1, net.n
+    # each two-path is a pair of partners of its centre, a node of the other mode
+    centres, end = (net.mask[n1 + 1 :], n1 + 1) if mode == 1 else (net.mask[1 : n1 + 1], n + 1)
+    weights = Counter(pair for m in centres for pair in combinations(partners(m, end), 2))
     return WeightedProjection(mode=mode, weights=weights)

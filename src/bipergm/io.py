@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import AttributeTable, BipartiteNetwork, from_edge_list
+from .graph import AttributeTable, BipartiteNetwork
 
 
 class FileFormatError(ValueError):
@@ -75,22 +75,25 @@ def load_network(path) -> BipartiteNetwork:
     if len(fields) != 4 or fields[0] != "n1" or fields[2] != "n2":
         raise FileFormatError(path, no, f"expected header 'n1 <int> n2 <int>', got {header!r}")
     try:
-        n1, n2 = int(fields[1]), int(fields[3])
+        net = BipartiteNetwork(int(fields[1]), int(fields[3]))
     except ValueError:
-        raise FileFormatError(path, no, f"non-integer node count in header {header!r}") from None
-    dyads = []
+        raise FileFormatError(
+            path, no, f"non-integer or negative node count in header {header!r}"
+        ) from None
     for no, line in lines[1:]:
         fields = _split(line)
         if len(fields) != 2:
             raise FileFormatError(path, no, f"expected 'i<TAB>k', got {line!r}")
         try:
-            dyads.append((int(fields[0]), int(fields[1])))
+            i, k = int(fields[0]), int(fields[1])
         except ValueError:
             raise FileFormatError(path, no, f"non-integer node id in {line!r}") from None
-    try:
-        return from_edge_list(n1, n2, dyads)
-    except ValueError as exc:
-        raise FileFormatError(path, None, str(exc)) from exc
+        try:
+            if not net.has_edge(i, k):  # a repeated dyad collapses
+                net.toggle(i, k)
+        except ValueError as exc:  # out of range or within one mode
+            raise FileFormatError(path, no, str(exc)) from None
+    return net
 
 
 def save_network(path, net: BipartiteNetwork, comments: Iterable[str] = ()) -> None:

@@ -1,9 +1,9 @@
 """Model terms: full network statistics and exact change statistics.
 
-Every term evaluator computes its statistic by the defining sum and its
-change statistic as the exact difference between the edge-present and
-edge-absent worlds, so incremental updates in the sampler always agree
-with a full recomputation.
+Every change statistic is the exact difference between the edge-present
+and edge-absent worlds, so incremental updates in the sampler agree with a
+full recomputation.  A nodematch statistic is its shared-partner spectrum
+times the power table, summed as `recompose_from_spectrum` sums it.
 
 The homophily terms support a node-centric exponent (per matching node
 pair, the two-path count raised to alpha) and an edge-centric exponent
@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import AttributeLookupError, Attributes, BipartiteNetwork, CategoricalColumn, node_bits, shared_partners
+from .graph import AttributeLookupError, Attributes, BipartiteNetwork, CategoricalColumn, node_bits, partners
 
 
 class TermKind(NamedTuple):
@@ -305,8 +306,9 @@ class _Nodematch(_Evaluator):
         self.pw = [0.0] + [float(i) ** e for i in range(1, max(n1, n2) + 1)]
         self.dpw = [b - a for a, b in zip(self.pw, self.pw[1:])]
         # others[f]: the mask of the kept nodes in f's level other than f
+        # level[c]: the mask of the nodes of level code c, 0 for a level not kept
         self.bits = bits = node_bits(n1, n2)
-        level = [0] * len(levels)
+        self.level = level = [0] * len(levels)
         for node, g in enumerate(self.group):
             if g >= 0:
                 level[g] |= bits[node]
@@ -315,21 +317,35 @@ class _Nodematch(_Evaluator):
         ]
         self.offset = offset
         # one past the last node of focal's mode
-        self.delta_into = self._kernel(offset, n1 + 1 if self.mode == 1 else n1 + n2 + 1)
+        self.end = n1 + 1 if self.mode == 1 else n1 + n2 + 1
+        self.delta_into = self._kernel(offset, self.end)
+
+    def spectrum(self, net: BipartiteNetwork) -> list[Counter]:
+        """One Counter per slot: {t: matching pairs with exactly t shared
+        partners} (MDSP) for the node-centric term, {u: edges with exactly
+        u matching co-edges} (MESP) for the edge-centric one.  Each node of
+        the other mode, the centre, is visited once; its partners in a kept
+        level are that level's mask ANDed with the centre's."""
+        centres = net.mask[net.n1 + 1 :] if self.mode == 1 else net.mask[1 : net.n1 + 1]
+        kept = [(m, slot) for m, slot in zip(self.level, self.slot_of_code) if slot >= 0]
+        node_centric, end, counts = self.node_centric, self.end, [Counter() for _ in range(self.width)]
+        for mc in centres:
+            for level, slot in kept:
+                m = mc & level
+                if not m & (m - 1):  # fewer than two partners: no two-path
+                    continue
+                if node_centric:
+                    counts[slot].update(combinations(partners(m, end), 2))
+                else:
+                    # each of the size partners has size - 1 matching co-edges here
+                    size = m.bit_count()
+                    counts[slot][size - 1] += size
+        return [Counter(pairs.values()) for pairs in counts] if node_centric else counts
 
     def stats(self, net):
-        out = np.zeros(self.width)
-        slot_of, group, pw = self.slot_of_code, self.group, self.pw
-        pairs, spectra = shared_partners(net, self.mode, group, pairs=self.node_centric)
-        if self.node_centric:
-            for (a, _b), t in pairs.items():
-                out[slot_of[group[a]]] += pw[t]
-            return out
-        for g, spectrum in spectra.items():
-            for u, edges in spectrum.items():
-                out[slot_of[g]] += edges * pw[u]
-        out *= 0.5
-        return out
+        # recompose_from_spectrum's sum, in its order, so that the two agree bit for bit
+        scale, pw = 1.0 if self.node_centric else 0.5, self.pw
+        return np.array([scale * sum(c * pw[t] for t, c in sorted(s.items())) for s in self.spectrum(net)])
 
     def _kernel(self, offset: int, end: int):
         """The change-statistic function, a closure over the term's tables.
@@ -547,22 +563,19 @@ class SharedPartnerSpectrum:
 def mdsp_spectrum(
     net: BipartiteNetwork, attrs: Attributes, column: str
 ) -> SharedPartnerSpectrum:
-    """Matching mode-1 pairs, bucketed by exact shared-partner count."""
-    codes = attrs.table_for(1).categorical(column).codes.tolist()
-    pairs, _ = shared_partners(net, 1, _by_node(codes, 1, net.n1, -1))
-    return SharedPartnerSpectrum("mdsp", dict(Counter(pairs.values())))
+    """Matching mode-1 pairs, bucketed by exact shared-partner count: slot 0
+    of a node-centric `b1nodematch(column)`, whose exponent it does not use."""
+    ev = _Nodematch(ModelTerm("b1nodematch", column, alpha=1.0), 0, net.n1, net.n2, attrs)
+    return SharedPartnerSpectrum("mdsp", dict(sorted(ev.spectrum(net)[0].items())))
 
 
 def mesp_spectrum(
     net: BipartiteNetwork, attrs: Attributes, column: str
 ) -> SharedPartnerSpectrum:
-    """Edges bucketed by the exact number of matching two-paths containing them."""
-    codes = attrs.table_for(1).categorical(column).codes.tolist()
-    _, spectra = shared_partners(net, 1, _by_node(codes, 1, net.n1, -1), pairs=False)
-    counts: Counter[int] = Counter()
-    for spectrum in spectra.values():
-        counts.update(spectrum)
-    return SharedPartnerSpectrum("mesp", dict(counts))
+    """Edges bucketed by the exact number of matching two-paths containing
+    them: slot 0 of an edge-centric `b1nodematch(column)`."""
+    ev = _Nodematch(ModelTerm("b1nodematch", column, beta=1.0), 0, net.n1, net.n2, attrs)
+    return SharedPartnerSpectrum("mesp", dict(sorted(ev.spectrum(net)[0].items())))
 
 
 def recompose_from_spectrum(spectrum: SharedPartnerSpectrum, exponent: float) -> float:

@@ -154,6 +154,53 @@ def pairs_with_two_path(n1, n2, edges, cats):
     return count
 
 
+def _mode_walk(n1, n2, mode):
+    """The nodes of `mode`, the nodes of the other mode, and a function
+    that puts a node of `mode` and one of the other mode in edge order."""
+    mode1, mode2 = range(1, n1 + 1), range(n1 + 1, n1 + n2 + 1)
+    if mode == 1:
+        return mode1, mode2, lambda a, c: (a, c)
+    return mode2, mode1, lambda a, c: (c, a)
+
+
+def _counted(level, only, keep):
+    return (only is None or level == only) and (keep is None or level in keep)
+
+
+def mdsp(n1, n2, edges, cats, mode=1, level=None, keep=None):
+    """{t: same-level pairs of mode-`mode` nodes with exactly t shared
+    partners}, t >= 1; `level` counts one level only, `keep` a set of
+    levels."""
+    nodes, others, dyad = _mode_walk(n1, n2, mode)
+    counts = {}
+    for a in nodes:
+        for b in nodes:
+            if b <= a or cats[b] != cats[a] or not _counted(cats[a], level, keep):
+                continue
+            t = sum(1 for c in others if dyad(a, c) in edges and dyad(b, c) in edges)
+            if t > 0:
+                counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def mesp(n1, n2, edges, cats, mode=1, level=None, keep=None):
+    """{u: edges whose mode-`mode` end has exactly u same-level co-edges,
+    that is other mode-`mode` partners of the edge's other end in its
+    level}, u >= 1; `level` and `keep` as in `mdsp`."""
+    nodes, others, dyad = _mode_walk(n1, n2, mode)
+    counts = {}
+    for a in nodes:
+        if not _counted(cats[a], level, keep):
+            continue
+        for c in others:
+            if dyad(a, c) not in edges:
+                continue
+            u = sum(1 for b in nodes if b != a and cats[b] == cats[a] and dyad(b, c) in edges)
+            if u > 0:
+                counts[u] = counts.get(u, 0) + 1
+    return counts
+
+
 def star2(n1, n2, edges):
     total = 0
     for k in range(n1 + 1, n1 + n2 + 1):

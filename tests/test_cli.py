@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -570,3 +571,42 @@ def test_stats_rerun_byte_identical(inputs):
     assert _strip_meta((out_a / "stats.csv").read_text()) == _strip_meta(
         (out_b / "stats.csv").read_text()
     )
+
+
+# a tab-separated attribute file whose column name and one level hold commas
+COMMA_NET = "n1 4 n2 3\n1\t6\n1\t7\n2\t5\n3\t6\n4\t5\n4\t6\n"
+COMMA_ATTRS = "id\ta,b\tg\ntype\tnum\tcat\n1\t1.5\tx,y\n2\t0.5\tw\n3\t2.0\tx,y\n4\t-1.0\tw\n"
+
+
+def test_csv_fields_that_hold_commas_are_quoted(tmp_path):
+    net, attrs = tmp_path / "net.edges", tmp_path / "attrs1.tsv"
+    net.write_text(COMMA_NET)
+    attrs.write_text(COMMA_ATTRS)
+    model = 'edges + b1cov("a,b") + b1factor("g")'
+    names = ["edges", "b1cov.a,b", "b1factor.g.x,y"]
+    sampler_args = ["--burnin", "10", "--interval", "1", "--samplesize", "3"]
+    # file: (command, the width of every row)
+    runs = {
+        "stats.csv": (["stats", "--model", model], 2),
+        "sample.csv": (["simulate", "--model", model, "--theta", "0,0,0", *sampler_args], 3),
+        # alpha = 0 is separated, so the file also holds a failed row
+        "profile.csv": (["profile", "--model", 'edges + b1cov("a,b") + b1nodematch("g", diff = TRUE)',
+                         "--method", "mple", "--alpha-grid", "0,1"], 10),
+        "exact_mle.csv": (["oracle", "--model", model, "--what", "mle"], 2),
+    }
+    rows = {}
+    for name, (args, width) in runs.items():
+        out = tmp_path / name
+        assert main(args + ["--network", str(net), "--attrs1", str(attrs), "--out", str(out)]) == 0
+        text = (out / name).read_text()
+        assert "\r" not in text
+        rows[name] = list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))
+        assert {len(row) for row in rows[name]} == {width}, name
+    assert [row[0] for row in rows["stats.csv"]] == ["statistic", *names]
+    assert rows["sample.csv"][0] == names
+    assert [row[0] for row in rows["exact_mle.csv"]] == ["statistic", *names, "loglik"]
+    profile_rows = rows["profile.csv"][1:]
+    assert profile_rows[0][:2] == ["alpha", "0"]
+    assert profile_rows[0][-1].startswith("failed: SeparationError")
+    assert [row[2] for row in profile_rows[1:]] == ["b1nodematch.g.w", "b1nodematch.g.x,y"]
+    assert [row[-1] for row in profile_rows[1:]] == ["ok", "ok"]

@@ -120,6 +120,13 @@ def test_project_matches_matrix_square(n1, n2, seed):
     for a in range(n2):
         for b in range(a + 1, n2):
             assert p2.weight(n1 + 1 + a, n1 + 1 + b) == sq2[a, b]
+    # pairs without a two-path are omitted
+    assert set(p1.weights) == {
+        (a + 1, b + 1) for a in range(n1) for b in range(a + 1, n1) if sq1[a, b] > 0
+    }
+    assert set(p2.weights) == {
+        (n1 + 1 + a, n1 + 1 + b) for a in range(n2) for b in range(a + 1, n2) if sq2[a, b] > 0
+    }
 
 
 def test_attribute_table_guards():

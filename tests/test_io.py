@@ -36,6 +36,9 @@ def test_load_network_format(tmp_path):
         ("n1 2 n2 2\n1\n", "expected"),
         ("n1 2 n2 2\n1\tx\n", "non-integer"),
         ("n1 2 n2 2\n1\t9\n", "out of range"),
+        # a bad dyad is reported at its line
+        ("n1 2 n2 2\n1 3\n1 9\n2 4\n", r"bad\.edges:3: node 9 out of range 1\.\.4"),
+        ("n1 2 n2 2\n3 4\n", r"bad\.edges:2: dyad \(3, 4\) violates the mode restriction"),
     ],
 )
 def test_load_network_rejects(tmp_path, content, fragment):

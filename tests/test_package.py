@@ -21,6 +21,7 @@ RETIRED = {
     "change_stats",
     "stat_names",
     "cond_log_odds",
+    "shared_partners",
 }
 
 

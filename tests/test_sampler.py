@@ -284,7 +284,10 @@ def test_control_refuses_a_seed_that_is_not_a_count(seed):
 # The six cases with an alpha strictly between 0 and 1 were re-recorded
 # when the alpha kernel began to sum in ascending node order instead of
 # neighbour-set order: the same toggles, with sums that differ in the last
-# bits.
+# bits.  tnt-b2diff and tnt-dense-fallback were re-recorded when the full
+# statistic became its shared-partner spectrum times the power table: the
+# starting statistics moved in the last bits (at most 2.7e-15 relative),
+# with the same accepted toggles and the same final edge set.
 
 
 def _digest(rows, net, accepted) -> str:
@@ -377,10 +380,10 @@ CONTRACT_DIGESTS = {
     "tnt-alpha": "b588b67fd71f9b4a349e667190b7c0426059981eadfa5daf27af0715fa1bb0c4",
     "tnt-alpha-0-1": "3a4181b8ae08462b46d28fc98c44e23d9b19d16f5d99533a8e4fae8b0b8cc32c",
     "tnt-b2beta-diff": "748f240a38c534d6f48d2de8acab261e9b72b69b353068b14dbe1d60dcf4866d",
-    "tnt-b2diff": "5f3d47954e095601ea8d1c622d594a488799342628b653b6f2790cfa42e3746c",
+    "tnt-b2diff": "595e1d0fcd449754caa406948f1860acb244ada36bef84038d45a76759ba084d",
     "tnt-beta": "7296e6e7b46d387f54d0c1bc51dce00e3c2144e3beae291b8c8c21be935312a4",
     "tnt-beta-0-1": "7c950c52154d613e140ebc2da10a3472fac7fee8610b2ecab7e510656d9f9cbc",
-    "tnt-dense-fallback": "bfe4286ed5f26415e756282a25efc780b7c71082a39838d5f4e1686942744e0c",
+    "tnt-dense-fallback": "004e74aecb2eaa687c73810313723d243dc5a35e88390de228dd5997d242a2b3",
     "tnt-edges": "4d28844ef985237c8169377ea0dfee161ffa6e0b5201a1c64ef28d5b4a79650a",
     "tnt-empty-30x15": "6b83043857407d0c82a0e935ed6a9b7827c7863a0430f8c79f7d94143829dc3b",
     "tnt-from-empty": "fd28a999b40b854e3ad501ba64f67137c1fb6dc61629e5603817ba73a153e5ca",

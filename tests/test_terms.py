@@ -438,8 +438,37 @@ def test_recomposition_identity_on_grid(seed):
         beta_stat = bind(
             spec_of(term("b1nodematch", attribute="group", beta=expo)), net, attrs
         ).stats(net)[0]
-        assert abs(recompose_from_spectrum(mdsp, expo) - alpha_stat) <= 1e-10
-        assert abs(recompose_from_spectrum(mesp, expo) - beta_stat) <= 1e-10
+        assert recompose_from_spectrum(mdsp, expo) == alpha_stat
+        assert recompose_from_spectrum(mesp, expo) == beta_stat
+
+
+# The statistics are read from `_Nodematch.spectrum`, so recomposition
+# agrees with them by construction; the spectra themselves are checked
+# against brute-force counts over edge sets and category dicts.
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_spectra_match_brute_force(seed):
+    net, attrs = _stat_case(seed)
+    edges = ref.edge_set(net)
+    for mode, column in ((1, "group"), (2, "kind")):
+        cats = categories_dict(attrs, mode, column, net.n1)
+        levels = attrs.table_for(mode).categorical(column).levels
+        keep = levels[:-1]
+        for which, reference in (("alpha", ref.mdsp), ("beta", ref.mesp)):
+            for options, expected in (
+                ({}, [reference(net.n1, net.n2, edges, cats, mode)]),
+                ({"diff": True},
+                 [reference(net.n1, net.n2, edges, cats, mode, level=lev) for lev in levels]),
+                ({"keep_levels": keep},
+                 [reference(net.n1, net.n2, edges, cats, mode, keep=set(keep))]),
+            ):
+                nodematch = term(f"b{mode}nodematch", attribute=column, **options, **{which: 0.5})
+                got = bind(spec_of(nodematch), net, attrs).evaluators[0].spectrum(net)
+                assert [dict(slot) for slot in got] == expected, (mode, which, options)
+    cats1 = categories_dict(attrs, 1, "group", net.n1)
+    assert mdsp_spectrum(net, attrs, "group").counts == ref.mdsp(net.n1, net.n2, edges, cats1)
+    assert mesp_spectrum(net, attrs, "group").counts == ref.mesp(net.n1, net.n2, edges, cats1)
 
 
 # ---------------------------------------------------------------------------
