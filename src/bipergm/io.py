@@ -89,8 +89,9 @@ def load_network(path) -> BipartiteNetwork:
         except ValueError:
             raise FileFormatError(path, no, f"non-integer node id in {line!r}") from None
         try:
-            if not net.has_edge(i, k):  # a repeated dyad collapses
-                net.toggle(i, k)
+            # checks the dyad once, as `from_edge_list` does; a repeated dyad collapses
+            if not net.has_edge(i, k):
+                net._add(i, k)
         except ValueError as exc:  # out of range or within one mode
             raise FileFormatError(path, no, str(exc)) from None
     return net

@@ -133,7 +133,10 @@ class Chain:
         uniform = itertools.chain.from_iterable(
             iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
         ).__next__
-        loop = _mh_loop(net, theta, self.stats, [ev.delta_into for ev in model.evaluators], uniform)
+        dependent = [ev for ev in model.evaluators if not ev.dyad_independent]
+        slots = [j for ev in dependent for j in range(ev.offset, ev.offset + ev.width)]
+        loop = _mh_loop(net, theta, self.stats, *model.node_tables(theta),
+                        [ev.delta_into for ev in dependent], slots, uniform)
         self.accepted, self.proposals, self.last_dyad = next(loop)
         self._send = loop.send
 
@@ -147,9 +150,13 @@ class Chain:
         return self.accepted != before
 
     def run(self, proposals: int) -> None:
-        """Make `proposals` MH proposals."""
+        """Make `proposals` MH proposals, an int >= 0; any other count is
+        refused before the chain moves, so the chain stays alive."""
+        if (isinstance(proposals, bool) or not isinstance(proposals, (int, np.integer))
+                or proposals < 0):
+            raise ValueError(f"proposals must be an int >= 0, got {proposals!r}")
         try:
-            self.accepted, self.proposals, self.last_dyad = self._send(proposals)
+            self.accepted, self.proposals, self.last_dyad = self._send(int(proposals))
         except StopIteration:
             raise RuntimeError(_DEAD_CHAIN) from None
 
@@ -174,19 +181,24 @@ class Chain:
         self.stats[:] = [float(s) for s in fresh]
 
 
-def _mh_loop(net, theta, stats, deltas, uniform):
+def _mh_loop(net, theta, stats, eta, gains, deltas, slots, uniform):
     """The only MH loop body: a generator that holds a chain's locals
     between calls.  Each value sent is a number of proposals to make,
     reading `uniform()` in the order the module docstring gives; it yields
     the running `(accepted, proposals, last_dyad)`.  It holds no reference
-    to its chain, so a dropped chain is freed at once."""
+    to its chain, so a dropped chain is freed at once.
+
+    The dyad-independent terms come from `BoundModel.node_tables`: a
+    toggle's log-odds is `eta[i] + eta[k]` plus theta times the change of
+    each slot in `slots`, which only the dyad-dependent kernels `deltas`
+    write; an accepted toggle moves those slots by the change and the
+    node-level statistics by `gains[i]` and `gains[k]`."""
     exp = math.exp
     mask, bit, edge_list, add, remove = net.mask, net._bit, net._edge_list, net._add, net._remove
     n1, n2 = net.n1, net.n2
     D, first2 = n1 * n2, n1 + 1
     q_add, q_remove = {}, {}  # TNT log proposal ratios by edge count, filled on first use
     buf, zeros = [0.0] * len(theta), [0.0] * len(theta)
-    idx = range(len(theta))
     accepted = proposals = 0
     last = None
     while True:
@@ -228,8 +240,8 @@ def _mh_loop(net, theta, stats, deltas, uniform):
             buf[:] = zeros
             for delta_into in deltas:
                 delta_into(net, i, k, buf)
-            lo = 0.0
-            for j in idx:
+            lo = eta[i] + eta[k]
+            for j in slots:
                 lo += theta[j] * buf[j]
             log_ratio = (lo if adding else -lo) + log_q
 
@@ -237,12 +249,20 @@ def _mh_loop(net, theta, stats, deltas, uniform):
                 continue
             if adding:
                 add(i, k)
-                for j in idx:
+                for j in slots:
                     stats[j] += buf[j]
+                for j, value in gains[i]:
+                    stats[j] += value
+                for j, value in gains[k]:
+                    stats[j] += value
             else:
                 remove(i, k)
-                for j in idx:
+                for j in slots:
                     stats[j] -= buf[j]
+                for j, value in gains[i]:
+                    stats[j] -= value
+                for j, value in gains[k]:
+                    stats[j] -= value
             accepted += 1
 
         proposals += n

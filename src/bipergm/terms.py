@@ -172,9 +172,12 @@ class _Evaluator:
     n1 x n2 float biadjacency matrix `B`: a (n1 * n2, width) array whose
     rows follow `B.ravel()`, that is mode-1 node outer, mode-2 node inner.
     `delta_into(net, i, k, out)`, a closure built in `__init__`, serves one
-    dyad of a network that changes between calls: the chain calls it on
-    every proposal, after zeroing the buffer, so it writes only slots of its
-    own term and may skip a slot that stays zero.
+    dyad of a network that changes between calls, after the caller zeroed
+    the buffer, so it writes only slots of its own term and may skip a slot
+    that stays zero.  `BoundModel.delta` calls every evaluator's kernel; the
+    chain calls only the kernels of the dyad-dependent terms, on every
+    proposal, and adds the dyad-independent ones from
+    `BoundModel.node_tables`.
     """
 
     offset: int
@@ -253,6 +256,43 @@ class _Mode2Degree(_Evaluator):
         return np.asarray(self.gain)[d_other].reshape(-1, 1)
 
 
+def _end(mode: int, n1: int, n2: int) -> int:
+    """One past the last node of the mode."""
+    return n1 + 1 if mode == 1 else n1 + n2 + 1
+
+
+def _level_masks(codes: list[int], count: int) -> list[int]:
+    """`level[c]`, the mask of the nodes of level code c, from one code per
+    node of a mode in node order; a node with code -1 is in no mask."""
+    top, level = len(codes) - 1, [0] * count
+    for o, c in enumerate(codes):
+        if c >= 0:
+            level[c] |= 1 << (top - o)
+    return level
+
+
+def _spectrum(net: BipartiteNetwork, mode: int, kept: list[tuple[int, int]],
+              node_centric: bool, width: int) -> list[Counter]:
+    """The shared-partner walk behind `_Nodematch.spectrum`, over `kept`,
+    the (level mask, slot) pairs of the kept levels of mode `mode`.  Each
+    node of the other mode, the centre, is visited once; its partners in a
+    kept level are that level's mask ANDed with the centre's."""
+    centres = net.mask[net.n1 + 1 :] if mode == 1 else net.mask[1 : net.n1 + 1]
+    end, counts = _end(mode, net.n1, net.n2), [Counter() for _ in range(width)]
+    for mc in centres:
+        for level, slot in kept:
+            m = mc & level
+            if not m & (m - 1):  # fewer than two partners: no two-path
+                continue
+            if node_centric:
+                counts[slot].update(combinations(partners(m, end), 2))
+            else:
+                # each of the size partners has size - 1 matching co-edges here
+                size = m.bit_count()
+                counts[slot][size - 1] += size
+    return [Counter(pairs.values()) for pairs in counts] if node_centric else counts
+
+
 class _Nodematch(_Evaluator):
     """Homophily statistic with a node-centric or edge-centric exponent.
 
@@ -303,44 +343,29 @@ class _Nodematch(_Evaluator):
         # pw[i] = i**e with 0**0 = 0, for every count a network of this shape
         # can reach; dpw[i] = (i+1)**e - i**e, the gain of one more two-path
         e = float(term.exponent)
-        self.pw = [0.0] + [float(i) ** e for i in range(1, max(n1, n2) + 1)]
-        self.dpw = [b - a for a, b in zip(self.pw, self.pw[1:])]
+        self.pw = pw = [0.0] + [float(i) ** e for i in range(1, max(n1, n2) + 1)]
+        self.dpw = [b - a for a, b in zip(pw, pw[1:])]
+        # change[u]: the edge-centric change ((1+u)*u**b - u*(u-1)**b)/2 at u
+        # matching co-edges; at b=0 it is 0, 1, 1/2 for u=0, 1, >=2.  At u=0,
+        # pw[u - 1] wraps to the last (finite) entry and is multiplied by
+        # u = 0, so it adds nothing.
+        self.change = [0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1]) for u in range(len(pw))]
+        # level[c]: the mask of the nodes of level code c, 0 for a level not kept;
         # others[f]: the mask of the kept nodes in f's level other than f
-        # level[c]: the mask of the nodes of level code c, 0 for a level not kept
+        level = _level_masks(codes, len(levels))
         self.bits = bits = node_bits(n1, n2)
-        self.level = level = [0] * len(levels)
-        for node, g in enumerate(self.group):
-            if g >= 0:
-                level[g] |= bits[node]
         self.others = [
             level[g] ^ bits[node] if g >= 0 else 0 for node, g in enumerate(self.group)
         ]
+        self.kept = [(m, slot) for m, slot in zip(level, self.slot_of_code) if slot >= 0]
         self.offset = offset
-        # one past the last node of focal's mode
-        self.end = n1 + 1 if self.mode == 1 else n1 + n2 + 1
-        self.delta_into = self._kernel(offset, self.end)
+        self.delta_into = self._kernel(offset, _end(self.mode, n1, n2))
 
     def spectrum(self, net: BipartiteNetwork) -> list[Counter]:
         """One Counter per slot: {t: matching pairs with exactly t shared
         partners} (MDSP) for the node-centric term, {u: edges with exactly
-        u matching co-edges} (MESP) for the edge-centric one.  Each node of
-        the other mode, the centre, is visited once; its partners in a kept
-        level are that level's mask ANDed with the centre's."""
-        centres = net.mask[net.n1 + 1 :] if self.mode == 1 else net.mask[1 : net.n1 + 1]
-        kept = [(m, slot) for m, slot in zip(self.level, self.slot_of_code) if slot >= 0]
-        node_centric, end, counts = self.node_centric, self.end, [Counter() for _ in range(self.width)]
-        for mc in centres:
-            for level, slot in kept:
-                m = mc & level
-                if not m & (m - 1):  # fewer than two partners: no two-path
-                    continue
-                if node_centric:
-                    counts[slot].update(combinations(partners(m, end), 2))
-                else:
-                    # each of the size partners has size - 1 matching co-edges here
-                    size = m.bit_count()
-                    counts[slot][size - 1] += size
-        return [Counter(pairs.values()) for pairs in counts] if node_centric else counts
+        u matching co-edges} (MESP) for the edge-centric one."""
+        return _spectrum(net, self.mode, self.kept, self.node_centric, self.width)
 
     def stats(self, net):
         # recompose_from_spectrum's sum, in its order, so that the two agree bit for bit
@@ -382,7 +407,7 @@ class _Nodematch(_Evaluator):
 
             return delta_into
 
-        pw = self.pw
+        change = self.change
 
         def delta_into(net, i, k, out):
             if mode1:
@@ -390,11 +415,7 @@ class _Nodematch(_Evaluator):
             else:
                 focal, shared = k, i
             # u: partners of the shared node in focal's level, focal aside
-            u = (net.mask[shared] & others[focal]).bit_count()
-            # exact change ((1+u)*u**b - u*(u-1)**b)/2; at b=0 it is 0, 1, 1/2
-            # for u=0, 1, >=2.  At u=0, pw[u - 1] wraps to the last (finite)
-            # entry and is multiplied by u = 0, so it adds nothing.
-            out[index[focal]] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
+            out[index[focal]] = change[(net.mask[shared] & others[focal]).bit_count()]
 
         return delta_into
 
@@ -417,9 +438,7 @@ class _Nodematch(_Evaluator):
             through = (S * dpw[np.clip(M - 1, 0, top)]) @ A
             change = np.where(A > 0, through, without)
         else:
-            u = (S @ A).astype(np.int64)
-            pw = np.asarray(self.pw)
-            change = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
+            change = np.asarray(self.change)[(S @ A).astype(np.int64)]
         # scatter each focal node's row into the slot of its level; group -1
         # picks the appended slot -1, which matches no column
         slot = np.asarray(self.slot_of_code + [-1])[group]
@@ -529,6 +548,25 @@ class BoundModel:
             out[ev.offset : ev.offset + ev.width] = ev.stats(net)
         return out
 
+    def node_tables(self, theta) -> tuple[list[float], list[tuple[tuple[int, float], ...]]]:
+        """The dyad-independent terms' part of a toggle, by node, for `theta`
+        (p floats).  `eta[node]` sums, in model order, theta times the
+        node's value in its slot of each `_NodeSlot` term of the node's mode;
+        `gains[node]` holds the (statistic index, value) pairs of those terms
+        whose value is not 0.0.  Toggling (i, k) on moves the log-odds by
+        eta[i] + eta[k] and the statistics by gains[i] and gains[k]."""
+        eta, gains = [0.0] * (self.n1 + self.n2 + 1), [[] for _ in range(self.n1 + self.n2 + 1)]
+        for ev in self.evaluators:
+            if not ev.dyad_independent:
+                continue
+            first = 1 if ev.mode == 1 else self.n1 + 1
+            for node in range(first, _end(ev.mode, self.n1, self.n2)):
+                j, value = ev.offset + ev.slot[node], ev.value[node]
+                eta[node] += theta[j] * value
+                if value != 0.0:
+                    gains[node].append((j, value))
+        return eta, [tuple(g) for g in gains]
+
     def delta_into(self, net: BipartiteNetwork, i: int, k: int, out: np.ndarray) -> None:
         out[:] = 0.0
         for ev in self.evaluators:
@@ -560,13 +598,21 @@ class SharedPartnerSpectrum:
     counts: dict[int, int] = field(default_factory=dict)
 
 
+def _mode1_spectrum(net: BipartiteNetwork, attrs: Attributes, column: str,
+                    node_centric: bool) -> dict[int, int]:
+    """Slot 0 of a plain `b1nodematch(column)`, from the column's level
+    masks alone: the walk reads no exponent."""
+    col = attrs.table_for(1).categorical(column)
+    kept = [(m, 0) for m in _level_masks(col.codes.tolist(), len(col.levels))]
+    return dict(sorted(_spectrum(net, 1, kept, node_centric, 1)[0].items()))
+
+
 def mdsp_spectrum(
     net: BipartiteNetwork, attrs: Attributes, column: str
 ) -> SharedPartnerSpectrum:
     """Matching mode-1 pairs, bucketed by exact shared-partner count: slot 0
-    of a node-centric `b1nodematch(column)`, whose exponent it does not use."""
-    ev = _Nodematch(ModelTerm("b1nodematch", column, alpha=1.0), 0, net.n1, net.n2, attrs)
-    return SharedPartnerSpectrum("mdsp", dict(sorted(ev.spectrum(net)[0].items())))
+    of a node-centric `b1nodematch(column)`."""
+    return SharedPartnerSpectrum("mdsp", _mode1_spectrum(net, attrs, column, True))
 
 
 def mesp_spectrum(
@@ -574,8 +620,7 @@ def mesp_spectrum(
 ) -> SharedPartnerSpectrum:
     """Edges bucketed by the exact number of matching two-paths containing
     them: slot 0 of an edge-centric `b1nodematch(column)`."""
-    ev = _Nodematch(ModelTerm("b1nodematch", column, beta=1.0), 0, net.n1, net.n2, attrs)
-    return SharedPartnerSpectrum("mesp", dict(sorted(ev.spectrum(net)[0].items())))
+    return SharedPartnerSpectrum("mesp", _mode1_spectrum(net, attrs, column, False))
 
 
 def recompose_from_spectrum(spectrum: SharedPartnerSpectrum, exponent: float) -> float:

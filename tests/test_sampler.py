@@ -121,14 +121,17 @@ class TestSimulate:
     def test_incremental_audit_under_stress(self, mode):
         # beta=0 has the most discontinuous change statistics; a long run
         # followed by the built-in audit exercises incremental updates
+        # node-level terms after the dependent ones: a mode-1 covariate in the
+        # mode-1 case, a mode-2 factor and sociality in the mode-2 case
         if mode == 1:
-            attrs = make_attrs1(["a", "a", "b", "a"])
+            attrs = make_attrs1(["a", "a", "b", "a"], numeric=("x", [0.5, -1.0, 2.0, 0.0]))
             net = from_edge_list(4, 3, [])
             homophily = (
                 ModelTerm(kind="b1nodematch", attribute="group", beta=0.0),
                 ModelTerm(kind="b1nodematch", attribute="group", alpha=0.0),
             )
-            theta = [0.1, 0.5, 0.3, -0.2]
+            node_level = (ModelTerm(kind="b1cov", attribute="x"),)
+            theta = [0.1, 0.5, 0.3, -0.2, 0.2]
         else:
             table = AttributeTable(2, 6)
             table.add_categorical("kind", ["a", "b", "a", "a", "b", "a"])
@@ -139,8 +142,11 @@ class TestSimulate:
                 ModelTerm(kind="b2nodematch", attribute="kind", alpha=0.0, diff=True),
                 ModelTerm(kind="b2nodematch", attribute="kind", alpha=0.5, keep_levels=("a",)),
             )
-            theta = [0.1, 0.5, 0.4, 0.3, 0.2, 0.3, -0.2]
-        spec = ModelSpec((ModelTerm(kind="edges"), *homophily, ModelTerm(kind="b2star2")))
+            node_level = (ModelTerm(kind="b2factor", attribute="kind"), ModelTerm(kind="b2sociality"))
+            theta = [0.1, 0.5, 0.4, 0.3, 0.2, 0.3, -0.2, -0.3, 0.2, -0.1, 0.0, 0.3, -0.2, 0.1]
+        spec = ModelSpec(
+            (ModelTerm(kind="edges"), *homophily, ModelTerm(kind="b2star2"), *node_level)
+        )
         control = SamplerControl(burn_in=0, interval=1, sample_size=20_000, seed=11)
         sample = simulate(bind(spec, net, attrs), theta, net, control)
         final = bind(spec, net, attrs).stats(sample.final_network)
@@ -197,28 +203,42 @@ class TestSimulate:
         assert sample.proposals == 200_001
 
 
+# The second case puts node-level terms of both modes after the nodematch
+# term, so the chain's per-node log-odds table carries b2sociality, b1cov
+# and edges while only the nodematch kernel runs per proposal.
+DETAILED_BALANCE_CASES = {
+    "edges-alpha": (
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5)),
+        [1.0, -1.0],
+    ),
+    "alpha-then-node-level": (
+        (ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5), ModelTerm(kind="b2sociality"),
+         ModelTerm(kind="b1cov", attribute="x"), ModelTerm(kind="edges")),
+        [-0.8, 0.4, -0.3, 0.6, 0.3],
+    ),
+}
+
+
 def test_detailed_balance_against_enumeration():
-    attrs = make_attrs1(["a", "a"])
-    spec = ModelSpec(
-        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5))
-    )
-    exact_model = ExactModel(spec, attrs, 2, 2)
-    theta = [1.0, -1.0]
-    exact = exact_model.probabilities(theta)
-    net = from_edge_list(2, 2, [])
-    chain = Chain(net, bind(spec, net, attrs), theta, _generator(21))
-    chain.run(2000)
-    draws = 300_000
-    counts = np.zeros(16)
-    code = exact_model.state_index(net)
-    for _ in range(draws):
-        if chain.step():
-            i, k = chain.last_dyad
-            code ^= 1 << ((i - 1) * 2 + (k - 3))
-        counts[code] += 1
-    chain.audit()
-    tv = 0.5 * float(np.abs(counts / draws - exact).sum())
-    assert tv <= 0.015
+    attrs = make_attrs1(["a", "a"], numeric=("x", [0.5, -1.0]))
+    for case, (terms, theta) in DETAILED_BALANCE_CASES.items():
+        spec = ModelSpec(terms)
+        exact_model = ExactModel(spec, attrs, 2, 2)
+        exact = exact_model.probabilities(theta)
+        net = from_edge_list(2, 2, [])
+        chain = Chain(net, bind(spec, net, attrs), theta, _generator(21))
+        chain.run(2000)
+        draws = 300_000
+        counts = np.zeros(16)
+        code = exact_model.state_index(net)
+        for _ in range(draws):
+            if chain.step():
+                i, k = chain.last_dyad
+                code ^= 1 << ((i - 1) * 2 + (k - 3))
+            counts[code] += 1
+        chain.audit()
+        tv = 0.5 * float(np.abs(counts / draws - exact).sum())
+        assert tv <= 0.015, case
 
 
 @pytest.mark.parametrize("n1,n2,empty", [(0, 3, 1), (3, 0, 2), (0, 0, 1)])
@@ -582,6 +602,43 @@ def test_a_chain_that_raised_stays_dead(monkeypatch):
     step = chain.step
     with pytest.raises(RuntimeError, match=dead):
         list(map(lambda _: step(), range(3)))
+
+
+def test_the_chain_calls_no_node_level_kernel(monkeypatch):
+    # node-level terms reach the chain through the per-node tables alone
+    net = _net30(0.2)
+    spec = ModelSpec((
+        ModelTerm(kind="edges"), ModelTerm(kind="b1factor", attribute="group"), ALPHA,
+        ModelTerm(kind="b2sociality"), ModelTerm(kind="b2cov", attribute="z"),
+    ))
+    model = bind(spec, net, _contract_attrs())
+
+    def raising(net, i, k, out):
+        raise AssertionError("a node-level kernel ran in the chain")
+
+    for ev in model.evaluators:
+        if ev.dyad_independent:
+            monkeypatch.setattr(ev, "delta_into", raising)
+    chain = Chain(net, model, [-1.5, 0.2, 0.6] + [0.05] * 15 + [0.3], _generator(27))
+    for _ in range(5):
+        chain.run(2000)
+        chain.audit()
+    assert chain.accepted > 0
+
+
+@pytest.mark.parametrize("bad", [-4, 2.5, True, "3", None, np.float64(2.0)], ids=repr)
+def test_run_refuses_a_count_it_cannot_use(bad):
+    # a negative count moved `proposals` back, and a float raised inside the
+    # loop and left the chain dead
+    net = from_edge_list(3, 3, [])
+    chain = Chain(net, bind(edges_spec(), net, Attributes()), [0.0], _generator(0))
+    chain.run(10)
+    with pytest.raises(ValueError, match="proposals must be an int >= 0"):
+        chain.run(bad)
+    assert chain.proposals == 10
+    chain.run(np.int64(2))
+    chain.step()
+    assert chain.proposals == 13
 
 
 def test_a_dropped_chain_is_freed_at_once():
