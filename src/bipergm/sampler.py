@@ -133,10 +133,8 @@ class Chain:
         uniform = itertools.chain.from_iterable(
             iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
         ).__next__
-        dependent = [ev for ev in model.evaluators if not ev.dyad_independent]
-        slots = [j for ev in dependent for j in range(ev.offset, ev.offset + ev.width)]
         loop = _mh_loop(net, theta, self.stats, *model.node_tables(theta),
-                        [ev.delta_into for ev in dependent], slots, uniform)
+                        model.dependent_change(), uniform)
         self.accepted, self.proposals, self.last_dyad = next(loop)
         self._send = loop.send
 
@@ -181,24 +179,24 @@ class Chain:
         self.stats[:] = [float(s) for s in fresh]
 
 
-def _mh_loop(net, theta, stats, eta, gains, deltas, slots, uniform):
+def _mh_loop(net, theta, stats, eta, gains, change, uniform):
     """The only MH loop body: a generator that holds a chain's locals
     between calls.  Each value sent is a number of proposals to make,
     reading `uniform()` in the order the module docstring gives; it yields
     the running `(accepted, proposals, last_dyad)`.  It holds no reference
     to its chain, so a dropped chain is freed at once.
 
-    The dyad-independent terms come from `BoundModel.node_tables`: a
-    toggle's log-odds is `eta[i] + eta[k]` plus theta times the change of
-    each slot in `slots`, which only the dyad-dependent kernels `deltas`
-    write; an accepted toggle moves those slots by the change and the
-    node-level statistics by `gains[i]` and `gains[k]`."""
+    The dyad-independent terms come from `BoundModel.node_tables` and the
+    others from `change`, `BoundModel.dependent_change`: a toggle's
+    log-odds is `eta[i] + eta[k]` plus theta times the value of each
+    (statistic index, value) pair that `change(mask, i, k)` returns, and an
+    accepted toggle moves those statistics by the pairs and the node-level
+    statistics by `gains[i]` and `gains[k]`."""
     exp = math.exp
     mask, bit, edge_list, add, remove = net.mask, net._bit, net._edge_list, net._add, net._remove
     n1, n2 = net.n1, net.n2
     D, first2 = n1 * n2, n1 + 1
     q_add, q_remove = {}, {}  # TNT log proposal ratios by edge count, filled on first use
-    buf, zeros = [0.0] * len(theta), [0.0] * len(theta)
     accepted = proposals = 0
     last = None
     while True:
@@ -210,21 +208,26 @@ def _mh_loop(net, theta, stats, eta, gains, deltas, slots, uniform):
             else:
                 adding = E == 0
             if adding:
-                for _ in range(64):
-                    d = int(uniform() * D)
-                    i = d // n2 + 1
-                    k = first2 + d % n2
-                    if not mask[i] & bit[k]:
-                        break
-                else:
-                    # dense fallback: enumerate the complement once
-                    empties = [
-                        (a, b)
-                        for a in range(1, n1 + 1)
-                        for b in range(first2, n1 + n2 + 1)
-                        if not mask[a] & bit[b]
-                    ]
-                    i, k = empties[int(uniform() * len(empties))]
+                # the first of the 64 tries, outside the loop: most succeed
+                d = int(uniform() * D)
+                i = d // n2 + 1
+                k = first2 + d % n2
+                if mask[i] & bit[k]:
+                    for _ in range(63):
+                        d = int(uniform() * D)
+                        i = d // n2 + 1
+                        k = first2 + d % n2
+                        if not mask[i] & bit[k]:
+                            break
+                    else:
+                        # dense fallback: enumerate the complement once
+                        empties = [
+                            (a, b)
+                            for a in range(1, n1 + 1)
+                            for b in range(first2, n1 + n2 + 1)
+                            if not mask[a] & bit[b]
+                        ]
+                        i, k = empties[int(uniform() * len(empties))]
                 try:
                     log_q = q_add[E]
                 except KeyError:
@@ -236,29 +239,26 @@ def _mh_loop(net, theta, stats, eta, gains, deltas, slots, uniform):
                 except KeyError:
                     log_q = q_remove[E] = _tnt_log_q(D, E, False)
 
-            # terms that skip a slot leave it zero
-            buf[:] = zeros
-            for delta_into in deltas:
-                delta_into(net, i, k, buf)
+            pairs = change(mask, i, k)
             lo = eta[i] + eta[k]
-            for j in slots:
-                lo += theta[j] * buf[j]
+            for j, value in pairs:
+                lo += theta[j] * value
             log_ratio = (lo if adding else -lo) + log_q
 
             if log_ratio < 0.0 and uniform() >= exp(log_ratio):
                 continue
             if adding:
                 add(i, k)
-                for j in slots:
-                    stats[j] += buf[j]
+                for j, value in pairs:
+                    stats[j] += value
                 for j, value in gains[i]:
                     stats[j] += value
                 for j, value in gains[k]:
                     stats[j] += value
             else:
                 remove(i, k)
-                for j in slots:
-                    stats[j] -= buf[j]
+                for j, value in pairs:
+                    stats[j] -= value
                 for j, value in gains[i]:
                     stats[j] -= value
                 for j, value in gains[k]:

@@ -163,27 +163,33 @@ def _per_dyad(rows: np.ndarray, mode: int, B: np.ndarray) -> np.ndarray:
     return np.broadcast_to(grid, (n1, n2, rows.shape[1])).reshape(n1 * n2, -1)
 
 
+# change(mask, i, k) -> the (statistic index, value) pairs of a toggle
+ChangeKernel = Callable[[list[int], int, int], tuple[tuple[int, float], ...]]
+
+
 class _Evaluator:
-    """Shared surface: `offset`, `names`, `width`, `stats`, `delta_into`,
+    """Shared surface: `offset`, `names`, `width`, `stats`, `change`,
     `columns`.  An evaluator is built with `offset`, the index of its first
     slot in the model's statistic vector.
 
     `columns(B)` gives the change statistics of every dyad at once from the
     n1 x n2 float biadjacency matrix `B`: a (n1 * n2, width) array whose
     rows follow `B.ravel()`, that is mode-1 node outer, mode-2 node inner.
-    `delta_into(net, i, k, out)`, a closure built in `__init__`, serves one
-    dyad of a network that changes between calls, after the caller zeroed
-    the buffer, so it writes only slots of its own term and may skip a slot
-    that stays zero.  `BoundModel.delta` calls every evaluator's kernel; the
-    chain calls only the kernels of the dyad-dependent terms, on every
-    proposal, and adds the dyad-independent ones from
+    `change(mask, i, k)`, a closure built in `__init__`, serves one dyad of
+    a network that changes between calls, read through the network's
+    neighbour masks `net.mask`.  It returns a tuple of the (statistic
+    index, value) pairs that toggling (i, k) moves: each index is a slot of
+    its own term, and a slot of the term that no pair names has change 0.0.
+    `BoundModel.delta` writes every evaluator's pairs; the chain calls
+    `BoundModel.dependent_change`, the kernels of the dyad-dependent terms
+    joined, on every proposal, and adds the dyad-independent ones from
     `BoundModel.node_tables`.
     """
 
     offset: int
     names: list[str]
     width: int
-    delta_into: Callable[[BipartiteNetwork, int, int, list], None]
+    change: ChangeKernel
     # a dyad's change statistics do not depend on the rest of the network
     dyad_independent = False
 
@@ -199,7 +205,7 @@ class _NodeSlot(_Evaluator):
     1.0 in slot 0 for `edges`, the covariate for `b1cov` and `b2cov`, 1.0
     in the slot of the node's level for `b1factor` and `b2factor`, and in
     the node's own slot for `b2sociality`.  A node that counts nowhere has
-    slot 0 and value 0.0, so the kernel writes one slot with no branch."""
+    slot 0 and value 0.0, so the kernel returns one pair with no branch."""
 
     dyad_independent = True
 
@@ -208,13 +214,11 @@ class _NodeSlot(_Evaluator):
         self.offset, self.names, self.width, self.mode = offset, names, len(names), mode
         self.slot = _by_node(slots, mode, n1, 0)
         self.value = _by_node(values, mode, n1, 0.0)
-        index, value, mode1 = [offset + s for s in self.slot], self.value, mode == 1
-
-        def delta_into(net, i, k, out):
-            node = i if mode1 else k
-            out[index[node]] = value[node]
-
-        self.delta_into = delta_into
+        pair = [((offset + s, v),) for s, v in zip(self.slot, self.value)]
+        if mode == 1:
+            self.change = lambda mask, i, k: pair[i]
+        else:
+            self.change = lambda mask, i, k: pair[k]
 
     def stats(self, net):
         slot, value, mode1 = self.slot, self.value, self.mode == 1
@@ -234,19 +238,19 @@ class _NodeSlot(_Evaluator):
 class _Mode2Degree(_Evaluator):
     """Sum over mode-2 nodes of `value[degree]`.  A dyad's change statistic
     is the gain `value[d + 1] - value[d]`, d being the mode-2 node's degree
-    without the dyad; the kernel reads it at the popcount d + 1."""
+    without the dyad; the kernel reads its pair at the popcount d + 1."""
 
     width = 1
 
     def __init__(self, offset: int, name: str, value: list[float], n1: int, n2: int):
         self.offset, self.names, self.value = offset, [name], value
         self.gain = gain = [b - a for a, b in zip(value, value[1:])]
-        gain_with, bit = [0.0] + gain, node_bits(n1, n2)
+        pair_with, bit = [((offset, g),) for g in [0.0] + gain], node_bits(n1, n2)
 
-        def delta_into(net, i, k, out):
-            out[offset] = gain_with[(net.mask[k] | bit[i]).bit_count()]
+        def change(mask, i, k):
+            return pair_with[(mask[k] | bit[i]).bit_count()]
 
-        self.delta_into = delta_into
+        self.change = change
 
     def stats(self, net):
         return np.array([sum(self.value[mk.bit_count()] for mk in net.mask[net.n1 + 1 :])])
@@ -345,11 +349,11 @@ class _Nodematch(_Evaluator):
         e = float(term.exponent)
         self.pw = pw = [0.0] + [float(i) ** e for i in range(1, max(n1, n2) + 1)]
         self.dpw = [b - a for a, b in zip(pw, pw[1:])]
-        # change[u]: the edge-centric change ((1+u)*u**b - u*(u-1)**b)/2 at u
+        # edge_change[u]: the edge-centric change ((1+u)*u**b - u*(u-1)**b)/2 at u
         # matching co-edges; at b=0 it is 0, 1, 1/2 for u=0, 1, >=2.  At u=0,
         # pw[u - 1] wraps to the last (finite) entry and is multiplied by
         # u = 0, so it adds nothing.
-        self.change = [0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1]) for u in range(len(pw))]
+        self.edge_change = [0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1]) for u in range(len(pw))]
         # level[c]: the mask of the nodes of level code c, 0 for a level not kept;
         # others[f]: the mask of the kept nodes in f's level other than f
         level = _level_masks(codes, len(levels))
@@ -359,7 +363,7 @@ class _Nodematch(_Evaluator):
         ]
         self.kept = [(m, slot) for m, slot in zip(level, self.slot_of_code) if slot >= 0]
         self.offset = offset
-        self.delta_into = self._kernel(offset, _end(self.mode, n1, n2))
+        self.change = self._kernel(offset, _end(self.mode, n1, n2))
 
     def spectrum(self, net: BipartiteNetwork) -> list[Counter]:
         """One Counter per slot: {t: matching pairs with exactly t shared
@@ -376,10 +380,10 @@ class _Nodematch(_Evaluator):
         """The change-statistic function, a closure over the term's tables.
         Plain assignments in each branch of `if mode1` skip the tuple that a
         conditional pair would build on every call.  `index[focal]` is the
-        output slot of focal's level; a node outside the kept levels gets
-        the term's first slot and has no others, so it writes 0.0 there."""
+        statistic index of focal's level; a node outside the kept levels has
+        no others, so its change is 0.0 and the kernel returns no pair."""
         mode1, others = self.mode == 1, self.others
-        index = [offset + (self.slot_of_code[g] if g >= 0 else 0) for g in self.group]
+        index = [offset + self.slot_of_code[g] if g >= 0 else None for g in self.group]
 
         if self.node_centric:
             # the popcount of focal's and j's masks counts the shared node,
@@ -388,36 +392,42 @@ class _Nodematch(_Evaluator):
             # bit of a focal-mode mask m stands for node end - m.bit_length().
             dpw, bit = self.dpw, self.bits
             dpw_less = [0.0] + dpw
+            # the pairs when the shared node has no partner in focal's level:
+            # one with change 0.0, or none outside the kept levels
+            nothing = [((j, 0.0),) if j is not None else () for j in index]
 
-            def delta_into(net, i, k, out):
+            def change(mask, i, k):
                 if mode1:
                     focal, shared = i, k
                 else:
                     focal, shared = k, i
-                mask = net.mask
+                m = mask[shared] & others[focal]
+                if not m:
+                    return nothing[focal]
                 mf = mask[focal]
                 gain = dpw_less if mf & bit[shared] else dpw
-                m = mask[shared] & others[focal]
                 total = 0.0
                 while m:
                     j = end - m.bit_length()
                     m ^= bit[j]
                     total += gain[(mf & mask[j]).bit_count()]
-                out[index[focal]] = total
+                return ((index[focal], total),)
 
-            return delta_into
+            return change
 
-        change = self.change
+        # pairs[focal][u]: focal's pair at u partners of the shared node in
+        # focal's level, focal aside; one list per statistic index
+        by_index = {j: [((j, c),) for c in self.edge_change] for j in set(index) - {None}}
+        pairs = [by_index[j] if j is not None else [()] for j in index]
 
-        def delta_into(net, i, k, out):
+        def change(mask, i, k):
             if mode1:
                 focal, shared = i, k
             else:
                 focal, shared = k, i
-            # u: partners of the shared node in focal's level, focal aside
-            out[index[focal]] = change[(net.mask[shared] & others[focal]).bit_count()]
+            return pairs[focal][(mask[shared] & others[focal]).bit_count()]
 
-        return delta_into
+        return change
 
     def columns(self, B):
         # A is focal x shared and S marks same-group focal pairs; the rows of
@@ -438,7 +448,7 @@ class _Nodematch(_Evaluator):
             through = (S * dpw[np.clip(M - 1, 0, top)]) @ A
             change = np.where(A > 0, through, without)
         else:
-            change = np.asarray(self.change)[(S @ A).astype(np.int64)]
+            change = np.asarray(self.edge_change)[(S @ A).astype(np.int64)]
         # scatter each focal node's row into the slot of its level; group -1
         # picks the appended slot -1, which matches no column
         slot = np.asarray(self.slot_of_code + [-1])[group]
@@ -567,10 +577,33 @@ class BoundModel:
                     gains[node].append((j, value))
         return eta, [tuple(g) for g in gains]
 
+    def dependent_change(self) -> ChangeKernel:
+        """The change kernel of the dyad-dependent terms, for the chain:
+        `change(mask, i, k)` returns their (statistic index, value) pairs in
+        model order.  With one such term it is that term's own kernel, with
+        none it returns ().  The evaluators' `change` attributes are read
+        when this method is called."""
+        kernels = [ev.change for ev in self.evaluators if not ev.dyad_independent]
+        if not kernels:
+            return lambda mask, i, k: ()
+        first, *rest = kernels
+        if not rest:
+            return first
+
+        def change(mask, i, k):
+            pairs = first(mask, i, k)
+            for kernel in rest:
+                pairs += kernel(mask, i, k)
+            return pairs
+
+        return change
+
     def delta_into(self, net: BipartiteNetwork, i: int, k: int, out: np.ndarray) -> None:
         out[:] = 0.0
+        mask = net.mask
         for ev in self.evaluators:
-            ev.delta_into(net, i, k, out)
+            for j, value in ev.change(mask, i, k):
+                out[j] = value
 
     def delta(self, net: BipartiteNetwork, i: int, k: int) -> np.ndarray:
         """Statistics with edge (i, k) present minus without it, whatever its state."""

@@ -577,17 +577,17 @@ def test_a_chain_that_raised_stays_dead(monkeypatch):
     net = _net30(0.2)
     model = bind(ModelSpec((ModelTerm(kind="edges"), ALPHA)), net, _contract_attrs())
     ev = model.evaluators[1]
-    delta_into = ev.delta_into
+    change = ev.change
     calls = 0
 
-    def failing(net, i, k, out):
+    def failing(mask, i, k):
         nonlocal calls
         calls += 1
         if calls == 50:
             raise ZeroDivisionError("kernel failed")
-        delta_into(net, i, k, out)
+        return change(mask, i, k)
 
-    monkeypatch.setattr(ev, "delta_into", failing)
+    monkeypatch.setattr(ev, "change", failing)
     chain = Chain(net, model, [-1.5, 0.6], _generator(3))
     chain.run(10)
     assert chain.step() in (True, False)
@@ -613,12 +613,12 @@ def test_the_chain_calls_no_node_level_kernel(monkeypatch):
     ))
     model = bind(spec, net, _contract_attrs())
 
-    def raising(net, i, k, out):
+    def raising(mask, i, k):
         raise AssertionError("a node-level kernel ran in the chain")
 
     for ev in model.evaluators:
         if ev.dyad_independent:
-            monkeypatch.setattr(ev, "delta_into", raising)
+            monkeypatch.setattr(ev, "change", raising)
     chain = Chain(net, model, [-1.5, 0.2, 0.6] + [0.05] * 15 + [0.3], _generator(27))
     for _ in range(5):
         chain.run(2000)

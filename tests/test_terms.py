@@ -600,7 +600,9 @@ def test_term_layer_keeps_its_bits(which, exponent):
 # the network's neighbour masks; the reference counts the same neighbours
 # with set intersections and loops.  Both must give the same bits at every
 # dyad after any run of toggles, and the masks must still agree with the
-# neighbour sets.
+# neighbour sets.  So must what the chain reads: the node-level pairs of
+# `node_tables` and the pairs of the composed `dependent_change` kernel,
+# for a model with ten dyad-dependent terms and for one with none.
 
 
 def _set_reference(model, net, i, k, out):
@@ -609,7 +611,8 @@ def _set_reference(model, net, i, k, out):
         if ev.names[0].startswith(("b1nodematch", "b2nodematch")):
             ref.nodematch_delta_into(ev, net, i, k, out)
         else:
-            ev.delta_into(net, i, k, out)
+            for j, value in ev.change(net.mask, i, k):
+                out[j] = value
 
 
 @pytest.mark.parametrize("shape,fill", DESIGN_CASES)
@@ -617,28 +620,36 @@ def _set_reference(model, net, i, k, out):
 def test_chain_kernels_equal_the_stateless_delta(shape, fill, which, exponent):
     net, attrs = design_case(shape, fill)
     model = bind(every_term_kind(attrs, which, exponent), net, attrs)
-    # nodematch in both modes, plain, diff, kept, diff kept
+    # nodematch in both modes, plain, diff, kept, diff kept; b2star2 and b2degree1
     assert sum(ev.names[0].startswith(("b1nodematch", "b2nodematch"))
                for ev in model.evaluators) == 8
+    assert sum(not ev.dyad_independent for ev in model.evaluators) == 10
+    models = [model, bind(ModelSpec((term("edges"),)), net, attrs)]
     rng = np.random.default_rng([net.n1, net.n2, len(fill), int(10 * exponent)])
-    expected, got = np.empty(model.p), np.empty(model.p)
     for toggles in (0, 1, 5, 40, 40):
         for _ in range(toggles):
             net.toggle(int(rng.integers(1, net.n1 + 1)), int(rng.integers(net.n1 + 1, net.n + 1)))
         net.check_consistency()
-        for i in range(1, net.n1 + 1):
-            for k in range(net.n1 + 1, net.n + 1):
-                _set_reference(model, net, i, k, expected)
-                model.delta_into(net, i, k, got)
-                assert got.tobytes() == expected.tobytes(), (i, k)
+        for model in models:
+            gains = model.node_tables([0.0] * model.p)[1]
+            change = model.dependent_change()
+            expected, got, chain = np.empty(model.p), np.empty(model.p), np.empty(model.p)
+            for i in range(1, net.n1 + 1):
+                for k in range(net.n1 + 1, net.n + 1):
+                    _set_reference(model, net, i, k, expected)
+                    model.delta_into(net, i, k, got)
+                    assert got.tobytes() == expected.tobytes(), (i, k)
+                    chain[:] = 0.0
+                    for j, value in gains[i] + gains[k] + change(net.mask, i, k):
+                        chain[j] = value
+                    assert chain.tobytes() == expected.tobytes(), (model.names, i, k)
 
 
-# The chain zeroes its change buffer before each proposal, then every
-# term's `delta_into` writes into it in turn.  So each kernel must leave its
-# term's slots holding the bits of the set reference and touch no slot of
-# another term.  A buffer with zeros in the term's slots and NaN elsewhere
-# shows a write outside the term, which the summed buffer of the test above
-# misses when a later kernel overwrites it.
+# The chain adds each pair a kernel returns to the statistic it names.  So
+# every pair must name a slot of its kernel's own term and carry the bits of
+# the set reference, and each slot of the term that no pair names must have
+# change 0.0.  The composed vector of the test above misses a pair that
+# names another term's slot when that term's kernel overwrites it later.
 
 
 @pytest.mark.parametrize("shape,fill", DESIGN_CASES)
@@ -655,10 +666,13 @@ def test_chain_kernels_own_their_slots(shape, fill, which, exponent):
             for k in range(net.n1 + 1, net.n + 1):
                 _set_reference(model, net, i, k, expected)
                 for ev in model.evaluators:
-                    lo, hi = ev.offset, ev.offset + ev.width
-                    out = [math.nan] * model.p
-                    out[lo:hi] = [0.0] * ev.width
-                    ev.delta_into(net, i, k, out)
-                    assert np.array(out[lo:hi]).tobytes() == expected[lo:hi].tobytes(), (
-                        ev.names, i, k)
-                    assert all(math.isnan(v) for v in out[:lo] + out[hi:]), (ev.names, i, k)
+                    pairs = ev.change(net.mask, i, k)
+                    named = [j for j, _ in pairs]
+                    assert len(set(named)) == len(named), (ev.names, i, k)
+                    for j, value in pairs:
+                        assert ev.offset <= j < ev.offset + ev.width, (ev.names, i, k)
+                        assert np.array([value]).tobytes() == expected[j : j + 1].tobytes(), (
+                            ev.names, i, k)
+                    for j in range(ev.offset, ev.offset + ev.width):
+                        if j not in named:
+                            assert expected[j] == 0.0, (ev.names, i, k)
