@@ -146,12 +146,16 @@ def _dyad_design(model: BoundModel, net: BipartiteNetwork) -> tuple[np.ndarray, 
     """Change statistics `X` (one row per dyad) and dyad states `y`.
 
     Rows run over mode-1 nodes outer and mode-2 nodes inner, the order of
-    `biadjacency().ravel()`; each term evaluator fills its columns for
-    every dyad at once from the biadjacency matrix.
+    `biadjacency().ravel()`.  Column j at dyad (i, k) starts as
+    `node_columns[j, i] + node_columns[j, k]`, the node-level terms' part,
+    0.0 elsewhere; each dyad-dependent evaluator then fills its columns for
+    every dyad at once from the biadjacency matrix.  `X` is column-major,
+    so that each column is one contiguous broadcast sum.
     """
     B = net.biadjacency().astype(np.float64)
-    X = np.empty((B.size, model.p))
-    for ev in model.evaluators:
+    cols, n1 = model.node_columns, model.n1
+    X = (cols[:, 1 : n1 + 1, None] + cols[:, None, n1 + 1 :]).reshape(model.p, B.size).T
+    for ev in model.dependent:
         X[:, ev.offset : ev.offset + ev.width] = ev.columns(B)
     return X, B.ravel()
 

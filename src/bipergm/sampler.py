@@ -133,8 +133,7 @@ class Chain:
         uniform = itertools.chain.from_iterable(
             iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
         ).__next__
-        loop = _mh_loop(net, theta, self.stats, *model.node_tables(theta),
-                        model.dependent_change(), uniform)
+        loop = _mh_loop(net, theta, self.stats, model.node, model.dependent_change(), uniform)
         self.accepted, self.proposals, self.last_dyad = next(loop)
         self._send = loop.send
 
@@ -179,19 +178,26 @@ class Chain:
         self.stats[:] = [float(s) for s in fresh]
 
 
-def _mh_loop(net, theta, stats, eta, gains, change, uniform):
+def _mh_loop(net, theta, stats, node, change, uniform):
     """The only MH loop body: a generator that holds a chain's locals
     between calls.  Each value sent is a number of proposals to make,
     reading `uniform()` in the order the module docstring gives; it yields
     the running `(accepted, proposals, last_dyad)`.  It holds no reference
     to its chain, so a dropped chain is freed at once.
 
-    The dyad-independent terms come from `BoundModel.node_tables` and the
-    others from `change`, `BoundModel.dependent_change`: a toggle's
-    log-odds is `eta[i] + eta[k]` plus theta times the value of each
-    (statistic index, value) pair that `change(mask, i, k)` returns, and an
-    accepted toggle moves those statistics by the pairs and the node-level
-    statistics by `gains[i]` and `gains[k]`."""
+    The dyad-independent terms come from `node`, `BoundModel.node`, and
+    the others from `change`, `BoundModel.dependent_change`: a toggle's
+    log-odds is `eta[i] + eta[k]`, `eta[v]` being theta times the pairs of
+    `node[v]` summed in model order, plus theta times the value of each
+    (statistic index, value) pair that `change(mask, i, k)` returns, and
+    an accepted toggle moves the statistics by those pairs and by
+    `node[i]` and `node[k]`."""
+    eta = []
+    for pairs in node:
+        lo = 0.0
+        for j, value in pairs:
+            lo += theta[j] * value
+        eta.append(lo)
     exp = math.exp
     mask, bit, edge_list, add, remove = net.mask, net._bit, net._edge_list, net._add, net._remove
     n1, n2 = net.n1, net.n2
@@ -251,17 +257,17 @@ def _mh_loop(net, theta, stats, eta, gains, change, uniform):
                 add(i, k)
                 for j, value in pairs:
                     stats[j] += value
-                for j, value in gains[i]:
+                for j, value in node[i]:
                     stats[j] += value
-                for j, value in gains[k]:
+                for j, value in node[k]:
                     stats[j] += value
             else:
                 remove(i, k)
                 for j, value in pairs:
                     stats[j] -= value
-                for j, value in gains[i]:
+                for j, value in node[i]:
                     stats[j] -= value
-                for j, value in gains[k]:
+                for j, value in node[k]:
                     stats[j] -= value
             accepted += 1
 

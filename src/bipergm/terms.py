@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import AttributeLookupError, Attributes, BipartiteNetwork, CategoricalColumn, node_bits, partners
+from .graph import (AttributeLookupError, Attributes, AttributeTable, BipartiteNetwork,
+                    CategoricalColumn, node_bits, partners)
 
 
 class TermKind(NamedTuple):
@@ -154,36 +155,26 @@ def _of_mode(column: list, mode: int, B: np.ndarray) -> np.ndarray:
     return np.asarray(column[1 if mode == 1 else B.shape[0] + 1 :])
 
 
-def _per_dyad(rows: np.ndarray, mode: int, B: np.ndarray) -> np.ndarray:
-    """Dyad columns that give dyad (i, k) the row of its mode-`mode` node;
-    `rows` holds one row (or one value) per node of that mode."""
-    n1, n2 = B.shape
-    rows = rows.reshape(len(rows), -1)
-    grid = rows[:, None, :] if mode == 1 else rows[None, :, :]
-    return np.broadcast_to(grid, (n1, n2, rows.shape[1])).reshape(n1 * n2, -1)
-
-
 # change(mask, i, k) -> the (statistic index, value) pairs of a toggle
 ChangeKernel = Callable[[list[int], int, int], tuple[tuple[int, float], ...]]
 
 
 class _Evaluator:
-    """Shared surface: `offset`, `names`, `width`, `stats`, `change`,
-    `columns`.  An evaluator is built with `offset`, the index of its first
-    slot in the model's statistic vector.
+    """Shared surface: `offset`, the index of the evaluator's first slot
+    in the model's statistic vector, `names` and `width`.
 
-    `columns(B)` gives the change statistics of every dyad at once from the
-    n1 x n2 float biadjacency matrix `B`: a (n1 * n2, width) array whose
-    rows follow `B.ravel()`, that is mode-1 node outer, mode-2 node inner.
-    `change(mask, i, k)`, a closure built in `__init__`, serves one dyad of
-    a network that changes between calls, read through the network's
-    neighbour masks `net.mask`.  It returns a tuple of the (statistic
-    index, value) pairs that toggling (i, k) moves: each index is a slot of
-    its own term, and a slot of the term that no pair names has change 0.0.
-    `BoundModel.delta` writes every evaluator's pairs; the chain calls
-    `BoundModel.dependent_change`, the kernels of the dyad-dependent terms
-    joined, on every proposal, and adds the dyad-independent ones from
-    `BoundModel.node_tables`.
+    A `dyad_independent` family holds data alone, which `BoundModel` reads
+    into its per-node table `node` when it is bound.  The other families
+    have `stats`, `change` and `columns`.  `columns(B)` gives the change
+    statistics of every dyad at once from the n1 x n2 float biadjacency
+    matrix `B`: a (n1 * n2, width) array whose rows follow `B.ravel()`,
+    that is mode-1 node outer, mode-2 node inner.  `change(mask, i, k)`, a
+    closure built in `__init__`, serves one dyad of a network that changes
+    between calls, read through the network's neighbour masks `net.mask`.
+    It returns a tuple of the (statistic index, value) pairs that toggling
+    (i, k) moves: each index is a slot of its own term, and a slot of the
+    term that no pair names has change 0.0.  The chain calls
+    `BoundModel.dependent_change`, these kernels joined, on every proposal.
     """
 
     offset: int
@@ -193,19 +184,13 @@ class _Evaluator:
     # a dyad's change statistics do not depend on the rest of the network
     dyad_independent = False
 
-    def stats(self, net: BipartiteNetwork) -> np.ndarray:
-        raise NotImplementedError
-
-    def columns(self, B: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
 
 class _NodeSlot(_Evaluator):
     """An edge adds the value of its node in `mode` to that node's slot:
     1.0 in slot 0 for `edges`, the covariate for `b1cov` and `b2cov`, 1.0
     in the slot of the node's level for `b1factor` and `b2factor`, and in
     the node's own slot for `b2sociality`.  A node that counts nowhere has
-    slot 0 and value 0.0, so the kernel returns one pair with no branch."""
+    slot 0 and value 0.0."""
 
     dyad_independent = True
 
@@ -214,25 +199,6 @@ class _NodeSlot(_Evaluator):
         self.offset, self.names, self.width, self.mode = offset, names, len(names), mode
         self.slot = _by_node(slots, mode, n1, 0)
         self.value = _by_node(values, mode, n1, 0.0)
-        pair = [((offset + s, v),) for s, v in zip(self.slot, self.value)]
-        if mode == 1:
-            self.change = lambda mask, i, k: pair[i]
-        else:
-            self.change = lambda mask, i, k: pair[k]
-
-    def stats(self, net):
-        slot, value, mode1 = self.slot, self.value, self.mode == 1
-        counts = [0.0] * self.width
-        for i, k in net.edges():
-            node = i if mode1 else k
-            counts[slot[node]] += value[node]
-        return np.array(counts)
-
-    def columns(self, B):
-        slot = _of_mode(self.slot, self.mode, B)
-        value = _of_mode(self.value, self.mode, B)
-        rows = np.where(slot[:, None] == np.arange(self.width), value[:, None], 0.0)
-        return _per_dyad(rows, self.mode, B)
 
 
 class _Mode2Degree(_Evaluator):
@@ -316,7 +282,7 @@ class _Nodematch(_Evaluator):
             )
         self.mode = 1 if term.kind == "b1nodematch" else 2
         self.node_centric = term.alpha is not None
-        col: CategoricalColumn = attrs.table_for(self.mode).categorical(term.attribute)
+        col: CategoricalColumn = _table(attrs, self.mode, n1, n2).categorical(term.attribute)
 
         levels = col.levels
         if term.keep_levels is not None:
@@ -458,6 +424,17 @@ class _Nodematch(_Evaluator):
         return out.reshape(B.size, self.width)
 
 
+def _table(attrs: Attributes, mode: int, n1: int, n2: int) -> AttributeTable:
+    """The attribute table of `mode`, which must have one row per node of
+    the mode: a term indexes it by node."""
+    table, nodes = attrs.table_for(mode), n1 if mode == 1 else n2
+    if table.size != nodes:
+        raise ValueError(
+            f"the mode-{mode} attribute table has {table.size} rows for {nodes} mode-{mode} nodes"
+        )
+    return table
+
+
 def _build_evaluator(
     term: ModelTerm, offset: int, n1: int, n2: int, attrs: Attributes
 ) -> _Evaluator:
@@ -468,10 +445,10 @@ def _build_evaluator(
     if kind == "edges":
         return _NodeSlot(offset, ["edges"], 1, n1, [0] * n1, [1.0] * n1)
     if kind in ("b1cov", "b2cov"):
-        values = attrs.table_for(mode).numeric(attr).values.tolist()
+        values = _table(attrs, mode, n1, n2).numeric(attr).values.tolist()
         return _NodeSlot(offset, [f"{kind}.{attr}"], mode, n1, [0] * len(values), values)
     if kind in ("b1factor", "b2factor"):
-        col = attrs.table_for(mode).categorical(attr)
+        col = _table(attrs, mode, n1, n2).categorical(attr)
         if len(col.levels) < 2:
             raise ValueError(
                 f"{kind}({attr!r}): needs at least two levels, got {list(col.levels)}"
@@ -512,6 +489,21 @@ class BoundModel:
             offset += self.evaluators[-1].width
         self.p = offset
         self.names = self._unique_names()
+        self.dependent = [ev for ev in self.evaluators if not ev.dyad_independent]
+        # node[v]: the (statistic index, value) pairs that an edge at node v
+        # adds through the node-level terms, in model order, 0.0 values left
+        # out; node_columns[j, v] holds the same values densely, 0.0 elsewhere
+        node: list[list[tuple[int, float]]] = [[] for _ in range(n1 + n2 + 1)]
+        self.node_columns = np.zeros((self.p, n1 + n2 + 1))
+        for ev in self.evaluators:
+            if not ev.dyad_independent:
+                continue
+            for v in range(1 if ev.mode == 1 else n1 + 1, _end(ev.mode, n1, n2)):
+                j, value = ev.offset + ev.slot[v], ev.value[v]
+                if value != 0.0:
+                    node[v].append((j, value))
+                    self.node_columns[j, v] = value
+        self.node = [tuple(pairs) for pairs in node]
 
     def _unique_names(self) -> list[str]:
         names: list[str] = []
@@ -553,29 +545,16 @@ class BoundModel:
 
     def stats(self, net: BipartiteNetwork) -> np.ndarray:
         self._check_net(net)
-        out = np.empty(self.p)
-        for ev in self.evaluators:
+        counts, node = [0.0] * self.p, self.node
+        for i, k in net.edges():
+            for j, value in node[i]:
+                counts[j] += value
+            for j, value in node[k]:
+                counts[j] += value
+        out = np.array(counts)
+        for ev in self.dependent:
             out[ev.offset : ev.offset + ev.width] = ev.stats(net)
         return out
-
-    def node_tables(self, theta) -> tuple[list[float], list[tuple[tuple[int, float], ...]]]:
-        """The dyad-independent terms' part of a toggle, by node, for `theta`
-        (p floats).  `eta[node]` sums, in model order, theta times the
-        node's value in its slot of each `_NodeSlot` term of the node's mode;
-        `gains[node]` holds the (statistic index, value) pairs of those terms
-        whose value is not 0.0.  Toggling (i, k) on moves the log-odds by
-        eta[i] + eta[k] and the statistics by gains[i] and gains[k]."""
-        eta, gains = [0.0] * (self.n1 + self.n2 + 1), [[] for _ in range(self.n1 + self.n2 + 1)]
-        for ev in self.evaluators:
-            if not ev.dyad_independent:
-                continue
-            first = 1 if ev.mode == 1 else self.n1 + 1
-            for node in range(first, _end(ev.mode, self.n1, self.n2)):
-                j, value = ev.offset + ev.slot[node], ev.value[node]
-                eta[node] += theta[j] * value
-                if value != 0.0:
-                    gains[node].append((j, value))
-        return eta, [tuple(g) for g in gains]
 
     def dependent_change(self) -> ChangeKernel:
         """The change kernel of the dyad-dependent terms, for the chain:
@@ -583,7 +562,7 @@ class BoundModel:
         model order.  With one such term it is that term's own kernel, with
         none it returns ().  The evaluators' `change` attributes are read
         when this method is called."""
-        kernels = [ev.change for ev in self.evaluators if not ev.dyad_independent]
+        kernels = [ev.change for ev in self.dependent]
         if not kernels:
             return lambda mask, i, k: ()
         first, *rest = kernels
@@ -600,8 +579,10 @@ class BoundModel:
 
     def delta_into(self, net: BipartiteNetwork, i: int, k: int, out: np.ndarray) -> None:
         out[:] = 0.0
+        for j, value in self.node[i] + self.node[k]:
+            out[j] = value
         mask = net.mask
-        for ev in self.evaluators:
+        for ev in self.dependent:
             for j, value in ev.change(mask, i, k):
                 out[j] = value
 
@@ -635,7 +616,7 @@ def _mode1_spectrum(net: BipartiteNetwork, attrs: Attributes, column: str,
                     node_centric: bool) -> dict[int, int]:
     """Slot 0 of a plain `b1nodematch(column)`, from the column's level
     masks alone: the walk reads no exponent."""
-    col = attrs.table_for(1).categorical(column)
+    col = _table(attrs, 1, net.n1, net.n2).categorical(column)
     kept = [(m, 0) for m in _level_masks(col.codes.tolist(), len(col.levels))]
     return dict(sorted(_spectrum(net, 1, kept, node_centric, 1)[0].items()))
 

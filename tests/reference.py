@@ -125,6 +125,33 @@ def nodematch_delta_into(ev, net, i, k, out):
     out[ev.offset + slot] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
 
 
+def node_level_change(kind, n1, i, k, values=None):
+    """The change statistics of a node-level term at dyad (i, k), as
+    {slot of the term: value}, read from the attribute values alone: 1 for
+    `edges`, the covariate of the term's node for `b1cov` and `b2cov`, the
+    indicator of the node's level with the first sorted level dropped for
+    `b1factor` and `b2factor`, and the indicator of the mode-2 node for
+    `b2sociality`.  `values` maps each node of the term's mode to its
+    attribute value; a slot left out has change 0."""
+    if kind == "edges":
+        return {0: 1.0}
+    if kind == "b2sociality":
+        return {k - n1 - 1: 1.0}
+    node = i if kind.startswith("b1") else k
+    if kind in ("b1cov", "b2cov"):
+        return {0: float(values[node])}
+    levels = sorted(set(values.values()))
+    if values[node] == levels[0]:
+        return {}
+    return {levels.index(values[node]) - 1: 1.0}
+
+
+def toggle_change(stat, n1, n2, edges, i, k):
+    """A whole-network statistic `stat(n1, n2, edges)` with edge (i, k)
+    present minus without it."""
+    return stat(n1, n2, edges | {(i, k)}) - stat(n1, n2, edges - {(i, k)})
+
+
 def matching_two_stars(n1, n2, edges, cats):
     """Plain matching two-star count: linear homophily, both views."""
     total = 0

@@ -46,6 +46,8 @@ def test_public_surface():
     # a name dropped from `__all__` but left in its module is not retired
     for module in (bipergm, graph, terms, formula, sampler, estimate, oracle, io, cli):
         assert not [name for name in RETIRED if hasattr(module, name)], module.__name__
+    # a chain reads the node-level change statistics from `BoundModel.node`
+    assert not hasattr(terms.BoundModel, "node_tables")
     for name, retired in RETIRED_PARAMETERS.items():
         assert not retired & set(inspect.signature(getattr(bipergm, name)).parameters), name
     # `model` is the bound model every chain runs on, never an optional override

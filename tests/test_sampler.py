@@ -604,21 +604,16 @@ def test_a_chain_that_raised_stays_dead(monkeypatch):
         list(map(lambda _: step(), range(3)))
 
 
-def test_the_chain_calls_no_node_level_kernel(monkeypatch):
-    # node-level terms reach the chain through the per-node tables alone
+def test_the_chain_calls_no_node_level_kernel():
+    # node-level terms reach the chain through the per-node table alone,
+    # and their running statistics agree with a recount
     net = _net30(0.2)
     spec = ModelSpec((
         ModelTerm(kind="edges"), ModelTerm(kind="b1factor", attribute="group"), ALPHA,
         ModelTerm(kind="b2sociality"), ModelTerm(kind="b2cov", attribute="z"),
     ))
     model = bind(spec, net, _contract_attrs())
-
-    def raising(mask, i, k):
-        raise AssertionError("a node-level kernel ran in the chain")
-
-    for ev in model.evaluators:
-        if ev.dyad_independent:
-            monkeypatch.setattr(ev, "change", raising)
+    assert not any(hasattr(ev, "change") for ev in model.evaluators if ev.dyad_independent)
     chain = Chain(net, model, [-1.5, 0.2, 0.6] + [0.05] * 15 + [0.3], _generator(27))
     for _ in range(5):
         chain.run(2000)

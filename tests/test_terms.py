@@ -18,6 +18,7 @@ from bipergm import (
     recompose_from_spectrum,
 )
 from bipergm.graph import ColumnTypeError
+from bipergm.oracle import ExactModel
 
 import reference as ref
 from conftest import (
@@ -534,6 +535,32 @@ class TestValidation:
         with pytest.raises(KeyError, match="zzz"):
             bind(spec, fig2_net, fig2_attrs).stats(fig2_net)
 
+    @pytest.mark.parametrize("levels", [("a", "a"), ("a", "a", "b", "b")], ids=["short", "long"])
+    def test_an_attribute_table_of_the_wrong_size(self, levels):
+        # a table one row short or long was read unchecked: b1nodematch gave
+        # 0.0 and the MDSP came out empty for both of these, and b1cov raised
+        # a bare IndexError for the short one
+        net = from_edge_list(3, 2, [(1, 4), (2, 4), (3, 5)])
+        good = make_attrs1(["a", "a", "b"], name="g", numeric=("x", [1.0, 2.0, 3.0]))
+        nodematch = spec_of(term("b1nodematch", attribute="g", alpha=1.0))
+        assert bind(nodematch, net, good).stats(net)[0] == 1.0
+        assert mdsp_spectrum(net, good, "g").counts == {1: 1}
+        rows = len(levels)
+        bad = make_attrs1(list(levels), name="g", numeric=("x", [1.0] * rows))
+        message = f"the mode-1 attribute table has {rows} rows for 3 mode-1 nodes"
+        for spec in (nodematch, spec_of(term("b1cov", attribute="x")), spec_of(term("b1factor", attribute="g"))):
+            with pytest.raises(ValueError, match=message):
+                bind(spec, net, bad)
+            with pytest.raises(ValueError, match=message):
+                ExactModel(spec, bad, 3, 2)
+        for spectrum in (mdsp_spectrum, mesp_spectrum):
+            with pytest.raises(ValueError, match=message):
+                spectrum(net, bad, "g")
+        mode2 = AttributeTable(2, rows - 1)
+        mode2.add_numeric("z", [1.0] * (rows - 1))
+        with pytest.raises(ValueError, match=f"mode-2 attribute table has {rows - 1} rows for 2 mode-2"):
+            bind(spec_of(term("b2cov", attribute="z")), net, Attributes(mode2=mode2))
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
@@ -598,21 +625,40 @@ def test_term_layer_keeps_its_bits(which, exponent):
 
 # Each nodematch term has one change-statistic kernel, which counts with
 # the network's neighbour masks; the reference counts the same neighbours
-# with set intersections and loops.  Both must give the same bits at every
+# with set intersections and loops.  The node-level terms have no kernel:
+# `BoundModel.node` holds their pairs, and the reference reads the
+# attribute columns.  b2star2 and b2degree1 are the brute-force difference
+# of their whole-network counts.  All must give the same bits at every
 # dyad after any run of toggles, and the masks must still agree with the
-# neighbour sets.  So must what the chain reads: the node-level pairs of
-# `node_tables` and the pairs of the composed `dependent_change` kernel,
-# for a model with ten dyad-dependent terms and for one with none.
+# neighbour sets.  So must what the chain reads: `node[i]`, `node[k]` and
+# the pairs of the composed `dependent_change` kernel, for a model with
+# ten dyad-dependent terms and for one with none.
+
+BRUTE_FORCE = {"b2star2": ref.star2, "b2degree1": ref.degree1}
 
 
-def _set_reference(model, net, i, k, out):
+def _node_values(attrs, term, n1):
+    """Node id -> attribute value of a node-level term's column."""
+    mode = 2 if term.kind.startswith("b2") else 1
+    if term.kind.endswith("factor"):
+        return categories_dict(attrs, mode, term.attribute, n1)
+    first = 1 if mode == 1 else n1 + 1
+    values = attrs.table_for(mode).numeric(term.attribute).values
+    return {first + off: value for off, value in enumerate(values.tolist())}
+
+
+def _set_reference(model, attrs, net, i, k, out):
     out[:] = 0.0
-    for ev in model.evaluators:
-        if ev.names[0].startswith(("b1nodematch", "b2nodematch")):
+    edges = ref.edge_set(net)
+    for term, ev in zip(model.spec.terms, model.evaluators):
+        if term.kind in ("b1nodematch", "b2nodematch"):
             ref.nodematch_delta_into(ev, net, i, k, out)
+        elif term.kind in BRUTE_FORCE:
+            out[ev.offset] = ref.toggle_change(BRUTE_FORCE[term.kind], net.n1, net.n2, edges, i, k)
         else:
-            for j, value in ev.change(net.mask, i, k):
-                out[j] = value
+            values = _node_values(attrs, term, net.n1) if term.attribute else None
+            for slot, value in ref.node_level_change(term.kind, net.n1, i, k, values).items():
+                out[ev.offset + slot] = value
 
 
 @pytest.mark.parametrize("shape,fill", DESIGN_CASES)
@@ -623,7 +669,7 @@ def test_chain_kernels_equal_the_stateless_delta(shape, fill, which, exponent):
     # nodematch in both modes, plain, diff, kept, diff kept; b2star2 and b2degree1
     assert sum(ev.names[0].startswith(("b1nodematch", "b2nodematch"))
                for ev in model.evaluators) == 8
-    assert sum(not ev.dyad_independent for ev in model.evaluators) == 10
+    assert len(model.dependent) == 10
     models = [model, bind(ModelSpec((term("edges"),)), net, attrs)]
     rng = np.random.default_rng([net.n1, net.n2, len(fill), int(10 * exponent)])
     for toggles in (0, 1, 5, 40, 40):
@@ -631,25 +677,40 @@ def test_chain_kernels_equal_the_stateless_delta(shape, fill, which, exponent):
             net.toggle(int(rng.integers(1, net.n1 + 1)), int(rng.integers(net.n1 + 1, net.n + 1)))
         net.check_consistency()
         for model in models:
-            gains = model.node_tables([0.0] * model.p)[1]
             change = model.dependent_change()
             expected, got, chain = np.empty(model.p), np.empty(model.p), np.empty(model.p)
             for i in range(1, net.n1 + 1):
                 for k in range(net.n1 + 1, net.n + 1):
-                    _set_reference(model, net, i, k, expected)
+                    _set_reference(model, attrs, net, i, k, expected)
                     model.delta_into(net, i, k, got)
                     assert got.tobytes() == expected.tobytes(), (i, k)
                     chain[:] = 0.0
-                    for j, value in gains[i] + gains[k] + change(net.mask, i, k):
+                    for j, value in model.node[i] + model.node[k] + change(net.mask, i, k):
                         chain[j] = value
                     assert chain.tobytes() == expected.tobytes(), (model.names, i, k)
 
 
-# The chain adds each pair a kernel returns to the statistic it names.  So
-# every pair must name a slot of its kernel's own term and carry the bits of
-# the set reference, and each slot of the term that no pair names must have
-# change 0.0.  The composed vector of the test above misses a pair that
-# names another term's slot when that term's kernel overwrites it later.
+# The chain adds each pair that the node table or a kernel gives to the
+# statistic it names.  So every pair must name a slot of its own term (a
+# node-level term of the node's mode, for the node table), at most one per
+# term and in model order, and carry the bits of the reference; each slot
+# of the term that no pair names must have change 0.0.  The composed vector
+# of the test above misses a pair that names another term's slot when that
+# term's pair overwrites it later.
+
+
+def _check_pairs(pairs, owners, expected, where):
+    named = [j for j, _ in pairs]
+    assert named == sorted(named), where
+    for j, value in pairs:
+        assert np.array([value]).tobytes() == expected[j : j + 1].tobytes(), (where, j)
+    for ev in owners:
+        mine = [j for j in named if ev.offset <= j < ev.offset + ev.width]
+        assert len(mine) <= 1, (ev.names, where)
+        for j in range(ev.offset, ev.offset + ev.width):
+            if j not in mine:
+                assert expected[j] == 0.0, (ev.names, where)
+    assert sum(ev.offset <= j < ev.offset + ev.width for j in named for ev in owners) == len(named), where
 
 
 @pytest.mark.parametrize("shape,fill", DESIGN_CASES)
@@ -657,6 +718,8 @@ def test_chain_kernels_equal_the_stateless_delta(shape, fill, which, exponent):
 def test_chain_kernels_own_their_slots(shape, fill, which, exponent):
     net, attrs = design_case(shape, fill)
     model = bind(every_term_kind(attrs, which, exponent), net, attrs)
+    node_level = {mode: [ev for ev in model.evaluators if ev.dyad_independent and ev.mode == mode]
+                  for mode in (1, 2)}
     rng = np.random.default_rng([net.n1, net.n2, len(fill), int(10 * exponent), 1])
     expected = np.empty(model.p)
     for toggles in (0, 7):
@@ -664,15 +727,10 @@ def test_chain_kernels_own_their_slots(shape, fill, which, exponent):
             net.toggle(int(rng.integers(1, net.n1 + 1)), int(rng.integers(net.n1 + 1, net.n + 1)))
         for i in range(1, net.n1 + 1):
             for k in range(net.n1 + 1, net.n + 1):
-                _set_reference(model, net, i, k, expected)
-                for ev in model.evaluators:
-                    pairs = ev.change(net.mask, i, k)
-                    named = [j for j, _ in pairs]
-                    assert len(set(named)) == len(named), (ev.names, i, k)
-                    for j, value in pairs:
-                        assert ev.offset <= j < ev.offset + ev.width, (ev.names, i, k)
-                        assert np.array([value]).tobytes() == expected[j : j + 1].tobytes(), (
-                            ev.names, i, k)
-                    for j in range(ev.offset, ev.offset + ev.width):
-                        if j not in named:
-                            assert expected[j] == 0.0, (ev.names, i, k)
+                _set_reference(model, attrs, net, i, k, expected)
+                # the node table leaves 0.0 values out
+                assert 0.0 not in [value for _, value in model.node[i] + model.node[k]], (i, k)
+                _check_pairs(model.node[i], node_level[1], expected, (i, k))
+                _check_pairs(model.node[k], node_level[2], expected, (i, k))
+                for ev in model.dependent:
+                    _check_pairs(ev.change(net.mask, i, k), [ev], expected, (ev.names, i, k))
