@@ -352,14 +352,18 @@ def mcmcmle(
     `control` sets the anchor chains; the anchor schedule and the bridge
     follow the module constants MAX_ANCHORS, RAMP, BRIDGE_LEGS and
     BRIDGE_DRAWS.  At each anchor, networks are simulated, the observed
-    statistics are checked against the convex hull of the simulated cloud
-    (on violation the anchor step is halved back toward the previous
-    anchor), and the log-likelihood-ratio surrogate is maximized to give
-    the next anchor.  The covariance comes from the inverse weighted
-    statistic covariance at the estimate, taken from the last anchor
-    inside the hull, NaN where its sample does not identify a coefficient
-    (as in `mple`); the absolute log-likelihood from the bridge that starts
-    at the MLE of the dyad-independent submodel (`_dyad_independent_start`).
+    statistics are checked against the convex hull of the simulated cloud,
+    and the log-likelihood-ratio surrogate is maximized to give the next
+    anchor.  On a violation the anchor step is halved back toward the
+    previous anchor; before any anchor lands inside the hull there is no
+    previous anchor, so theta stays where it is and the next anchor samples
+    at the same theta from its own seed.  The fifth violation of a fit
+    raises `NonConvergenceError`.  The covariance comes from the inverse
+    weighted statistic covariance at the estimate, taken from the last
+    anchor inside the hull, NaN where its sample does not identify a
+    coefficient (as in `mple`); the absolute log-likelihood from the bridge
+    that starts at the MLE of the dyad-independent submodel
+    (`_dyad_independent_start`).
     `control.seed` must be an int: every chain's seed is spawned from it.
     """
     control = control or SamplerControl()

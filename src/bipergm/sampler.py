@@ -11,9 +11,8 @@ fully determined by its seed.  A chain takes its uniforms from a block of
 and the last block is spent, and uses them per proposal in this order:
 
 1. the coin, only when 0 < E < D edges (below 0.5 removes);
-2. the dyad: either the index of the edge to remove, or up to 64 tries
-   at a uniform dyad until one is empty, then, if all 64 hit edges, one
-   index into the enumerated empty dyads;
+2. the dyad: either the index of the edge to remove, or one uniform
+   dyad per try until a try lands on an empty one;
 3. the accept uniform, only when the log acceptance ratio is negative.
 
 Changing that order changes every seeded chain, `simulate` sample and fit;
@@ -95,9 +94,10 @@ def _tnt_log_pick(D: int, E: int, adding: bool) -> float:
     return LOG_HALF - math.log(D - E if adding else E)
 
 
-def _tnt_log_q(D: int, E: int, adding: bool) -> float:
-    """TNT log proposal ratio log q(rev) - log q(fwd) for a toggle at E edges."""
-    return _tnt_log_pick(D, E + 1 if adding else E - 1, not adding) - _tnt_log_pick(D, E, adding)
+def _tnt_log_q(D: int, E: int) -> float:
+    """TNT log proposal ratio log q(rev) - log q(fwd) for adding an edge at
+    E edges; removing one at E + 1 edges has its negative."""
+    return _tnt_log_pick(D, E + 1, False) - _tnt_log_pick(D, E, True)
 
 
 class Chain:
@@ -202,7 +202,7 @@ def _mh_loop(net, theta, stats, node, change, uniform):
     mask, bit, edge_list, add, remove = net.mask, net._bit, net._edge_list, net._add, net._remove
     n1, n2 = net.n1, net.n2
     D, first2 = n1 * n2, n1 + 1
-    q_add, q_remove = {}, {}  # TNT log proposal ratios by edge count, filled on first use
+    q = {}  # TNT log proposal ratio for adding at E edges, filled on first use
     accepted = proposals = 0
     last = None
     while True:
@@ -214,42 +214,26 @@ def _mh_loop(net, theta, stats, node, change, uniform):
             else:
                 adding = E == 0
             if adding:
-                # the first of the 64 tries, outside the loop: most succeed
-                d = int(uniform() * D)
-                i = d // n2 + 1
-                k = first2 + d % n2
-                if mask[i] & bit[k]:
-                    for _ in range(63):
-                        d = int(uniform() * D)
-                        i = d // n2 + 1
-                        k = first2 + d % n2
-                        if not mask[i] & bit[k]:
-                            break
-                    else:
-                        # dense fallback: enumerate the complement once
-                        empties = [
-                            (a, b)
-                            for a in range(1, n1 + 1)
-                            for b in range(first2, n1 + n2 + 1)
-                            if not mask[a] & bit[b]
-                        ]
-                        i, k = empties[int(uniform() * len(empties))]
-                try:
-                    log_q = q_add[E]
-                except KeyError:
-                    log_q = q_add[E] = _tnt_log_q(D, E, True)
+                # E < D, so some dyad is empty and the tries end
+                while True:
+                    d = int(uniform() * D)
+                    i = d // n2 + 1
+                    k = first2 + d % n2
+                    if not mask[i] & bit[k]:
+                        break
             else:
                 i, k = edge_list[int(uniform() * E)]
-                try:
-                    log_q = q_remove[E]
-                except KeyError:
-                    log_q = q_remove[E] = _tnt_log_q(D, E, False)
+                E -= 1  # removing at E undoes adding at E - 1
+            try:
+                log_q = q[E]
+            except KeyError:
+                log_q = q[E] = _tnt_log_q(D, E)
 
             pairs = change(mask, i, k)
             lo = eta[i] + eta[k]
             for j, value in pairs:
                 lo += theta[j] * value
-            log_ratio = (lo if adding else -lo) + log_q
+            log_ratio = lo + log_q if adding else -(lo + log_q)
 
             if log_ratio < 0.0 and uniform() >= exp(log_ratio):
                 continue

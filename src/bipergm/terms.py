@@ -95,6 +95,9 @@ class ModelTerm:
                 if value is not None and not 0.0 <= value <= 1.0:
                     raise ValueError(f"{name} must lie in [0, 1], got {value}")
             if self.keep_levels is not None:
+                if not self.keep_levels:
+                    # it would keep no statistic, and format_spec could not write it
+                    raise ValueError(f"term {self.kind}({self.attribute!r}): keep_levels is empty")
                 object.__setattr__(self, "keep_levels", tuple(sorted(self.keep_levels)))
 
     @property

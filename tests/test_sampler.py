@@ -241,6 +241,27 @@ def test_detailed_balance_against_enumeration():
         assert tv <= 0.015, case
 
 
+def test_the_empty_dyad_is_uniform_when_most_tries_miss():
+    # 3 empty dyads of 450, so a try at a uniform dyad misses 149 times in
+    # 150; at theta +30 every adding proposal is accepted and every removal
+    # refused, so a chain's first accepted toggle is its first empty pick
+    empty = [(1, 31), (15, 38), (30, 45)]
+    net0 = from_edge_list(
+        30, 15,
+        [(i, k) for i in range(1, 31) for k in range(31, 46) if (i, k) not in empty],
+    )
+    spec = edges_spec()
+    counts = dict.fromkeys(empty, 0)
+    for seed in range(3000):
+        net = net0.copy()
+        chain = Chain(net, bind(spec, net, Attributes()), [30.0], _generator(seed))
+        while not chain.step():
+            pass
+        counts[chain.last_dyad] += 1
+    # each count is Binomial(3000, 1/3): mean 1000, sd 25.8; 5 sd each way
+    assert all(abs(c - 1000) <= 129 for c in counts.values()), counts
+
+
 @pytest.mark.parametrize("n1,n2,empty", [(0, 3, 1), (3, 0, 2), (0, 0, 1)])
 def test_chain_refuses_a_network_without_dyads(n1, n2, empty):
     net = from_edge_list(n1, n2, [])
@@ -294,7 +315,7 @@ def test_control_refuses_a_seed_that_is_not_a_count(seed):
 #
 # A seeded chain is a pure function of its seed only if it draws its
 # uniforms in one fixed order: the TNT coin (only when 0 < E < D), then the
-# edge index or the empty-dyad tries plus the dense-fallback draw, then the
+# edge index or one uniform dyad per try until a try is empty, then the
 # accept uniform (only when the log ratio is negative), refilled lazily from
 # `rng.random(block)`.  These fingerprints were recorded before the step
 # loop was rewritten; any change to that order changes them.  Every case
@@ -308,6 +329,9 @@ def test_control_refuses_a_seed_that_is_not_a_count(seed):
 # statistic became its shared-partner spectrum times the power table: the
 # starting statistics moved in the last bits (at most 2.7e-15 relative),
 # with the same accepted toggles and the same final edge set.
+# tnt-dense-fallback was re-recorded again when the empty dyad came to be
+# drawn by rejection alone: its adding proposals read more tries before
+# the accept uniform, so the stream after the first one moved.
 
 
 def _digest(rows, net, accepted) -> str:
@@ -382,8 +406,8 @@ CONTRACT_CASES = {
     # D == 1: both TNT branches collapse onto the one dyad
     "tnt-one-dyad": lambda: _chain_case(
         from_edge_list(1, 1, []), (), [0.3], 7, 20, 50, attrs=Attributes()),
-    # one empty dyad out of 450: the 64 tries mostly miss and the
-    # enumerated complement supplies the dyad
+    # one empty dyad out of 450: an adding proposal takes 450 tries on
+    # average before it lands on the empty dyad
     "tnt-dense-fallback": lambda: _chain_case(
         _full(30, 15, missing={(7, 40)}), (ALPHA,), [8.0, 0.1], 8, 10, 100),
     "tnt-empty-30x15": lambda: _chain_case(
@@ -403,7 +427,7 @@ CONTRACT_DIGESTS = {
     "tnt-b2diff": "595e1d0fcd449754caa406948f1860acb244ada36bef84038d45a76759ba084d",
     "tnt-beta": "7296e6e7b46d387f54d0c1bc51dce00e3c2144e3beae291b8c8c21be935312a4",
     "tnt-beta-0-1": "7c950c52154d613e140ebc2da10a3472fac7fee8610b2ecab7e510656d9f9cbc",
-    "tnt-dense-fallback": "004e74aecb2eaa687c73810313723d243dc5a35e88390de228dd5997d242a2b3",
+    "tnt-dense-fallback": "9d20a8d8125dd7651eaa94fd27ac93f38b5e838c804c9e258f06802bf6349b84",
     "tnt-edges": "4d28844ef985237c8169377ea0dfee161ffa6e0b5201a1c64ef28d5b4a79650a",
     "tnt-empty-30x15": "6b83043857407d0c82a0e935ed6a9b7827c7863a0430f8c79f7d94143829dc3b",
     "tnt-from-empty": "fd28a999b40b854e3ad501ba64f67137c1fb6dc61629e5603817ba73a153e5ca",

@@ -535,6 +535,13 @@ class TestValidation:
         with pytest.raises(KeyError, match="zzz"):
             bind(spec, fig2_net, fig2_attrs).stats(fig2_net)
 
+    @pytest.mark.parametrize("diff", [False, True])
+    def test_empty_keep_levels(self, diff):
+        # an empty keep set leaves the term no statistic (with diff) or a
+        # constant 0.0, and format_spec cannot write it in a form parse reads
+        with pytest.raises(ValueError, match="keep_levels is empty"):
+            term("b1nodematch", attribute="g", alpha=0.5, diff=diff, keep_levels=())
+
     @pytest.mark.parametrize("levels", [("a", "a"), ("a", "a", "b", "b")], ids=["short", "long"])
     def test_an_attribute_table_of_the_wrong_size(self, levels):
         # a table one row short or long was read unchecked: b1nodematch gave
