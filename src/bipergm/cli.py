@@ -48,15 +48,6 @@ def _csv(rows) -> str:
     return buffer.getvalue()
 
 
-def _config_json(args: argparse.Namespace, model_text: str | None) -> str:
-    skip = {"func", "out"}
-    resolved = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    if model_text is not None:
-        resolved["model"] = model_text
-    resolved["rng"] = sampler.RNG_ALGORITHM
-    return json.dumps(resolved, sort_keys=True, default=str)
-
-
 def _emit(args, filename: str, text: str, config: str) -> None:
     stamp = datetime.now(timezone.utc).isoformat()
     body = f"# config: {config}\n# timestamp: {stamp}\n{text}"
@@ -68,7 +59,12 @@ def _emit(args, filename: str, text: str, config: str) -> None:
         sys.stdout.write(body)
 
 
-def _load_inputs(args) -> tuple:
+def _inputs(args) -> tuple:
+    """Every command's inputs, read in this order: the network, the mode-1
+    and mode-2 attribute files, then the model (`@file` reads it from a
+    file).  Returns (net, attrs, spec, config): spec is None for `project`,
+    which has no --model, and config is the resolved configuration as one
+    JSON line, its model in canonical form."""
     net = io.load_network(args.network)
     attrs1 = (
         io.load_attributes(args.attrs1, 1, net.n1, net.n2) if getattr(args, "attrs1", None) else None
@@ -76,15 +72,17 @@ def _load_inputs(args) -> tuple:
     attrs2 = (
         io.load_attributes(args.attrs2, 2, net.n1, net.n2) if getattr(args, "attrs2", None) else None
     )
-    return net, Attributes(mode1=attrs1, mode2=attrs2)
-
-
-def _read_model(args) -> tuple[terms.ModelSpec, str]:
-    text = args.model
-    if text.startswith("@"):
-        text = io.read_text(text[1:]).strip()
-    spec = formula.parse(text)
-    return spec, formula.format_spec(spec)
+    resolved = {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
+    spec = None
+    if "model" in resolved:
+        text = args.model
+        if text.startswith("@"):
+            text = io.read_text(text[1:]).strip()
+        spec = formula.parse(text)
+        resolved["model"] = formula.format_spec(spec)
+    resolved["rng"] = sampler.RNG_ALGORITHM
+    config = json.dumps(resolved, sort_keys=True, default=str)
+    return net, Attributes(mode1=attrs1, mode2=attrs2), spec, config
 
 
 def _sampler_control(args) -> sampler.SamplerControl:
@@ -131,32 +129,26 @@ def _fit_record(fit: estimate.FitResult, config: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each called with (args, net, attrs, spec, config) from `_inputs`
 # ---------------------------------------------------------------------------
 
 
-def cmd_stats(args) -> int:
-    net, attrs = _load_inputs(args)
-    spec, canonical = _read_model(args)
+def cmd_stats(args, net, attrs, spec, config) -> int:
     model = terms.bind(spec, net, attrs)
     values = model.stats(net)
     rows = [["statistic", "value"]] + [[name, _num(value)] for name, value in zip(model.names, values)]
-    _emit(args, "stats.csv", _csv(rows), _config_json(args, canonical))
+    _emit(args, "stats.csv", _csv(rows), config)
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
-    net, _ = _load_inputs(args)
+def cmd_project(args, net, attrs, spec, config) -> int:
     proj = project(net, args.mode)
     lines = [f"{a} {b} {w}" for (a, b), w in sorted(proj.weights.items())]
-    _emit(args, f"projection_mode{args.mode}.txt", "\n".join(lines) + ("\n" if lines else ""), _config_json(args, None))
+    _emit(args, f"projection_mode{args.mode}.txt", "\n".join(lines) + ("\n" if lines else ""), config)
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    net, attrs = _load_inputs(args)
-    spec, canonical = _read_model(args)
-    config = _config_json(args, canonical)
+def cmd_fit(args, net, attrs, spec, config) -> int:
     with _warnings_to_stderr() as caught:
         if args.method == "mple":
             fit = estimate.mple(spec, net, attrs)
@@ -200,10 +192,7 @@ def _profile_rows(points: list[estimate.ProfilePoint]) -> list[list[str]]:
     return rows
 
 
-def cmd_profile(args) -> int:
-    net, attrs = _load_inputs(args)
-    spec, canonical = _read_model(args)
-    config = _config_json(args, canonical)
+def cmd_profile(args, net, attrs, spec, config) -> int:
     control = _sampler_control(args)
     grids: list[tuple[str, list[float]]] = []
     for which, text in (("alpha", args.alpha_grid), ("beta", args.beta_grid)):
@@ -226,10 +215,7 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    net, attrs = _load_inputs(args)
-    spec, canonical = _read_model(args)
-    config = _config_json(args, canonical)
+def cmd_simulate(args, net, attrs, spec, config) -> int:
     model = terms.bind(spec, net, attrs)
     sample = sampler.simulate(model, _parse_floats(args.theta, "--theta"), net, _sampler_control(args))
     rows = [model.names] + [[_num(v) for v in row] for row in sample.stats]
@@ -243,29 +229,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    net, attrs = _load_inputs(args)
-    spec, canonical = _read_model(args)
-    config = _config_json(args, canonical)
+def cmd_oracle(args, net, attrs, spec, config) -> int:
     model = oracle.ExactModel(spec, attrs, net.n1, net.n2)
     if args.what == "kappa":
-        theta = _parse_floats(args.theta, "--theta")
-        value = model.log_kappa(theta)
-        _emit(args, "kappa.txt", f"log_kappa,{_num(value)}\n", config)
-        return EXIT_OK
-    if args.what == "mle":
+        value = model.log_kappa(_parse_floats(args.theta, "--theta"))
+        filename, text = "kappa.txt", f"log_kappa,{_num(value)}\n"
+    elif args.what == "mle":
         theta_hat = oracle.exact_mle(model, net)
         loglik = oracle.exact_loglik(model, theta_hat, net)
         rows = [["statistic", "estimate"]] + [[n, _num(v)] for n, v in zip(model.names, theta_hat)]
         rows.append(["loglik", _num(loglik)])
-        _emit(args, "exact_mle.csv", _csv(rows), config)
-        return EXIT_OK
-    theta = _parse_floats(args.theta, "--theta")
-    dist = oracle.exact_dyad_distribution(model, theta)
-    rows = [["state", "probability"]] + [[code, _num(p)] for code, p in enumerate(dist.probabilities)]
-    rows.append(["dyad_i", "dyad_k", "marginal"])
-    rows += [[i, k, _num(m)] for (i, k), m in zip(dist.dyads, dist.marginals)]
-    _emit(args, "distribution.csv", _csv(rows), config)
+        filename, text = "exact_mle.csv", _csv(rows)
+    else:
+        dist = oracle.exact_dyad_distribution(model, _parse_floats(args.theta, "--theta"))
+        rows = [["state", "probability"]] + [[code, _num(p)] for code, p in enumerate(dist.probabilities)]
+        rows.append(["dyad_i", "dyad_k", "marginal"])
+        rows += [[i, k, _num(m)] for (i, k), m in zip(dist.dyads, dist.marginals)]
+        filename, text = "distribution.csv", _csv(rows)
+    _emit(args, filename, text, config)
     return EXIT_OK
 
 
@@ -345,7 +326,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, *_inputs(args))
     except formula.FormulaSyntaxError as exc:
         print(f"error: formula: {exc}", file=sys.stderr)
         return EXIT_MODEL

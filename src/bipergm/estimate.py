@@ -246,12 +246,13 @@ def mple(
 
 
 # Monte-Carlo MLE settings on top of the sampler control.  Anchor `a`
-# runs on the fraction min(1, RAMP * 2**a) of the sample size, and at
-# most MAX_ANCHORS anchors run.  At full sample size the loop ends once
-# the anchor step norm is at most 1e-4 or the step is within the
-# Monte-Carlo noise of the estimate; a fit that has not ended by then
-# raises NonConvergenceError.  The bridge has BRIDGE_LEGS legs of
-# BRIDGE_DRAWS draws each, thinned every `control.interval // 4` proposals.
+# runs on the fraction min(1, RAMP * 2**a) of the sample size, raised to
+# at least 200 draws, and at most MAX_ANCHORS anchors run.  At full
+# sample size the loop ends once the anchor step norm is at most 1e-4 or
+# the step is within the Monte-Carlo noise of the estimate; a fit that
+# has not ended by then raises NonConvergenceError.  The bridge has
+# BRIDGE_LEGS legs of BRIDGE_DRAWS draws each, thinned every
+# `control.interval // 4` proposals.
 MAX_ANCHORS = 20
 RAMP = 0.125
 BRIDGE_LEGS = 12
@@ -351,19 +352,21 @@ def mcmcmle(
 
     `control` sets the anchor chains; the anchor schedule and the bridge
     follow the module constants MAX_ANCHORS, RAMP, BRIDGE_LEGS and
-    BRIDGE_DRAWS.  At each anchor, networks are simulated, the observed
-    statistics are checked against the convex hull of the simulated cloud,
-    and the log-likelihood-ratio surrogate is maximized to give the next
-    anchor.  On a violation the anchor step is halved back toward the
-    previous anchor; before any anchor lands inside the hull there is no
-    previous anchor, so theta stays where it is and the next anchor samples
-    at the same theta from its own seed.  The fifth violation of a fit
-    raises `NonConvergenceError`.  The covariance comes from the inverse
-    weighted statistic covariance at the estimate, taken from the last
-    anchor inside the hull, NaN where its sample does not identify a
-    coefficient (as in `mple`); the absolute log-likelihood from the bridge
-    that starts at the MLE of the dyad-independent submodel
-    (`_dyad_independent_start`).
+    BRIDGE_DRAWS.  Every anchor draws at least 200 networks, so a
+    `control.sample_size` below 200 draws 200 per anchor and
+    `diagnostics["sample_size"]` reports 200.  At each anchor, networks
+    are simulated, the observed statistics are checked against the convex
+    hull of the simulated cloud, and the log-likelihood-ratio surrogate is
+    maximized to give the next anchor.  On a violation the anchor step is
+    halved back toward the previous anchor; before any anchor lands inside
+    the hull there is no previous anchor, so theta stays where it is and
+    the next anchor samples at the same theta from its own seed.  The
+    fifth violation of a fit raises `NonConvergenceError`.  The covariance
+    comes from the inverse weighted statistic covariance at the estimate,
+    taken from the last anchor inside the hull, NaN where its sample does
+    not identify a coefficient (as in `mple`); the absolute log-likelihood
+    from the bridge that starts at the MLE of the dyad-independent
+    submodel (`_dyad_independent_start`).
     `control.seed` must be an int: every chain's seed is spawned from it.
     """
     control = control or SamplerControl()
@@ -559,7 +562,9 @@ def profile(
     """One fit per grid value of the unbound nodematch exponent.
 
     Under `method="mcmcmle"` each point is fitted with `control`, its seed
-    replaced by one drawn for that point from `control.seed`.  An
+    replaced by one spawned from `control.seed` for the point's rank in
+    the sorted grid, not for its value: 0.5 alone and 0.5 in the grid
+    0, 0.1, ..., 1 get different seeds, and so different fits.  An
     estimation failure (an EstimationError or a singular linear system) is
     recorded on the point and the grid continues; program faults, such as
     an IndexError or a drifted chain's RuntimeError, propagate.  Each

@@ -99,6 +99,13 @@ class ModelTerm:
                     # it would keep no statistic, and format_spec could not write it
                     raise ValueError(f"term {self.kind}({self.attribute!r}): keep_levels is empty")
                 object.__setattr__(self, "keep_levels", tuple(sorted(self.keep_levels)))
+        # a formula string has no escapes, so it can hold one quote character only
+        for name in (self.attribute, *(self.keep_levels or ())):
+            if name is not None and '"' in name and "'" in name:
+                raise ValueError(
+                    f"term {self.kind}: {name!r} holds both quote characters,"
+                    " so it cannot be written in a formula"
+                )
 
     @property
     def exponent(self) -> float | None:
@@ -548,12 +555,14 @@ class BoundModel:
 
     def stats(self, net: BipartiteNetwork) -> np.ndarray:
         self._check_net(net)
-        counts, node = [0.0] * self.p, self.node
-        for i, k in net.edges():
-            for j, value in node[i]:
-                counts[j] += value
-            for j, value in node[k]:
-                counts[j] += value
+        # each node adds its pairs once, times its degree, in node order, so
+        # the sums do not depend on the order in which edges were added
+        counts = [0.0] * self.p
+        for pairs, mask in zip(self.node, net.mask):
+            if pairs:
+                degree = mask.bit_count()
+                for j, value in pairs:
+                    counts[j] += value * degree
         out = np.array(counts)
         for ev in self.dependent:
             out[ev.offset : ev.offset + ev.width] = ev.stats(net)

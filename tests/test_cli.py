@@ -109,6 +109,20 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("missing", ["network", "attrs1"])
+@pytest.mark.parametrize(
+    "command", [["stats"], ["fit"], ["profile"], ["simulate", "--theta", "0"],
+                ["oracle", "--what", "kappa"]],
+    ids=lambda command: command[0],
+)
+def test_an_input_error_comes_before_a_formula_error(inputs, capsys, command, missing):
+    net, attrs, tmp = inputs
+    paths = {"network": net, "attrs1": attrs, missing: tmp / "nope"}
+    argv = ["--network", str(paths["network"]), "--attrs1", str(paths["attrs1"])]
+    assert main(command + argv + ["--model", "edges + + edges"]) == 3
+    assert capsys.readouterr().err.startswith("error: input: ")
+
+
 @pytest.mark.parametrize("which", ["network", "model"])
 def test_a_file_that_is_not_utf8_is_an_input_error(inputs, capsys, which):
     net, attrs, tmp = inputs

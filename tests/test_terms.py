@@ -542,6 +542,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="keep_levels is empty"):
             term("b1nodematch", attribute="g", alpha=0.5, diff=diff, keep_levels=())
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"kind": "b1cov", "attribute": "a\"b'c"},
+            {"kind": "b2nodematch", "attribute": "g", "beta": 0.5, "keep_levels": ("y", "x\"y'z")},
+        ],
+        ids=["attribute", "keep-level"],
+    )
+    def test_a_name_holding_both_quotes_is_refused(self, kw):
+        # a formula string has no escapes, so format_spec could not write it
+        with pytest.raises(ValueError, match="cannot be written in a formula"):
+            ModelTerm(**kw)
+
     @pytest.mark.parametrize("levels", [("a", "a"), ("a", "a", "b", "b")], ids=["short", "long"])
     def test_an_attribute_table_of_the_wrong_size(self, levels):
         # a table one row short or long was read unchecked: b1nodematch gave
@@ -595,7 +608,9 @@ def test_change_stats_property(seed):
 # for every term kind (nodematch in both modes, plain, per level and with
 # kept levels) on each design network.  Recorded before the standard terms
 # were folded into three evaluator families, so any change to a statistic's
-# bits changes them.  `columns` is left out: BLAS does not fix its
+# bits changes them; re-recorded when `stats` began to add each node's
+# pairs times its degree, which moved the b1cov and b2cov sums by at most
+# 4.2e-16 relative.  `columns` is left out: BLAS does not fix its
 # summation order, and test_dyad_design_equals_per_dyad_change_statistics
 # checks it against `delta_into`.
 
@@ -616,18 +631,37 @@ def _term_layer_digest(which, exponent):
 
 
 TERM_LAYER_DIGESTS = {
-    ("alpha", 0.0): "97abbaeac1803baf7ae8e4a5aad5b732711a70d1c09d58980621b2b1f88db1bd",
-    ("alpha", 0.5): "6c9744931fc32d3d9361af019cdb78a122f86275ddbda4d44d46e7331c60768c",
-    ("alpha", 1.0): "917c4f13fa94875d4827bacad1979f078df44c1a0d6a06c19ebccb9c72b9cc13",
-    ("beta", 0.0): "c3a785683cc573ea8cebca693d06e5820f937baadd221a9181e3a23c5c06d08c",
-    ("beta", 0.5): "d92681c629ee0dbf9a182ac31178e664502c07a73012a192738380f266e45b54",
-    ("beta", 1.0): "699c09c02c3d64d9d72e651e92460650f2b312d7cb7c97a86749eaef72294e57",
+    ("alpha", 0.0): "8cf38a9a93ccb6814b30351d21f3742f12e9e50fa3db301925be8fdbfa2cdb8a",
+    ("alpha", 0.5): "f5a5560e889d18d37b3be2715870277dbbd0cc76b20e8687a70e0c556327f291",
+    ("alpha", 1.0): "bf72ec706cebe9482c5dd6d800510b83a4cfb05a7c09334347a2e4535db940bd",
+    ("beta", 0.0): "f236a67aa0446ffc92824165b97142d1838c6557d18ab179900bf72a7d822af2",
+    ("beta", 0.5): "3735b36e14add11c792fa73b86d94ad0b7062ef29f635c9304f63afa46ef998d",
+    ("beta", 1.0): "0981415b99f61034702ad6c2ed278ca9bce597c453100eb77c736383e824fb51",
 }
 
 
 @pytest.mark.parametrize("which,exponent", sorted(TERM_LAYER_DIGESTS))
 def test_term_layer_keeps_its_bits(which, exponent):
     assert _term_layer_digest(which, exponent) == TERM_LAYER_DIGESTS[which, exponent]
+
+
+# Equal networks give equal statistics: `stats` must not read the order in
+# which the edges were added, which an edge-list file's line order sets.
+
+
+@pytest.mark.parametrize("shape,fill", DESIGN_CASES)
+def test_stats_do_not_depend_on_edge_order(shape, fill):
+    net, attrs = design_case(shape, fill)
+    edges = list(net.edges())
+    rng = np.random.default_rng([net.n1, net.n2, len(fill)])
+    shuffled = [from_edge_list(net.n1, net.n2, [edges[t] for t in rng.permutation(len(edges))])
+                for _ in range(10)]
+    assert all(other == net for other in shuffled)
+    for which, exponent in sorted(TERM_LAYER_DIGESTS):
+        model = bind(every_term_kind(attrs, which, exponent), net, attrs)
+        expected = model.stats(net).tobytes()
+        for other in shuffled:
+            assert model.stats(other).tobytes() == expected, (which, exponent)
 
 
 # Each nodematch term has one change-statistic kernel, which counts with
