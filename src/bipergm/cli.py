@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import json
+import re
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -203,6 +204,9 @@ def cmd_profile(args, net, attrs, spec, config) -> int:
             grids.append((which, grid))
     if not grids:
         grids = [("alpha", DEFAULT_GRID), ("beta", DEFAULT_GRID)]
+    # a value outside [0, 1] in either grid is refused before the first fit
+    for which, grid in grids:
+        estimate.bind_grid(spec, which, grid)
     rows = [["kind", "exponent", "stat", "coef", "coef_se", "coef_mc_sd", "p_value",
              "loglik", "loglik_sd", "status"]]
     with _warnings_to_stderr():
@@ -324,6 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes a value that starts with '-' for an option unless it is
+    # a lone number, so `--theta -0.5,0.3` is read as `--theta=-0.5,0.3`
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for t in range(len(argv) - 1, 0, -1):
+        if argv[t - 1] == "--theta" and re.match(r"-\.?\d", argv[t]):
+            argv[t - 1 : t + 1] = [f"--theta={argv[t]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args, *_inputs(args))

@@ -550,6 +550,19 @@ class ProfilePoint:
     error: str | None = None
 
 
+def bind_grid(template: ModelSpec, which: str, grid) -> list[ModelSpec]:
+    """`template` with its one unbound nodematch exponent `which` set to
+    each value of `grid`, in grid order.  `profile` calls it before its
+    first fit and `bipergm profile` before its first grid, so that a value
+    outside [0, 1], or NaN, raises ValueError before any fit runs."""
+    if template.unbound_index() is None:
+        raise ValueError(
+            "profile template must contain exactly one nodematch term "
+            "without a bound exponent"
+        )
+    return [template.bind_exponent(which, value) for value in grid]
+
+
 def profile(
     template: ModelSpec,
     which: str,
@@ -574,24 +587,19 @@ def profile(
     normalizer is exact), so they are comparable across points and across
     exponent kinds.  `control.seed` must be an int.
     """
-    if template.unbound_index() is None:
-        raise ValueError(
-            "profile template must contain exactly one nodematch term "
-            "without a bound exponent"
-        )
+    grid = sorted(float(g) for g in grid)
+    specs = bind_grid(template, which, grid)
     if method not in ("mple", "mcmcmle"):
         raise ValueError(f"method must be 'mple' or 'mcmcmle', got {method!r}")
     control = control or SamplerControl()
     _check_int_seed(control)
-    grid = sorted(float(g) for g in grid)
     # one seed branch per (exponent kind, grid point), all off the root seed
     kind_root = np.random.SeedSequence(
         control.seed, spawn_key=(0 if which == "alpha" else 1,)
     )
     point_seeds = kind_root.spawn(len(grid))
     points: list[ProfilePoint] = []
-    for value, seed_seq in zip(grid, point_seeds):
-        spec_g = template.bind_exponent(which, value)
+    for value, spec_g, seed_seq in zip(grid, specs, point_seeds):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:

@@ -153,18 +153,6 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _by_node(values: list, mode: int, n1: int, fill) -> list:
-    """A per-mode column laid out by node id, so evaluators index it by node:
-    entry `node` holds that node's value, entries before the mode's first
-    node hold `fill`."""
-    return [fill] * (1 if mode == 1 else n1 + 1) + values
-
-
-def _of_mode(column: list, mode: int, B: np.ndarray) -> np.ndarray:
-    """The mode's entries of a `_by_node` column, in node order."""
-    return np.asarray(column[1 if mode == 1 else B.shape[0] + 1 :])
-
-
 # change(mask, i, k) -> the (statistic index, value) pairs of a toggle
 ChangeKernel = Callable[[list[int], int, int], tuple[tuple[int, float], ...]]
 
@@ -199,16 +187,16 @@ class _NodeSlot(_Evaluator):
     """An edge adds the value of its node in `mode` to that node's slot:
     1.0 in slot 0 for `edges`, the covariate for `b1cov` and `b2cov`, 1.0
     in the slot of the node's level for `b1factor` and `b2factor`, and in
-    the node's own slot for `b2sociality`.  A node that counts nowhere has
-    slot 0 and value 0.0."""
+    the node's own slot for `b2sociality`.  `slots` and `values` hold one
+    entry per node of the mode, in node order; a node that counts nowhere
+    has slot 0 and value 0.0."""
 
     dyad_independent = True
 
-    def __init__(self, offset: int, names: list[str], mode: int, n1: int,
+    def __init__(self, offset: int, names: list[str], mode: int,
                  slots: list[int], values: list[float]):
         self.offset, self.names, self.width, self.mode = offset, names, len(names), mode
-        self.slot = _by_node(slots, mode, n1, 0)
-        self.value = _by_node(values, mode, n1, 0.0)
+        self.slots, self.values = slots, values
 
 
 class _Mode2Degree(_Evaluator):
@@ -243,11 +231,10 @@ def _end(mode: int, n1: int, n2: int) -> int:
 
 def _level_masks(codes: list[int], count: int) -> list[int]:
     """`level[c]`, the mask of the nodes of level code c, from one code per
-    node of a mode in node order; a node with code -1 is in no mask."""
+    node of a mode in node order."""
     top, level = len(codes) - 1, [0] * count
     for o, c in enumerate(codes):
-        if c >= 0:
-            level[c] |= 1 << (top - o)
+        level[c] |= 1 << (top - o)
     return level
 
 
@@ -276,13 +263,16 @@ def _spectrum(net: BipartiteNetwork, mode: int, kept: list[tuple[int, int]],
 class _Nodematch(_Evaluator):
     """Homophily statistic with a node-centric or edge-centric exponent.
 
-    Both change statistics count neighbours with the network's masks and
-    `others[focal]`, the mask of the kept nodes in focal's level other than
-    focal: the node-centric one walks the bits of `mask[shared] &
-    others[focal]`, the same-level partners j of the shared node, in
-    ascending node order and adds the gain of the partners that focal
-    shares with each j; the edge-centric one is the popcount of that mask.
-    The order is fixed, so the float sum depends on the network alone."""
+    `kept` is the term's one level table: a (mask of the level's nodes,
+    slot) pair per kept level, in level order.  The spectrum, the change
+    kernel and the MPLE columns each walk it.  Both change statistics count
+    neighbours with the network's masks and `others[focal]`, the mask of
+    the nodes in focal's kept level other than focal: the node-centric one
+    walks the bits of `mask[shared] & others[focal]`, the same-level
+    partners j of the shared node, in ascending node order and adds the
+    gain of the partners that focal shares with each j; the edge-centric
+    one is the popcount of that mask.  The order is fixed, so the float sum
+    depends on the network alone."""
 
     def __init__(self, term: ModelTerm, offset: int, n1: int, n2: int, attrs: Attributes):
         if term.is_unbound_nodematch:
@@ -302,44 +292,27 @@ class _Nodematch(_Evaluator):
                     f"{term.kind}({term.attribute!r}): keep levels {unknown} "
                     f"not among {list(levels)}"
                 )
-            kept_levels = [v for v in levels if v in term.keep_levels]
-        else:
-            kept_levels = list(levels)
-        self.slot_of_code = [-1] * len(levels)
+        keep = levels if term.keep_levels is None else term.keep_levels
+        kept = [(m, lev) for m, lev in zip(_level_masks(col.codes.tolist(), len(levels)), levels)
+                if lev in keep]
         base = f"{term.kind}.{term.attribute}"
-        if term.diff:
-            for slot, lev in enumerate(kept_levels):
-                self.slot_of_code[levels.index(lev)] = slot
-            self.width = len(kept_levels)
-            self.names = [f"{base}.{lev}" for lev in kept_levels]
-        else:
-            for lev in kept_levels:
-                self.slot_of_code[levels.index(lev)] = 0
-            self.width = 1
-            self.names = [base]
-        # node-indexed level code, -1 for a node whose level is not kept
-        codes = [c if self.slot_of_code[c] >= 0 else -1 for c in col.codes.tolist()]
-        self.group = _by_node(codes, self.mode, n1, -1)
+        self.names = [f"{base}.{lev}" for _, lev in kept] if term.diff else [base]
+        self.width = len(self.names)
+        self.kept = [(m, slot if term.diff else 0) for slot, (m, _) in enumerate(kept)]
         # pw[i] = i**e with 0**0 = 0, for every count a network of this shape
-        # can reach; dpw[i] = (i+1)**e - i**e, the gain of one more two-path
+        # can reach; dpw[i] = (i+1)**e - i**e, the gain of one more two-path,
+        # and a trailing 0.0 that `columns` reads at index -1 and at a node's
+        # own degree
         e = float(term.exponent)
         self.pw = pw = [0.0] + [float(i) ** e for i in range(1, max(n1, n2) + 1)]
-        self.dpw = [b - a for a, b in zip(pw, pw[1:])]
+        self.dpw = [b - a for a, b in zip(pw, pw[1:])] + [0.0]
         # edge_change[u]: the edge-centric change ((1+u)*u**b - u*(u-1)**b)/2 at u
         # matching co-edges; at b=0 it is 0, 1, 1/2 for u=0, 1, >=2.  At u=0,
         # pw[u - 1] wraps to the last (finite) entry and is multiplied by
         # u = 0, so it adds nothing.
         self.edge_change = [0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1]) for u in range(len(pw))]
-        # level[c]: the mask of the nodes of level code c, 0 for a level not kept;
-        # others[f]: the mask of the kept nodes in f's level other than f
-        level = _level_masks(codes, len(levels))
-        self.bits = bits = node_bits(n1, n2)
-        self.others = [
-            level[g] ^ bits[node] if g >= 0 else 0 for node, g in enumerate(self.group)
-        ]
-        self.kept = [(m, slot) for m, slot in zip(level, self.slot_of_code) if slot >= 0]
         self.offset = offset
-        self.change = self._kernel(offset, _end(self.mode, n1, n2))
+        self.change = self._kernel(offset, _end(self.mode, n1, n2), node_bits(n1, n2))
 
     def spectrum(self, net: BipartiteNetwork) -> list[Counter]:
         """One Counter per slot: {t: matching pairs with exactly t shared
@@ -352,21 +325,23 @@ class _Nodematch(_Evaluator):
         scale, pw = 1.0 if self.node_centric else 0.5, self.pw
         return np.array([scale * sum(c * pw[t] for t, c in sorted(s.items())) for s in self.spectrum(net)])
 
-    def _kernel(self, offset: int, end: int):
+    def _kernel(self, offset: int, end: int, bit: list[int]):
         """The change-statistic function, a closure over the term's tables.
         Plain assignments in each branch of `if mode1` skip the tuple that a
         conditional pair would build on every call.  `index[focal]` is the
         statistic index of focal's level; a node outside the kept levels has
         no others, so its change is 0.0 and the kernel returns no pair."""
-        mode1, others = self.mode == 1, self.others
-        index = [offset + self.slot_of_code[g] if g >= 0 else None for g in self.group]
+        mode1, others, index = self.mode == 1, [0] * end, [None] * end
+        for level, slot in self.kept:
+            for node in partners(level, end):
+                others[node], index[node] = level ^ bit[node], offset + slot
 
         if self.node_centric:
             # the popcount of focal's and j's masks counts the shared node,
             # a partner of j, when focal has the edge; the gain then reads
             # dpw one entry lower, from a copy shifted by one.  The highest
             # bit of a focal-mode mask m stands for node end - m.bit_length().
-            dpw, bit = self.dpw, self.bits
+            dpw = self.dpw
             dpw_less = [0.0] + dpw
             # the pairs when the shared node has no partner in focal's level:
             # one with change 0.0, or none outside the kept levels
@@ -406,29 +381,27 @@ class _Nodematch(_Evaluator):
         return change
 
     def columns(self, B):
-        # A is focal x shared and S marks same-group focal pairs; the rows of
-        # focal nodes outside the kept levels (group -1) get no slot below
+        # A is focal x shared.  Each kept level fills its own focal rows, so
+        # no array spans the focal nodes of two levels; the rows of focal
+        # nodes outside the kept levels stay 0.0.  A level mask read with
+        # the mode's node count as `end` gives the level's row offsets.
         A = B if self.mode == 1 else B.T
-        group = _of_mode(self.group, self.mode, B)
-        S = group[:, None] == group
-        np.fill_diagonal(S, False)
-        S = S.astype(np.float64)
-        if self.node_centric:
-            # M counts two-paths per focal pair.  A pair that shares every
-            # partner (and the diagonal) would index past dpw; those entries
-            # meet a zero in S or A, but the index must still be valid.
-            M = (A @ A.T).astype(np.int64)
-            dpw = np.asarray(self.dpw)
-            top = len(dpw) - 1
-            without = (S * dpw[np.clip(M, 0, top)]) @ A
-            through = (S * dpw[np.clip(M - 1, 0, top)]) @ A
-            change = np.where(A > 0, through, without)
-        else:
-            change = np.asarray(self.edge_change)[(S @ A).astype(np.int64)]
-        # scatter each focal node's row into the slot of its level; group -1
-        # picks the appended slot -1, which matches no column
-        slot = np.asarray(self.slot_of_code + [-1])[group]
-        out = change[:, :, None] * (slot[:, None, None] == np.arange(self.width))
+        out = np.zeros(A.shape + (self.width,))
+        dpw, edge_change = np.asarray(self.dpw), np.asarray(self.edge_change)
+        for level, slot in self.kept:
+            rows = partners(level, len(A))
+            Ag = A[rows]
+            if self.node_centric:
+                # M counts two-paths per pair of the level's focal nodes; the
+                # gain without the dyad reads dpw[M], through it dpw[M - 1]
+                M = (Ag @ Ag.T).astype(np.int64)
+                without, through = dpw[M], dpw[M - 1]
+                np.fill_diagonal(without, 0.0)
+                np.fill_diagonal(through, 0.0)
+                out[rows, :, slot] = np.where(Ag > 0, through @ Ag, without @ Ag)
+            else:
+                # the level's other partners of each shared node
+                out[rows, :, slot] = edge_change[(Ag.sum(axis=0) - Ag).astype(np.int64)]
         if self.mode == 2:
             out = out.transpose(1, 0, 2)
         return out.reshape(B.size, self.width)
@@ -453,10 +426,10 @@ def _build_evaluator(
     kind, attr = term.kind, term.attribute
     mode = 2 if kind.startswith("b2") else 1
     if kind == "edges":
-        return _NodeSlot(offset, ["edges"], 1, n1, [0] * n1, [1.0] * n1)
+        return _NodeSlot(offset, ["edges"], 1, [0] * n1, [1.0] * n1)
     if kind in ("b1cov", "b2cov"):
         values = _table(attrs, mode, n1, n2).numeric(attr).values.tolist()
-        return _NodeSlot(offset, [f"{kind}.{attr}"], mode, n1, [0] * len(values), values)
+        return _NodeSlot(offset, [f"{kind}.{attr}"], mode, [0] * len(values), values)
     if kind in ("b1factor", "b2factor"):
         col = _table(attrs, mode, n1, n2).categorical(attr)
         if len(col.levels) < 2:
@@ -467,11 +440,11 @@ def _build_evaluator(
         # dropped, its nodes in slot 0 with value 0.0
         codes = col.codes.tolist()
         names = [f"{kind}.{attr}.{lev}" for lev in col.levels[1:]]
-        return _NodeSlot(offset, names, mode, n1, [max(c - 1, 0) for c in codes],
+        return _NodeSlot(offset, names, mode, [max(c - 1, 0) for c in codes],
                          [float(c > 0) for c in codes])
     if kind == "b2sociality":
         names = [f"b2sociality.{k}" for k in range(n1 + 1, n1 + n2 + 1)]
-        return _NodeSlot(offset, names, 2, n1, list(range(n2)), [1.0] * n2)
+        return _NodeSlot(offset, names, 2, list(range(n2)), [1.0] * n2)
     if kind == "b2star2":
         return _Mode2Degree(offset, "b2star2", [d * (d - 1) / 2.0 for d in range(n1 + 1)], n1, n2)
     if kind == "b2degree1":
@@ -508,8 +481,9 @@ class BoundModel:
         for ev in self.evaluators:
             if not ev.dyad_independent:
                 continue
-            for v in range(1 if ev.mode == 1 else n1 + 1, _end(ev.mode, n1, n2)):
-                j, value = ev.offset + ev.slot[v], ev.value[v]
+            # slots and values start at the mode's first node
+            for v, (slot, value) in enumerate(zip(ev.slots, ev.values), 1 if ev.mode == 1 else n1 + 1):
+                j = ev.offset + slot
                 if value != 0.0:
                     node[v].append((j, value))
                     self.node_columns[j, v] = value

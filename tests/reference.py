@@ -1,10 +1,9 @@
 """Independent brute-force reference implementations for the test suite.
 
 Everything here works on raw (n1, n2, edge-set, category-dict) data via
-literal triple sums, so the values are computed along a different path
-than the package's evaluators.  The one exception, `nodematch_delta_into`,
-reads a nodematch evaluator's tables but counts with neighbour sets that it
-builds from `net.edges()`, where the package counts with neighbour masks.
+literal triple sums or neighbour sets, so the values are computed along a
+different path than the package's evaluators, which count with neighbour
+masks; nothing here reads an evaluator.
 """
 
 from __future__ import annotations
@@ -92,37 +91,39 @@ def nodematch_beta_mode2(n1, n2, edges, cats, beta, level=None):
     return total / 2.0
 
 
-def nodematch_delta_into(ev, net, i, k, out):
-    """The change statistic of nodematch evaluator `ev` at dyad (i, k),
-    written into its slot of `out`, from set intersections and set loops
-    over neighbour sets built from `net.edges()`.  The node-centric sum
-    adds its terms in ascending node order, as the package does."""
-    focal, shared = (i, k) if ev.mode == 1 else (k, i)
-    group = ev.group
-    cf = group[focal]
-    if cf < 0:
-        return
-    slot = ev.slot_of_code[cf]
+def nodematch_change(term, cats, net, i, k):
+    """The change statistic of nodematch term `term` at dyad (i, k), as
+    {slot of the term: value}, from the attribute data and from neighbour
+    sets built from `net.edges()`.  `cats` maps each node of the term's mode
+    to its level; the slot is the level's place among the sorted kept
+    levels with `diff`, else 0, and a focal node outside the kept levels
+    has no slot.  The node-centric sum adds its terms in ascending node
+    order, as the package does."""
+    focal, shared = (i, k) if term.kind == "b1nodematch" else (k, i)
+    kept = sorted(term.keep_levels or set(cats.values()))
+    level = cats[focal]
+    if level not in kept:
+        return {}
+    slot = kept.index(level) if term.diff else 0
+    e = term.exponent
+
+    def pw(t):
+        return float(t) ** e if t > 0 else 0.0
+
     adj = {node: set() for node in range(1, net.n + 1)}
     for a, b in net.edges():
         adj[a].add(b)
         adj[b].add(a)
-    if ev.node_centric:
-        nf = adj[focal]
-        has_edge = shared in nf
+    same = sorted(j for j in adj[shared] if j != focal and cats[j] == level)
+    if term.alpha is not None:
         total = 0.0
-        for j in sorted(adj[shared]):
-            if j != focal and group[j] == cf:
-                # two-paths not through the toggled shared node
-                total += ev.dpw[len(nf & adj[j]) - has_edge]
-        out[ev.offset + slot] = total
-        return
-    u = 0
-    for j in adj[shared]:
-        if j != focal and group[j] == cf:
-            u += 1
-    pw = ev.pw
-    out[ev.offset + slot] = 0.5 * ((1.0 + u) * pw[u] - u * pw[u - 1])
+        for j in same:
+            # two-paths between focal and j, not through the toggled shared node
+            t = len((adj[focal] - {shared}) & adj[j])
+            total += pw(t + 1) - pw(t)
+        return {slot: total}
+    u = len(same)
+    return {slot: 0.5 * ((1.0 + u) * pw(u) - u * pw(u - 1))}
 
 
 def node_level_change(kind, n1, i, k, values=None):

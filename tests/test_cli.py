@@ -372,6 +372,46 @@ def test_profile_refuses_a_grid_without_values(inputs, capsys, flag, grid):
     assert not (tmp / "prof").exists()
 
 
+@pytest.mark.parametrize("method", ["mple", "mcmcmle"])
+@pytest.mark.parametrize(
+    "grids,message",
+    [(["--alpha-grid", "default", "--beta-grid", "2"], "beta must lie in [0, 1], got 2.0"),
+     (["--alpha-grid", "0.5,nan"], "alpha must lie in [0, 1], got nan"),
+     (["--alpha-grid", "-0.1"], "alpha must lie in [0, 1], got -0.1")],
+)
+def test_profile_refuses_both_grids_before_the_first_fit(inputs, capsys, monkeypatch, method, grids, message):
+    net, attrs, tmp = inputs
+    fits = []
+    monkeypatch.setattr(estimate, "mple", lambda *args, **kwargs: fits.append(args))
+    monkeypatch.setattr(estimate, "mcmcmle", lambda *args, **kwargs: fits.append(args))
+    code = main(
+        ["profile", "--network", str(net), "--attrs1", str(attrs),
+         "--model", 'edges + b1nodematch("group")', "--method", method,
+         *grids, "--out", str(tmp / "prof")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: model: {message}\n"
+    assert fits == []
+    assert not (tmp / "prof").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "kappa", "distribution"])
+def test_a_negative_first_theta_may_follow_its_flag(tmp_path, capsys, command):
+    # argparse reads "-0.5,0.3" as an option unless it is attached with "="
+    net = tmp_path / "net.edges"
+    net.write_text("n1 2 n2 2\n1\t3\n")
+    args = ["--network", str(net), "--model", 'edges + b2star(2)']
+    if command == "simulate":
+        args = ["simulate", *args, "--burnin", "10", "--interval", "1", "--samplesize", "5"]
+    else:
+        args = ["oracle", *args, "--what", command]
+    outs = []
+    for theta in (["--theta", "-0.5,0.3"], ["--theta=-0.5,0.3"]):
+        assert main(args + theta) == 0
+        outs.append(_strip_meta(capsys.readouterr().out))
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [("profile", "--alpha-grid"), ("profile", "--beta-grid"), ("simulate", "--theta")],

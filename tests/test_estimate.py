@@ -229,6 +229,52 @@ def test_dyad_design_equals_per_dyad_change_statistics(shape, fill, which, expon
     np.testing.assert_allclose(X[:, node_centric], X_ref[:, node_centric], rtol=ALPHA_RTOL, atol=0.0)
 
 
+# The nodematch columns are built one kept level at a time, from that
+# level's block of focal rows.  These networks are large enough for BLAS to
+# block the products, and each mode has a level of exactly one node, whose
+# block is a single row with a zero two-path matrix.
+
+
+def level_block_case(n1, n2, density, seed):
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, n1, n2, density=density)
+    t1, t2 = AttributeTable(1, n1), AttributeTable(2, n2)
+    t1.add_categorical("group", ["d"] + [str(rng.choice(["a", "b", "c"])) for _ in range(n1 - 1)])
+    t2.add_categorical("kind", [str(rng.choice(["p", "q"])) for _ in range(n2 - 1)] + ["r"])
+    return net, Attributes(mode1=t1, mode2=t2)
+
+
+@pytest.mark.parametrize("shape,density", [((60, 40), 0.3), ((40, 60), 0.15)])
+@pytest.mark.parametrize("which,exponent", [("alpha", 0.3), ("alpha", 0.7), ("beta", 0.4)])
+def test_level_block_design_equals_per_dyad_change_statistics(shape, density, which, exponent):
+    net, attrs = level_block_case(*shape, density, seed=shape[0])
+    for column in ("group", "kind"):
+        counts = np.unique(attrs.table_for(1 if column == "group" else 2).categorical(column).codes,
+                           return_counts=True)[1]
+        assert 1 in counts
+    spec = ModelSpec(
+        (ModelTerm(kind="edges"),)
+        + tuple(
+            ModelTerm(kind=kind, attribute=column, diff=diff, keep_levels=keep, **{which: exponent})
+            # each kept subset drops one level and keeps the one-node level
+            for kind, column, subset in (("b1nodematch", "group", ("b", "c", "d")),
+                                         ("b2nodematch", "kind", ("q", "r")))
+            for diff, keep in ((True, None), (False, subset), (True, subset))
+        )
+    )
+    model = bind(spec, net, attrs)
+    X, y = _dyad_design(model, net)
+    X_ref, y_ref = per_dyad_design(model, net)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(X[:, 0], X_ref[:, 0])
+    if which == "alpha":
+        np.testing.assert_allclose(X[:, 1:], X_ref[:, 1:], rtol=ALPHA_RTOL, atol=0.0)
+    else:
+        assert np.array_equal(X, X_ref)
+    # every slot, the one-node levels' included, is a column of its own
+    assert model.p == 1 + (4 + 1 + 3) + (3 + 1 + 2)
+
+
 def newton_on_every_dyad(X, y):
     """Logistic Newton fit on the uncompressed rows, with full steps and no
     line search: theta, inverse negative Hessian, pseudo-log-likelihood."""
@@ -652,6 +698,18 @@ def test_profile_propagates_program_faults(obs_net, obs_attrs, monkeypatch):
     monkeypatch.setattr(estimate, "simulate", drifted)
     with pytest.raises(RuntimeError, match="drifted"):
         profile(template, "alpha", [0.5], obs_net, obs_attrs, control=small_control(), method="mcmcmle")
+
+
+@pytest.mark.parametrize("method", ["mple", "mcmcmle"])
+@pytest.mark.parametrize("grid,message", [([0.5, 1.5], "alpha must lie in \\[0, 1\\], got 1.5"),
+                                          ([0.5, math.nan], "alpha must lie in \\[0, 1\\], got nan")])
+def test_profile_refuses_its_grid_before_the_first_fit(obs_net, obs_attrs, monkeypatch, method, grid, message):
+    fits = []
+    monkeypatch.setattr(estimate, "mple", lambda *args, **kwargs: fits.append(args))
+    monkeypatch.setattr(estimate, "mcmcmle", lambda *args, **kwargs: fits.append(args))
+    with pytest.raises(ValueError, match=message):
+        profile(NODEMATCH_TEMPLATE, "alpha", grid, obs_net, obs_attrs, control=small_control(), method=method)
+    assert fits == []
 
 
 def test_profile_alpha_one_equals_beta_one(obs_net, obs_attrs):

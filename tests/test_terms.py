@@ -666,7 +666,8 @@ def test_stats_do_not_depend_on_edge_order(shape, fill):
 
 # Each nodematch term has one change-statistic kernel, which counts with
 # the network's neighbour masks; the reference counts the same neighbours
-# with set intersections and loops.  The node-level terms have no kernel:
+# with set intersections and loops, and takes each node's level and slot
+# from the attribute column.  The node-level terms have no kernel:
 # `BoundModel.node` holds their pairs, and the reference reads the
 # attribute columns.  b2star2 and b2degree1 are the brute-force difference
 # of their whole-network counts.  All must give the same bits at every
@@ -679,9 +680,9 @@ BRUTE_FORCE = {"b2star2": ref.star2, "b2degree1": ref.degree1}
 
 
 def _node_values(attrs, term, n1):
-    """Node id -> attribute value of a node-level term's column."""
+    """Node id -> attribute value of a term's column."""
     mode = 2 if term.kind.startswith("b2") else 1
-    if term.kind.endswith("factor"):
+    if term.kind.endswith(("factor", "nodematch")):
         return categories_dict(attrs, mode, term.attribute, n1)
     first = 1 if mode == 1 else n1 + 1
     values = attrs.table_for(mode).numeric(term.attribute).values
@@ -693,7 +694,9 @@ def _set_reference(model, attrs, net, i, k, out):
     edges = ref.edge_set(net)
     for term, ev in zip(model.spec.terms, model.evaluators):
         if term.kind in ("b1nodematch", "b2nodematch"):
-            ref.nodematch_delta_into(ev, net, i, k, out)
+            cats = _node_values(attrs, term, net.n1)
+            for slot, value in ref.nodematch_change(term, cats, net, i, k).items():
+                out[ev.offset + slot] = value
         elif term.kind in BRUTE_FORCE:
             out[ev.offset] = ref.toggle_change(BRUTE_FORCE[term.kind], net.n1, net.n2, edges, i, k)
         else:
