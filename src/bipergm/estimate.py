@@ -110,13 +110,13 @@ def contrast(fit: FitResult, weights) -> tuple[float, float]:
     return estimate, math.sqrt(max(variance, 0.0))
 
 
-def _covariance(info: np.ndarray, rows: np.ndarray, names: list[str], what: str) -> tuple[np.ndarray, list[str]]:
+def _covariance(info: np.ndarray, rows: np.ndarray, names: list[str]) -> tuple[np.ndarray, list[str]]:
     """Covariance from the information `info` built on `rows`: the inverse
     of `info` when `rows` has full column rank.  Otherwise a statistic in
     the null space (a zero column, or one that others add up to) is not
-    identified: its row and column are NaN and a DegeneracyWarning starting
-    with `what` names it.  The rest invert `info` on its other eigenvectors,
-    as any full-rank reparametrization would; returns the names too."""
+    identified: its row and column are NaN and its name is returned.  The
+    rest invert `info` on its other eigenvectors, as any full-rank
+    reparametrization would."""
     p = len(names)
     rank = np.linalg.matrix_rank(rows)
     if rank == p:
@@ -131,10 +131,7 @@ def _covariance(info: np.ndarray, rows: np.ndarray, names: list[str], what: str)
     kept = vecs[:, p - rank :]
     cov = (kept / vals[p - rank :]) @ kept.T
     cov[lost] = cov[:, lost] = np.nan
-    unknown = [name for name, bad in zip(names, lost) if bad]
-    if unknown:
-        warnings.warn(DegeneracyWarning(f"{what}: " + ", ".join(unknown)))
-    return 0.5 * (cov + cov.T), unknown
+    return 0.5 * (cov + cov.T), [name for name, bad in zip(names, lost) if bad]
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +217,13 @@ def mple(
     w = counts * mu * (1.0 - mu)
     # column-major as before: the layout picks the BLAS kernel, so the last bits
     XF = np.asfortranarray(X)
-    cov, unknown = _covariance(
-        (XF * w[:, None]).T @ XF, X, model.names,
-        "the pseudo-likelihood does not identify coefficients whose change "
-        "statistics are zero on every dyad or a combination of other columns",
-    )
+    cov, unknown = _covariance((XF * w[:, None]).T @ XF, X, model.names)
     diagnostics = {"iterations": iterations, "dyads": net.dyad_count, "design_rows": len(y)}
     if unknown:
+        warnings.warn(DegeneracyWarning(
+            "the pseudo-likelihood does not identify coefficients whose change statistics "
+            "are zero on every dyad or a combination of other columns: " + ", ".join(unknown)
+        ))
         diagnostics["not_identified"] = unknown
     return FitResult(
         method="mple",
@@ -247,12 +244,9 @@ def mple(
 
 # Monte-Carlo MLE settings on top of the sampler control.  Anchor `a`
 # runs on the fraction min(1, RAMP * 2**a) of the sample size, raised to
-# at least 200 draws, and at most MAX_ANCHORS anchors run.  At full
-# sample size the loop ends once the anchor step norm is at most 1e-4 or
-# the step is within the Monte-Carlo noise of the estimate; a fit that
-# has not ended by then raises NonConvergenceError.  The bridge has
-# BRIDGE_LEGS legs of BRIDGE_DRAWS draws each, thinned every
-# `control.interval // 4` proposals.
+# at least 200 draws; a fit that has not stopped after MAX_ANCHORS
+# anchors raises NonConvergenceError.  The bridge has BRIDGE_LEGS legs of
+# BRIDGE_DRAWS draws each, thinned every `control.interval // 4` proposals.
 MAX_ANCHORS = 20
 RAMP = 0.125
 BRIDGE_LEGS = 12
@@ -357,7 +351,10 @@ def mcmcmle(
     `diagnostics["sample_size"]` reports 200.  At each anchor, networks
     are simulated, the observed statistics are checked against the convex
     hull of the simulated cloud, and the log-likelihood-ratio surrogate is
-    maximized to give the next anchor.  On a violation the anchor step is
+    maximized to give the next anchor.  A full-size anchor ends the loop
+    when no coefficient stepped by more than twice the Monte-Carlo sd that
+    the fit reports as `diagnostics["mc_sd"]`, or when its step norm is at
+    most 1e-4.  On a violation the anchor step is
     halved back toward the previous anchor; before any anchor lands inside
     the hull there is no previous anchor, so theta stays where it is and
     the next anchor samples at the same theta from its own seed.  The
@@ -393,8 +390,9 @@ def mcmcmle(
 
     prev_theta = None
     hull_failures = 0
-    # the last anchor inside the hull: its sample, step, weighted Fisher
-    # information, weight ESS and per-statistic chain ESS
+    # the last anchor inside the hull: its sample, step and weight ESS, its
+    # per-statistic chain ESS, its covariance and the coefficients that
+    # leaves unidentified, and the Monte-Carlo sd of the estimate
     last = None
 
     for a in range(MAX_ANCHORS):
@@ -415,23 +413,20 @@ def mcmcmle(
         delta = _maximize_ratio(S, s_obs)
         prev_theta = theta
         theta = theta + delta
-        w, _, fisher = tilt(S - S.mean(axis=0), delta)
+        Sc = S - S.mean(axis=0)
+        w, _, fisher = tilt(Sc, delta)
         ess_w = 1.0 / float(np.sum(w**2))
-        chain_ess = [_effective_sample_size(S[:, j]) for j in range(model.p)]
-        last = (sample, delta, fisher, ess_w, chain_ess)
-        if size < full:
-            continue
-        if float(np.linalg.norm(delta)) <= 1e-4:
-            break
-        # the stopping rule adds a ridge and reads the unrounded ESS, the
-        # report neither; sharing either would move stopping decisions or
-        # reported bits
-        eff = max(1.0, ess_w * min(chain_ess) / S.shape[0])
-        try:
-            var_theta = np.diag(np.linalg.inv(fisher + 1e-10 * np.eye(model.p))) / eff
-        except np.linalg.LinAlgError:
-            var_theta = np.full(model.p, np.inf)
-        if np.all(np.abs(delta) <= 2.0 * np.sqrt(np.clip(var_theta, 0.0, None))):
+        ess = {name: round(_effective_sample_size(S[:, j]), 1) for j, name in enumerate(model.names)}
+        cov, unknown = _covariance(fisher, Sc, model.names)
+        # Monte-Carlo noise of the estimate itself: inverse information
+        # scaled by the effective number of importance draws
+        ess_eff = max(1.0, ess_w * min(ess.values()) / S.shape[0])
+        mc_sd = np.sqrt(np.clip(np.diag(cov), 0.0, None) / ess_eff)
+        last = (sample, delta, ess_w, ess, cov, unknown, ess_eff, mc_sd)
+        # a NaN sd, an unidentified coefficient, does not block the stop
+        if size >= full and (
+            float(np.linalg.norm(delta)) <= 1e-4 or not np.any(np.abs(delta) > 2.0 * mc_sd)
+        ):
             break
     else:
         # only a full-size anchor inside the hull can stop the loop
@@ -439,25 +434,18 @@ def mcmcmle(
             f"last step norm {float(np.linalg.norm(last[1])):.3g}")
         raise NonConvergenceError(f"no convergence after {MAX_ANCHORS} anchors ({step})")
 
-    sample, delta, fisher, ess_w, chain_ess = last
-    S = sample.stats
-    cov, unknown = _covariance(
-        fisher, S - S.mean(axis=0), model.names,
-        "the simulated sample does not identify coefficients whose statistics "
-        "are constant or a combination of others",
-    )
+    sample, delta, ess_w, ess, cov, unknown, ess_eff, mc_sd = last
+    if unknown:
+        warnings.warn(DegeneracyWarning(
+            "the simulated sample does not identify coefficients whose statistics "
+            "are constant or a combination of others: " + ", ".join(unknown)
+        ))
 
     start, log_kappa_start = _dyad_independent_start(model, net, attrs, s_obs)
     loglik, loglik_sd = _bridge_loglik(
         model, net, theta, s_obs, control, bridge_root, start, log_kappa_start
     )
 
-    ess = {name: round(e, 1) for name, e in zip(model.names, chain_ess)}
-    draws = S.shape[0]
-    # Monte-Carlo noise of the estimate itself: inverse information scaled
-    # by the effective number of importance draws
-    ess_eff = max(1.0, ess_w * min(ess.values()) / draws)
-    mc_sd = np.sqrt(np.clip(np.diag(cov), 0.0, None) / ess_eff)
     diagnostics = {
         "seed": control.seed,
         "rng": RNG_ALGORITHM,
@@ -469,7 +457,7 @@ def mcmcmle(
         "weight_ess": round(ess_w, 1),
         "ess_eff": round(ess_eff, 1),
         "mc_sd": [float(s) for s in mc_sd],
-        "sample_size": draws,
+        "sample_size": sample.stats.shape[0],
         "control": " ".join(
             f"{f.name}={getattr(control, f.name)}" for f in fields(control) if f.name != "seed"
         ),

@@ -103,10 +103,6 @@ class BipartiteNetwork:
         self._check_node(node)
         return tuple(partners(self.mask[node], self.n + 1 if node <= self.n1 else self.n1 + 1))
 
-    def degree(self, node: int) -> int:
-        self._check_node(node)
-        return self.mask[node].bit_count()
-
     # -- validation ---------------------------------------------------------
 
     def _check_node(self, node: int) -> None:

@@ -66,17 +66,17 @@ class ExactModel:
         ]
         count = 1 << dyads
         table = np.empty((count, self.p))
-        current = model.stats(net)
+        # a toggle adds its change statistics' pairs as the chain does
+        node, change = model.node, model.dependent_change()
+        current = model.stats(net).tolist()
         table[0] = current
-        delta = np.zeros(self.p)
         for m in range(1, count):
             bit = (m & -m).bit_length() - 1
             i, k = self.dyads[bit]
-            model.delta_into(net, i, k, delta)
-            if net.toggle(i, k):
-                current = current + delta
-            else:
-                current = current - delta
+            pairs = node[i] + node[k] + change(net.mask, i, k)
+            sign = 1.0 if net.toggle(i, k) else -1.0
+            for j, value in pairs:
+                current[j] += sign * value
             table[m ^ (m >> 1)] = current
         self.stats_table = table
 

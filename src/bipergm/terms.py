@@ -490,34 +490,22 @@ class BoundModel:
         self.node = [tuple(pairs) for pairs in node]
 
     def _unique_names(self) -> list[str]:
-        names: list[str] = []
-        owners: list[ModelTerm] = []
-        for ev, term in zip(self.evaluators, self.spec.terms):
-            names.extend(ev.names)
-            owners.extend([term] * ev.width)
-        counts = Counter(names)
-        if max(counts.values(), default=0) > 1:
-            resolved = []
-            for name, term in zip(names, owners):
-                if counts[name] > 1 and term.kind in NODEMATCH_KINDS:
-                    tag = "alpha" if term.alpha is not None else "beta"
-                    name = f"{name}.{tag}{term.exponent:g}"
-                resolved.append(name)
-            names = resolved
-        # still-colliding names (e.g. same exponent, different keep sets)
-        # get a positional suffix
-        counts = Counter(names)
-        if max(counts.values(), default=0) > 1:
-            seen: Counter[str] = Counter()
-            resolved = []
-            for name in names:
-                seen[name] += 1
-                if counts[name] > 1 and seen[name] > 1:
-                    name = f"{name}.{seen[name]}"
-                resolved.append(name)
-            names = resolved
-        if len(set(names)) != len(names):
-            dupes = sorted(n for n, c in Counter(names).items() if c > 1)
+        # a repeated nodematch name gets its exponent; a name that still
+        # repeats (same exponent, other keep set) gets a positional suffix
+        # from its second occurrence on
+        counts = Counter(name for ev in self.evaluators for name in ev.names)
+        names = [
+            f"{name}.{'alpha' if term.alpha is not None else 'beta'}{term.exponent:g}"
+            if counts[name] > 1 and term.kind in NODEMATCH_KINDS else name
+            for ev, term in zip(self.evaluators, self.spec.terms) for name in ev.names
+        ]
+        seen: Counter[str] = Counter()
+        for n, name in enumerate(names):
+            seen[name] += 1
+            if seen[name] > 1:
+                names[n] = f"{name}.{seen[name]}"
+        dupes = sorted(name for name, c in Counter(names).items() if c > 1)
+        if dupes:
             raise ValueError(f"duplicate statistic names in model: {dupes}")
         return names
 
@@ -564,6 +552,7 @@ class BoundModel:
         return change
 
     def delta_into(self, net: BipartiteNetwork, i: int, k: int, out: np.ndarray) -> None:
+        """`delta` into `out`; besides `delta`, only the `perfbench` probe `terms.delta_us` calls it."""
         out[:] = 0.0
         for j, value in self.node[i] + self.node[k]:
             out[j] = value

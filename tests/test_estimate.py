@@ -571,9 +571,13 @@ def test_bridge_starts_at_zero_without_a_dyad_independent_mle():
     assert not start.any() and log_kappa == 18 * math.log(2.0)
     # the fit itself completes from a start that keeps node 9 empty
     control = small_control(sample_size=2000, seed=0, burn_in=1024)
-    with pytest.warns(DegeneracyWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         fit = mcmcmle(spec, net, attrs, theta0=[0.0, 0.0, 0.0, -40.0, 0.0], control=control)
     assert np.isfinite(fit.loglik) and fit.loglik_sd > 0.0
+    # every anchor leaves node 9's sociality unidentified; the fit says so once
+    degenerate = [w for w in caught if issubclass(w.category, DegeneracyWarning)]
+    assert len(degenerate) == 1 and "b2sociality.9" in str(degenerate[0].message)
 
 
 @pytest.mark.parametrize("fit", ["mcmcmle", "profile"])
@@ -798,7 +802,21 @@ def test_a_fit_that_runs_out_of_anchors_does_not_converge(monkeypatch):
         mcmcmle(spec, net, attrs, control=control)
 
 
+def test_a_fit_stops_on_the_error_it_reports(monkeypatch, obs_net, obs_attrs):
+    # a zero covariance reports a zero Monte-Carlo sd, so no step is within
+    # the noise and the fit runs out of anchors
+    def no_error(info, rows, names, *rest):
+        return np.zeros((len(names), len(names))), []
+
+    monkeypatch.setattr(estimate, "_covariance", no_error)
+    monkeypatch.setattr(estimate, "MAX_ANCHORS", 6)
+    with pytest.raises(NonConvergenceError, match=r"after 6 anchors \(last step norm \d"):
+        mcmcmle(edges_spec(), obs_net, obs_attrs, control=small_control(sample_size=400, seed=4))
+
+
 def test_the_fit_states_every_control_field_but_the_seed(obs_net, obs_attrs):
-    fit = mcmcmle(edges_spec(), obs_net, obs_attrs, control=small_control(sample_size=500, seed=4))
-    assert fit.diagnostics["control"] == "burn_in=4096 interval=8 sample_size=500"
+    fit = mcmcmle(edges_spec(), obs_net, obs_attrs, control=small_control(sample_size=50, seed=4))
+    assert fit.diagnostics["control"] == "burn_in=4096 interval=8 sample_size=50"
     assert fit.diagnostics["seed"] == 4
+    # every anchor is raised to 200 draws, so each one is at full size and may stop the fit
+    assert fit.diagnostics["sample_size"] == 200

@@ -48,6 +48,8 @@ def test_public_surface():
         assert not [name for name in RETIRED if hasattr(module, name)], module.__name__
     # a chain reads the node-level change statistics from `BoundModel.node`
     assert not hasattr(terms.BoundModel, "node_tables")
+    # a node's degree is the popcount of its neighbour mask, `net.mask[v].bit_count()`
+    assert not hasattr(graph.BipartiteNetwork, "degree")
     for name, retired in RETIRED_PARAMETERS.items():
         assert not retired & set(inspect.signature(getattr(bipergm, name)).parameters), name
     # `model` is the bound model every chain runs on, never an optional override

@@ -186,7 +186,7 @@ def test_auxiliary_terms_match_brute_force(seed):
     for off in range(net.n2):
         node = net.n1 + 1 + off
         assert names[5 + off] == f"b2sociality.{node}"
-        assert values[5 + off] == net.degree(node)
+        assert values[5 + off] == net.mask[node].bit_count()
 
 
 def test_factor_drops_first_sorted_level():
@@ -231,6 +231,30 @@ def test_duplicate_nodematch_terms_get_exponent_tags(fig2_net, fig2_attrs):
     ]
     values = model.stats(fig2_net)
     assert values.tolist() == pytest.approx([3.0, 2.0 + SQRT2, 4.0], abs=1e-12)
+
+
+def test_a_name_that_still_repeats_gets_a_positional_suffix(fig2_net):
+    attrs = make_attrs1(["a", "b", "c"])
+    spec = spec_of(term("edges"), term("edges"), term("edges"))
+    assert bind(spec, fig2_net, attrs).names == ["edges", "edges.2", "edges.3"]
+    # the same exponent with other keep sets: the exponent tag alone repeats
+    spec = spec_of(
+        term("b1nodematch", attribute="group", alpha=0.5, keep_levels=("a", "b")),
+        term("b1nodematch", attribute="group", alpha=0.5, keep_levels=("b", "c")),
+    )
+    assert bind(spec, fig2_net, attrs).names == [
+        "b1nodematch.group.alpha0.5",
+        "b1nodematch.group.alpha0.5.2",
+    ]
+
+
+def test_a_suffix_that_meets_another_name_is_refused(fig2_net):
+    # the second term's "b" level becomes "b1factor.group.b.2", a name the
+    # level "b.2" already holds
+    attrs = make_attrs1(["a", "b", "b.2"])
+    spec = spec_of(term("b1factor", attribute="group"), term("b1factor", attribute="group"))
+    with pytest.raises(ValueError, match=r"duplicate statistic names in model: \['b1factor.group.b.2'\]"):
+        bind(spec, fig2_net, attrs)
 
 
 # ---------------------------------------------------------------------------
