@@ -176,8 +176,9 @@ def _profile_rows(points: list[estimate.ProfilePoint]) -> list[list[str]]:
     """The rows of the homophily statistics, whose names start with a nodematch kind."""
     rows = []
     for point in points:
+        value = formula.format_exponent(point.value)
         if point.fit is None:
-            rows.append([point.kind, f"{point.value:g}"] + [""] * 7 + [f"failed: {point.error}"])
+            rows.append([point.kind, value] + [""] * 7 + [f"failed: {point.error}"])
             continue
         fit = point.fit
         mc_sd = fit.diagnostics.get("mc_sd", [0.0] * len(fit.names))
@@ -187,7 +188,7 @@ def _profile_rows(points: list[estimate.ProfilePoint]) -> list[list[str]]:
             if not name.startswith(terms.NODEMATCH_KINDS):
                 continue
             rows.append([
-                point.kind, f"{point.value:g}", name, _num(est), _num(se),
+                point.kind, value, name, _num(est), _num(se),
                 _num(mc_sd[j]), _num(p), _num(fit.loglik), _num(fit.loglik_sd), "ok",
             ])
     return rows

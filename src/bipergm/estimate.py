@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.special import erfc, expit, logsumexp
 
-from .formula import format_spec
+from .formula import format_exponent, format_spec
 from .graph import Attributes, BipartiteNetwork
 from .oracle import EstimationError, hull_direction, newton_ascent, tilt
 from .sampler import RNG_ALGORITHM, SamplerControl, simulate
@@ -490,8 +490,8 @@ def _bridge_loglik(
     `start`, whose log-normalizer `log_kappa_start` is exact.
 
     Each leg estimates one normalizer ratio from draws at the leg's left
-    endpoint, with a batch-means variance that accounts for chain
-    autocorrelation.
+    endpoint; its variance is that of the draws' ratios over their
+    initial-positive-sequence ESS, as for the anchors.
     """
     interval = max(1, control.interval // 4)
     seeds = seed_root.spawn(BRIDGE_LEGS)
@@ -516,11 +516,7 @@ def _bridge_loglik(
         r = np.exp(x - shift)
         mean_r = float(r.mean())
         total += shift + math.log(mean_r)
-        nb = min(25, max(2, r.size // 40))
-        bs = r.size // nb
-        batch_means = r[: nb * bs].reshape(nb, bs).mean(axis=1)
-        var_mean = float(batch_means.var(ddof=1)) / nb
-        variance += var_mean / mean_r**2
+        variance += float(r.var()) / _effective_sample_size(r) / mean_r**2
     loglik = float(theta_hat @ s_obs) - log_kappa_start - total
     return loglik, math.sqrt(variance)
 
@@ -601,5 +597,6 @@ def profile(
                 point = ProfilePoint(which, value, None, f"{type(exc).__name__}: {exc}")
         points.append(point)
         for warning in caught:
-            warnings.warn(f"{warning.message} ({which}={value:g})", warning.category, stacklevel=2)
+            point_text = f"{which}={format_exponent(value)}"
+            warnings.warn(f"{warning.message} ({point_text})", warning.category, stacklevel=2)
     return points

@@ -150,13 +150,20 @@ def _quoted(text: str) -> str:
     return f"'{text}'" if '"' in text else f'"{text}"'
 
 
+def format_exponent(value: float) -> str:
+    """`value` as `:g` writes it when that reads back as the same float, else its repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
+
+
 def format_term(term: ModelTerm) -> str:
     spelling, takes, _ = KINDS[term.kind]
     if takes != ATTRIBUTE:
         return spelling if takes is None else f"{spelling}({takes})"
     parts = [_quoted(term.attribute)]
     if term.exponent is not None:
-        parts.append(f"{'alpha' if term.alpha is not None else 'beta'} = {term.exponent:g}")
+        which = "alpha" if term.alpha is not None else "beta"
+        parts.append(f"{which} = {format_exponent(term.exponent)}")
     if term.diff:
         parts.append("diff = TRUE")
     if term.keep_levels is not None:

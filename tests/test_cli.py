@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bipergm import SamplerControl, estimate, oracle
+from bipergm import SamplerControl, estimate, oracle, parse
 from bipergm.cli import _add_sampler_args, _sampler_control, main
 
 from conftest import FIG2_EDGES
@@ -188,6 +188,21 @@ def test_fit_writes_report_and_record(tmp_path):
     record = json.loads((out_dir / "fit.json").read_text())
     assert record["names"] == ["edges", "b1cov.tenure"]
     assert record["config"]["model"] == 'edges + b1cov("tenure")'
+
+
+def test_the_config_and_profile_rows_keep_the_fitted_exponent(inputs):
+    net, attrs, tmp_path = inputs
+    model = 'edges + b1nodematch("group", alpha = 0.123456789)'
+    common = ["--network", str(net), "--attrs1", str(attrs), "--method", "mple"]
+    assert main(["fit", *common, "--model", model, "--out", str(tmp_path / "fit_out")]) == 0
+    record = json.loads((tmp_path / "fit_out" / "fit.json").read_text())
+    assert parse(record["config"]["model"]) == parse(model)
+    assert main(["profile", *common, "--model", 'edges + b1nodematch("group")',
+                 "--alpha-grid", "0.123456789", "--out", str(tmp_path / "prof")]) == 0
+    rows = list(csv.reader(
+        l for l in (tmp_path / "prof" / "profile.csv").read_text().splitlines() if not l.startswith("#")
+    ))
+    assert [float(row[1]) for row in rows[1:]] == [0.123456789]
 
 
 def test_fit_record_on_stdout_equals_the_saved_record(inputs, capsys):

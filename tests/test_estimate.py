@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -580,6 +581,29 @@ def test_bridge_starts_at_zero_without_a_dyad_independent_mle():
     assert len(degenerate) == 1 and "b2sociality.9" in str(degenerate[0].message)
 
 
+def test_bridge_sd_counts_draws_by_their_autocorrelation(monkeypatch):
+    # each leg's 1000 draws hold each of 10 independent values for 100 draws
+    # in a row: the reported sd must be that of the mean of 10 draws, not of
+    # 25 batches, which would understate it by about sqrt(10 / 25)
+    rng = np.random.default_rng(5)
+    blocks = rng.normal(0.0, 3.0, size=(estimate.BRIDGE_LEGS, 10))
+    legs = iter(blocks)
+
+    def blocky(model, theta, net0, control):
+        assert control.sample_size == 1000
+        return SimpleNamespace(stats=np.repeat(next(legs), 100)[:, None], final_network=net0)
+
+    monkeypatch.setattr(estimate, "simulate", blocky)
+    control = small_control(sample_size=1000, seed=0)
+    theta_hat = np.array([0.1 * estimate.BRIDGE_LEGS])  # each leg steps by 0.1
+    _, sd = estimate._bridge_loglik(
+        None, None, theta_hat, np.zeros(1), control, np.random.SeedSequence(0), np.zeros(1), 0.0
+    )
+    r = np.exp(0.1 * blocks)
+    block_sd = math.sqrt(float(np.sum(r.var(axis=1, ddof=1) / 10 / r.mean(axis=1) ** 2)))
+    assert abs(sd / block_sd - 1.0) <= 0.25
+
+
 @pytest.mark.parametrize("fit", ["mcmcmle", "profile"])
 def test_a_fit_refuses_a_seed_sequence(obs_net, obs_attrs, fit):
     control = small_control(seed=np.random.SeedSequence(3))
@@ -740,12 +764,14 @@ def test_profile_alpha_one_equals_beta_one(obs_net, obs_attrs):
 # by one unit in the last place.  Both were re-recorded, with the estimate
 # digests below, when the full statistic became its shared-partner spectrum
 # times the power table: the same anchor count, with theta, covariance,
-# loglik and loglik_sd within 1e-14 relative.
+# loglik and loglik_sd within 1e-14 relative.  Both were re-recorded when
+# each bridge leg took its variance from the chain's ESS in place of batch
+# means: theta, covariance and loglik kept their bits, only loglik_sd moved.
 FROZEN_30X15 = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 MCMCMLE_DIGESTS = {
-    "alpha": "9cf3fff5a6444cebe895f7defa4dc5f74dfd81350f411cd279b0d301c5bed785",
-    "beta": "1115bac96b4f864d4e35fe2e1fd288d9632824e6e1b9c5a0dfe577dbb4888def",
+    "alpha": "7bf7d8052c91c7e1688725d5887a52d7157519f41935976346f83761ff9f98d3",
+    "beta": "5a3281861ed4da64201c0a184b7984ec32d3ff17e46c2a70968df7053e83ffd9",
 }
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipergm import FormulaSyntaxError, ModelSpec, ModelTerm, format_spec, parse
+from bipergm.formula import format_exponent
 from bipergm.terms import ATTRIBUTE, KINDS
 
 
@@ -128,7 +129,7 @@ def test_format_canonical_examples():
 # ---------------------------------------------------------------------------
 
 _names = st.sampled_from(["gender", "hardskill", "industry_sector", "tenure", "g1"])
-_expos = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])
+_expos = st.floats(min_value=0.0, max_value=1.0)
 
 
 def _nodematch(kind):
@@ -168,6 +169,15 @@ def test_parse_format_round_trip(terms):
     text = format_spec(spec)
     assert parse(text) == spec
     assert format_spec(parse(text)) == text  # idempotent canonical form
+
+
+def test_an_exponent_keeps_every_bit_through_its_text():
+    text = 'edges + b1nodematch("g", alpha = 0.123456789)'
+    assert format_spec(parse(text)) == text  # `:g` alone writes 0.123457
+    # a value that `:g` writes exactly keeps that short form
+    short = [format_exponent(v) for v in (0.0, 0.1, 0.25, 1.0, 1e-05)]
+    assert short == ["0", "0.1", "0.25", "1", "1e-05"]
+    assert format_exponent(1 / 3) == "0.3333333333333333"
 
 
 # ---------------------------------------------------------------------------
