@@ -18,11 +18,11 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.special import erfc, expit, logsumexp
 
-from .formula import format_exponent, format_spec
+from .formula import format_spec
 from .graph import Attributes, BipartiteNetwork
 from .oracle import EstimationError, hull_direction, newton_ascent, tilt
 from .sampler import RNG_ALGORITHM, SamplerControl, simulate
-from .terms import BoundModel, ModelSpec, bind
+from .terms import BoundModel, ModelSpec, bind, format_exponent
 
 
 class SeparationError(EstimationError):
@@ -35,7 +35,8 @@ class SeparationError(EstimationError):
 
 
 class NonConvergenceError(EstimationError):
-    """The Monte-Carlo MLE loop gave up (hull violations or anchor limit)."""
+    """The Monte-Carlo MLE ran out of anchors; the message gives the last
+    step norm and how many samples missed the observed statistics."""
 
 
 class DegeneracyWarning(UserWarning):
@@ -245,9 +246,12 @@ def mple(
 # Monte-Carlo MLE settings on top of the sampler control.  Anchor `a`
 # runs on the fraction min(1, RAMP * 2**a) of the sample size, raised to
 # at least 200 draws; a fit that has not stopped after MAX_ANCHORS
-# anchors raises NonConvergenceError.  The bridge has BRIDGE_LEGS legs of
+# anchors raises NonConvergenceError; STEP_SHARE and WEIGHT_ESS_SHARE set
+# its step and stop (see `mcmcmle`).  The bridge has BRIDGE_LEGS legs of
 # BRIDGE_DRAWS draws each, thinned every `control.interval // 4` proposals.
 MAX_ANCHORS = 20
+STEP_SHARE = 0.75
+WEIGHT_ESS_SHARE = 0.5
 RAMP = 0.125
 BRIDGE_LEGS = 12
 BRIDGE_DRAWS = 1000
@@ -344,26 +348,24 @@ def mcmcmle(
 ) -> FitResult:
     """Monte-Carlo maximum likelihood with re-anchored importance sampling.
 
-    `control` sets the anchor chains; the anchor schedule and the bridge
-    follow the module constants MAX_ANCHORS, RAMP, BRIDGE_LEGS and
-    BRIDGE_DRAWS.  Every anchor draws at least 200 networks, so a
+    `control` sets the anchor chains; the rest follows the module
+    constants.  Every anchor draws at least 200 networks, so a
     `control.sample_size` below 200 draws 200 per anchor and
-    `diagnostics["sample_size"]` reports 200.  At each anchor, networks
-    are simulated, the observed statistics are checked against the convex
-    hull of the simulated cloud, and the log-likelihood-ratio surrogate is
-    maximized to give the next anchor.  A full-size anchor ends the loop
-    when no coefficient stepped by more than twice the Monte-Carlo sd that
-    the fit reports as `diagnostics["mc_sd"]`, or when its step norm is at
-    most 1e-4.  On a violation the anchor step is
-    halved back toward the previous anchor; before any anchor lands inside
-    the hull there is no previous anchor, so theta stays where it is and
-    the next anchor samples at the same theta from its own seed.  The
-    fifth violation of a fit raises `NonConvergenceError`.  The covariance
-    comes from the inverse weighted statistic covariance at the estimate,
-    taken from the last anchor inside the hull, NaN where its sample does
-    not identify a coefficient (as in `mple`); the absolute log-likelihood
-    from the bridge that starts at the MLE of the dyad-independent
-    submodel (`_dyad_independent_start`).
+    `diagnostics["sample_size"]` reports 200.  Each anchor simulates at
+    theta and maximizes the log-likelihood-ratio surrogate toward a target
+    xi = mean + gamma (s_obs - mean) to give the next theta, with the
+    step-length rule of Hummel, Hunter and Handcock (JCGS 2012): gamma is 1
+    when s_obs lies in the hull of the sample, else (a hull miss, counted
+    in `diagnostics["hull_failures"]`) STEP_SHARE of the largest multiple
+    of 1/64 that keeps xi in it.  A full-size anchor with gamma 1 ends the
+    loop when its step's importance weights keep an ESS of at least
+    WEIGHT_ESS_SHARE of its draws and no coefficient stepped by more than
+    twice the Monte-Carlo sd that the fit reports as `diagnostics["mc_sd"]`
+    (or the step norm is at most 1e-4).  The covariance comes from the
+    inverse weighted statistic covariance at the estimate, taken from that
+    anchor, NaN where its sample does not identify a coefficient (as in
+    `mple`); the absolute log-likelihood from the bridge that starts at the
+    MLE of the dyad-independent submodel (`_dyad_independent_start`).
     `control.seed` must be an int: every chain's seed is spawned from it.
     """
     control = control or SamplerControl()
@@ -388,53 +390,45 @@ def mcmcmle(
     bridge_root = root.spawn(1)[0]
     full = control.sample_size
 
-    prev_theta = None
     hull_failures = 0
-    # the last anchor inside the hull: its sample, step and weight ESS, its
-    # per-statistic chain ESS, its covariance and the coefficients that
-    # leaves unidentified, and the Monte-Carlo sd of the estimate
-    last = None
-
     for a in range(MAX_ANCHORS):
         size = max(200, min(full, int(math.ceil(full * min(1.0, RAMP * 2**a)))))
         ctl = replace(control, sample_size=size, seed=anchor_seeds[a])
         sample = simulate(model, theta, net, ctl)
         S = sample.stats
-        if hull_direction(S, s_obs) is not None:
+        center = S.mean(axis=0)
+        gamma, target = 1.0, s_obs
+        # a sample of one row has no interior, so it misses s_obs too
+        if not np.any(S != S[0]) or hull_direction(S, s_obs) is not None:
             hull_failures += 1
-            if hull_failures >= 5:
-                raise NonConvergenceError(
-                    f"observed statistics stayed outside the simulated hull after "
-                    f"{hull_failures} re-anchors (anchor {np.round(theta, 4)})"
-                )
-            if prev_theta is not None:
-                theta = 0.5 * (theta + prev_theta)
-            continue
-        delta = _maximize_ratio(S, s_obs)
-        prev_theta = theta
+            reach = 0.0
+            for k in range(1, 7):
+                if hull_direction(S, center + (reach + 0.5**k) * (s_obs - center)) is None:
+                    reach += 0.5**k
+            gamma = STEP_SHARE * reach
+            target = center + gamma * (s_obs - center)
+        delta = _maximize_ratio(S, target)
         theta = theta + delta
-        Sc = S - S.mean(axis=0)
+        Sc = S - center
         w, _, fisher = tilt(Sc, delta)
         ess_w = 1.0 / float(np.sum(w**2))
         ess = {name: round(_effective_sample_size(S[:, j]), 1) for j, name in enumerate(model.names)}
         cov, unknown = _covariance(fisher, Sc, model.names)
         # Monte-Carlo noise of the estimate itself: inverse information
         # scaled by the effective number of importance draws
-        ess_eff = max(1.0, ess_w * min(ess.values()) / S.shape[0])
+        ess_eff = max(1.0, ess_w * min(ess.values()) / size)
         mc_sd = np.sqrt(np.clip(np.diag(cov), 0.0, None) / ess_eff)
-        last = (sample, delta, ess_w, ess, cov, unknown, ess_eff, mc_sd)
         # a NaN sd, an unidentified coefficient, does not block the stop
-        if size >= full and (
+        if size >= full and gamma == 1.0 and ess_w >= WEIGHT_ESS_SHARE * size and (
             float(np.linalg.norm(delta)) <= 1e-4 or not np.any(np.abs(delta) > 2.0 * mc_sd)
         ):
             break
     else:
-        # only a full-size anchor inside the hull can stop the loop
-        step = "no anchor inside the hull" if last is None else (
-            f"last step norm {float(np.linalg.norm(last[1])):.3g}")
-        raise NonConvergenceError(f"no convergence after {MAX_ANCHORS} anchors ({step})")
+        raise NonConvergenceError(
+            f"no convergence after {MAX_ANCHORS} anchors (last step norm {float(np.linalg.norm(delta)):.3g}; "
+            f"s_obs outside the sample's hull at {hull_failures} of them)"
+        )
 
-    sample, delta, ess_w, ess, cov, unknown, ess_eff, mc_sd = last
     if unknown:
         warnings.warn(DegeneracyWarning(
             "the simulated sample does not identify coefficients whose statistics "

@@ -21,7 +21,7 @@ import ast
 import re
 import warnings
 
-from .terms import ATTRIBUTE, KINDS, ModelSpec, ModelTerm
+from .terms import ATTRIBUTE, KINDS, ModelSpec, ModelTerm, format_exponent
 
 
 class FormulaSyntaxError(ValueError):
@@ -148,12 +148,6 @@ def parse(text: str) -> ModelSpec:
 def _quoted(text: str) -> str:
     # a string is the raw text between two equal quotes: one holding `"` takes `'`
     return f"'{text}'" if '"' in text else f'"{text}"'
-
-
-def format_exponent(value: float) -> str:
-    """`value` as `:g` writes it when that reads back as the same float, else its repr."""
-    short = f"{value:g}"
-    return short if float(short) == value else repr(float(value))
 
 
 def format_term(term: ModelTerm) -> str:

@@ -54,6 +54,12 @@ KINDS = {
 NODEMATCH_KINDS = tuple(kind for kind, entry in KINDS.items() if entry.nodematch)
 
 
+def format_exponent(value: float) -> str:
+    """`value` as `:g` writes it when that reads back as the same float, else its repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
+
+
 @dataclass(frozen=True)
 class ModelTerm:
     """One term of a model formula.
@@ -490,12 +496,12 @@ class BoundModel:
         self.node = [tuple(pairs) for pairs in node]
 
     def _unique_names(self) -> list[str]:
-        # a repeated nodematch name gets its exponent; a name that still
-        # repeats (same exponent, other keep set) gets a positional suffix
-        # from its second occurrence on
+        # a repeated nodematch name gets its exponent as a formula writes it;
+        # a name that still repeats (same exponent, other keep set) gets a
+        # positional suffix from its second occurrence on
         counts = Counter(name for ev in self.evaluators for name in ev.names)
         names = [
-            f"{name}.{'alpha' if term.alpha is not None else 'beta'}{term.exponent:g}"
+            f"{name}.{'alpha' if term.alpha is not None else 'beta'}{format_exponent(term.exponent)}"
             if counts[name] > 1 and term.kind in NODEMATCH_KINDS else name
             for ev, term in zip(self.evaluators, self.spec.terms) for name in ev.names
         ]

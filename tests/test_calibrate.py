@@ -49,8 +49,12 @@ def test_grids_count_their_rows(net_attrs):
     assert out["points"] == 8
     assert out["failed"] == sum(len(s["failed"]) for s in out["per_seed"])
     assert out["floored"] == sum(len(s["floored"]) for s in out["per_seed"])
+    assert out["hull_misses"] == sum(sum(s["hull_misses"].values()) for s in out["per_seed"])
+    assert out["low_weight_ess"] == sum(len(s["low_weight_ess"]) for s in out["per_seed"])
     assert [s["seed"] for s in out["per_seed"]] == [0, 1]
     for s in out["per_seed"]:
         assert {"max_jump_sd", "max_jump_at", "linear_end_gap", "linear_end_gap_sd"} <= set(s)
+        # only rows that missed are listed, under their grid point
+        assert all(n > 0 and row.split("=")[0] in ("alpha", "beta") for row, n in s["hull_misses"].items())
     assert out["max_jump_sd"] == max(s["max_jump_sd"] for s in out["per_seed"])
     assert math.isfinite(out["max_jump_sd"])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -767,18 +768,28 @@ def test_profile_alpha_one_equals_beta_one(obs_net, obs_attrs):
 # loglik and loglik_sd within 1e-14 relative.  Both were re-recorded when
 # each bridge leg took its variance from the chain's ESS in place of batch
 # means: theta, covariance and loglik kept their bits, only loglik_sd moved.
+# Both were re-recorded, with the estimate digests below, when a hull miss
+# began to step toward the hull's edge and a collapsed weight ESS stopped
+# ending a fit: at this short control both fits used to stop on a sample
+# whose weights had collapsed (weight ESS 38.6 and 9.8 of 400, after 1 and
+# 4 misses); they now stop at 319.2 and 394.1 of 400.
 FROZEN_30X15 = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
+
+def frozen_30x15():
+    net = load_network(FROZEN_30X15 / "profile_30x15.edges")
+    return net, Attributes(mode1=load_attributes(FROZEN_30X15 / "profile_30x15_attrs1.tsv", 1, 30, 15))
+
+
 MCMCMLE_DIGESTS = {
-    "alpha": "7bf7d8052c91c7e1688725d5887a52d7157519f41935976346f83761ff9f98d3",
-    "beta": "5a3281861ed4da64201c0a184b7984ec32d3ff17e46c2a70968df7053e83ffd9",
+    "alpha": "5f529e8fd1827d9813464f60eba5001319cb53faf4ca77e458c062cc7748e011",
+    "beta": "e2e9c41536bd9c0b6ba168ee12a6ce1074182a3b81e7a234d5ebf50fcf2d8f29",
 }
 
 
 @pytest.mark.parametrize("which", sorted(MCMCMLE_DIGESTS))
 def test_seeded_mcmcmle_keeps_its_digest(which):
-    net = load_network(FROZEN_30X15 / "profile_30x15.edges")
-    attrs = Attributes(mode1=load_attributes(FROZEN_30X15 / "profile_30x15_attrs1.tsv", 1, 30, 15))
+    net, attrs = frozen_30x15()
     spec = ModelSpec(
         (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: 0.5}))
     )
@@ -794,15 +805,14 @@ def test_seeded_mcmcmle_keeps_its_digest(which):
 # started at the dyad-independent MLE: the bridge runs after the anchors
 # and draws from its own seed branch, so it must not move the estimate
 MCMCMLE_ESTIMATE_DIGESTS = {
-    "alpha": "5ca5cc6c3e96ac49644f48afcdbbd7e203d64adc09e0ff630fb428204c231d70",
-    "beta": "ce6d9f00e1c37ef9aa796c50606a56c8a24a184163e943b9f802b7e2a4127d26",
+    "alpha": "dcc8f2dc4d754ec0808fb28e296d3ec1450671ca416eed67f0329732d10a3163",
+    "beta": "247fb771426dc429678abde4d64c5f3208a5c84b5bc8240209ed32591d4b5dd8",
 }
 
 
 @pytest.mark.parametrize("which", sorted(MCMCMLE_ESTIMATE_DIGESTS))
 def test_seeded_mcmcmle_estimate_keeps_its_digest(which):
-    net = load_network(FROZEN_30X15 / "profile_30x15.edges")
-    attrs = Attributes(mode1=load_attributes(FROZEN_30X15 / "profile_30x15_attrs1.tsv", 1, 30, 15))
+    net, attrs = frozen_30x15()
     spec = ModelSpec(
         (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: 0.5}))
     )
@@ -814,12 +824,62 @@ def test_seeded_mcmcmle_estimate_keeps_its_digest(which):
     assert h.hexdigest() == MCMCMLE_ESTIMATE_DIGESTS[which]
 
 
+# Fits that never miss the hull and never stop on collapsed weights, at the
+# criterion-8 control: the benchmark's one-point profiles at 0.5 and the
+# linear-end rows of the seed-88 default grids.  Recorded before a hull
+# miss stepped toward the hull's edge and the stop read the weight ESS:
+# neither rule may move them.
+CRITERION_8 = SamplerControl(burn_in=8192, interval=48, sample_size=3000, seed=88)
+CLEAN_FIT_DIGESTS = {
+    ("alpha", 0.5): "17e16929711a07d058f282025478b6858006a474296a77202c6fb64f78963c51",
+    ("beta", 0.5): "a722de81fda7ded0d230a8d2272f851fa38b0655d29353d15294638a991fc47b",
+    ("alpha", 1.0): "1cb96512453535c8ce474730452c73e4961254242f2514fb0946bbe3424f107e",
+    ("beta", 1.0): "341df02f12ab245d2c9fa22f06c4e6530f52e4bc12f044e2d2b058f0697992a3",
+}
+
+
+@pytest.mark.parametrize("which,value", sorted(CLEAN_FIT_DIGESTS))
+def test_clean_criterion_8_fits_keep_their_digest(which, value):
+    net, attrs = frozen_30x15()
+    template = parse('edges + b1nodematch("group")')
+    if value == 0.5:  # a one-point profile, as `bipergm profile --alpha-grid 0.5` runs it
+        fit = profile(template, which, [value], net, attrs, control=CRITERION_8)[0].fit
+    else:  # the last of the 11 default grid points, seeded as `profile` seeds it
+        seq = np.random.SeedSequence(88, spawn_key=(0 if which == "alpha" else 1,)).spawn(11)[10]
+        control = replace(CRITERION_8, seed=int(seq.generate_state(1, np.uint64)[0] >> 1))
+        fit = mcmcmle(template.bind_exponent(which, value), net, attrs, control=control)
+    assert fit.diagnostics["hull_failures"] == 0
+    h = hashlib.sha256()
+    for part in (fit.theta, fit.covariance, np.array([fit.loglik, fit.loglik_sd])):
+        h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+    assert h.hexdigest() == CLEAN_FIT_DIGESTS[which, value]
+
+
+def test_a_first_sample_that_misses_s_obs_steps_toward_it(moderate_net, obs_attrs):
+    # at edges = -4 the chain keeps the 3x3 network near empty, far below
+    # its five edges, so the first samples miss s_obs
+    spec = parse('edges + b1nodematch("group", alpha = 0.5)')
+    theta_star = exact_mle(ExactModel(spec, obs_attrs, 3, 3), moderate_net)
+    fit = mcmcmle(spec, moderate_net, obs_attrs, theta0=[-4.0, 0.0], control=small_control(sample_size=4000, seed=3))
+    assert fit.diagnostics["hull_failures"] >= 1
+    mc_sd = np.asarray(fit.diagnostics["mc_sd"])
+    assert np.all(np.abs(fit.theta - theta_star) <= 3.0 * mc_sd)
+
+
+def test_a_collapsed_weight_ess_does_not_end_the_fit():
+    # at this short control the alpha fit once stopped on a full-size anchor
+    # whose step left a weight ESS of 38.6 of its 400 draws
+    net, attrs = frozen_30x15()
+    spec = parse('edges + b1nodematch("group", alpha = 0.5)')
+    fit = mcmcmle(spec, net, attrs, control=SamplerControl(burn_in=1024, interval=8, sample_size=400, seed=31))
+    assert fit.diagnostics["weight_ess"] >= estimate.WEIGHT_ESS_SHARE * fit.diagnostics["sample_size"]
+
+
 def test_a_fit_that_runs_out_of_anchors_does_not_converge(monkeypatch):
     # with three anchors the criterion-8 fit stops at 1500 of its 3000 draws,
     # before the stopping rule ever runs, so it must not report an estimate
     monkeypatch.setattr(estimate, "MAX_ANCHORS", 3)
-    net = load_network(FROZEN_30X15 / "profile_30x15.edges")
-    attrs = Attributes(mode1=load_attributes(FROZEN_30X15 / "profile_30x15_attrs1.tsv", 1, 30, 15))
+    net, attrs = frozen_30x15()
     spec = ModelSpec(
         (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5))
     )

@@ -233,6 +233,20 @@ def test_duplicate_nodematch_terms_get_exponent_tags(fig2_net, fig2_attrs):
     assert values.tolist() == pytest.approx([3.0, 2.0 + SQRT2, 4.0], abs=1e-12)
 
 
+def test_exponent_tags_tell_close_exponents_apart(fig2_net, fig2_attrs):
+    # `:g` writes both exponents as 0.123457; the tag is the formula's spelling
+    spec = spec_of(
+        term("b1nodematch", attribute="group", beta=0.1234567),
+        term("b1nodematch", attribute="group", beta=0.1234568),
+        term("b1nodematch", attribute="group", beta=0.25),
+    )
+    assert bind(spec, fig2_net, fig2_attrs).names == [
+        "b1nodematch.group.beta0.1234567",
+        "b1nodematch.group.beta0.1234568",
+        "b1nodematch.group.beta0.25",
+    ]
+
+
 def test_a_name_that_still_repeats_gets_a_positional_suffix(fig2_net):
     attrs = make_attrs1(["a", "b", "c"])
     spec = spec_of(term("edges"), term("edges"), term("edges"))

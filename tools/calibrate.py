@@ -16,8 +16,11 @@ It imports the program from this checkout's `src/` and writes
   seeds 300 to 399;
 - `grids`: the criterion-8 profile over both default grids at seeds 88
   to 91: failed rows, floored rows (`ess_eff` at its floor of 1.0), the
-  largest log-likelihood jump between neighbouring `ok` points in units
-  of the sd of that difference, and the alpha=1 minus beta=1 gap.
+  hull misses of each `ok` row that had any, the `ok` rows whose
+  stopping weight ESS is below `estimate.WEIGHT_ESS_SHARE` of their
+  draws, the largest log-likelihood jump between neighbouring `ok`
+  points in units of the sd of that difference, and the alpha=1 minus
+  beta=1 gap.
 
 "Spread" is the standard deviation over seeds (ddof=1); "ratio" is the
 spread of `loglik` over the median reported `loglik_sd`, 1 when the error
@@ -140,8 +143,9 @@ def exact_z(net, attrs, control, bridge_seeds) -> dict:
 
 def grids(net, attrs, control, seeds, grid=GRID) -> dict:
     """The profile over `grid` for both kinds at each seed: its failed and
-    floored rows, its largest jump between neighbouring `ok` points, and
-    the gap between the alpha=1 and beta=1 rows where both are `ok`."""
+    floored rows, the hull misses and low weight ESS of its `ok` rows, its
+    largest jump between neighbouring `ok` points, and the gap between the
+    alpha=1 and beta=1 rows where both are `ok`."""
     per_seed = []
     for seed in seeds:
         rows = {
@@ -149,6 +153,7 @@ def grids(net, attrs, control, seeds, grid=GRID) -> dict:
             for which in KINDS
         }
         points = [p for which in KINDS for p in rows[which]]
+        ok = [(f"{p.kind}={p.value:g}", p.fit.diagnostics) for p in points if p.fit is not None]
         jumps = [
             (abs(a.fit.loglik - b.fit.loglik) / math.hypot(a.fit.loglik_sd, b.fit.loglik_sd),
              f"{a.kind}={a.value:g}..{b.value:g}")
@@ -162,8 +167,10 @@ def grids(net, attrs, control, seeds, grid=GRID) -> dict:
         per_seed.append({
             "seed": seed,
             "failed": [f"{p.kind}={p.value:g}" for p in points if p.fit is None],
-            "floored": [f"{p.kind}={p.value:g}" for p in points
-                        if p.fit is not None and p.fit.diagnostics["ess_eff"] == 1.0],
+            "floored": [row for row, d in ok if d["ess_eff"] == 1.0],
+            "hull_misses": {row: d["hull_failures"] for row, d in ok if d["hull_failures"]},
+            "low_weight_ess": [row for row, d in ok
+                               if d["weight_ess"] < estimate.WEIGHT_ESS_SHARE * d["sample_size"]],
             "max_jump_sd": worst[0],
             "max_jump_at": worst[1],
             "linear_end_gap": gap,
@@ -174,6 +181,8 @@ def grids(net, attrs, control, seeds, grid=GRID) -> dict:
         "points": 2 * len(grid) * len(seeds),
         "failed": sum(len(s["failed"]) for s in per_seed),
         "floored": sum(len(s["floored"]) for s in per_seed),
+        "hull_misses": sum(sum(s["hull_misses"].values()) for s in per_seed),
+        "low_weight_ess": sum(len(s["low_weight_ess"]) for s in per_seed),
         "max_jump_sd": max(jumps, default=None),
         "per_seed": per_seed,
     }
