@@ -3,10 +3,10 @@
 The pseudo-likelihood estimator is a Newton logistic fit of dyad states
 on change statistics.  The Monte-Carlo MLE re-anchors an importance-
 sampled log-likelihood-ratio surrogate until the anchor stops moving,
-then reports absolute log-likelihood through a bridge of simulations
-along the straight path from the MLE of the dyad-independent submodel
-(whose normalizer is known in closed form) to the estimate, so profile
-curves over different exponents share one reference.
+then reports absolute log-likelihood through a bridge on the last anchor's
+chain, from the estimate down to the MLE of the dyad-independent submodel
+(whose normalizer is known in closed form), so profile curves over
+different exponents share one reference.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy.special import erfc, expit, logsumexp
 from .formula import format_spec
 from .graph import Attributes, BipartiteNetwork
 from .oracle import EstimationError, hull_direction, newton_ascent, tilt
-from .sampler import RNG_ALGORITHM, SamplerControl, simulate
+from .sampler import RNG_ALGORITHM, Chain, SamplerControl, _generator, simulate
 from .terms import BoundModel, ModelSpec, bind, format_exponent
 
 
@@ -364,8 +364,8 @@ def mcmcmle(
     (or the step norm is at most 1e-4).  The covariance comes from the
     inverse weighted statistic covariance at the estimate, taken from that
     anchor, NaN where its sample does not identify a coefficient (as in
-    `mple`); the absolute log-likelihood from the bridge that starts at the
-    MLE of the dyad-independent submodel (`_dyad_independent_start`).
+    `mple`); the absolute log-likelihood from the bridge down to the MLE of
+    the dyad-independent submodel, on a chain continuing the last anchor's.
     `control.seed` must be an int: every chain's seed is spawned from it.
     """
     control = control or SamplerControl()
@@ -435,10 +435,11 @@ def mcmcmle(
             "are constant or a combination of others: " + ", ".join(unknown)
         ))
 
+    # at theta-hat after one autocorrelation time of the stopping anchor's sample
+    chain = Chain(sample.final_network, model, theta, _generator(bridge_root))
+    chain.run(control.interval * math.ceil(size / min(ess.values())))
     start, log_kappa_start = _dyad_independent_start(model, net, attrs, s_obs)
-    loglik, loglik_sd = _bridge_loglik(
-        model, net, theta, s_obs, control, bridge_root, start, log_kappa_start
-    )
+    loglik, loglik_sd = _bridge_loglik(chain, theta, s_obs, control.interval, start, log_kappa_start)
 
     diagnostics = {
         "seed": control.seed,
@@ -471,47 +472,36 @@ def mcmcmle(
 
 
 def _bridge_loglik(
-    model: BoundModel,
-    net: BipartiteNetwork,
-    theta_hat: np.ndarray,
-    s_obs: np.ndarray,
-    control: SamplerControl,
-    seed_root: np.random.SeedSequence,
-    start: np.ndarray,
+    chain: Chain, theta_hat: np.ndarray, s_obs: np.ndarray, interval: int, start: np.ndarray,
     log_kappa_start: float,
 ) -> tuple[float, float]:
     """Absolute log-likelihood at theta_hat via a straight bridge from
-    `start`, whose log-normalizer `log_kappa_start` is exact.
+    theta_hat down to `start`, whose log-normalizer `log_kappa_start` is
+    exact, on one `chain` burnt in at theta_hat.
 
-    Each leg estimates one normalizer ratio from draws at the leg's left
-    endpoint; its variance is that of the draws' ratios over their
-    initial-positive-sequence ESS, as for the anchors.
+    Each leg draws at its theta_hat end, theta_hi, every `interval // 4`
+    proposals, and estimates log kappa(theta_lo) - log kappa(theta_hi) as
+    log mean exp((theta_lo - theta_hi) . s), with the variance of the
+    ratios over their initial-positive-sequence ESS, as for the anchors.
+    After each theta change the chain runs one autocorrelation time of the
+    leg before: interval * ceil(draws / least per-statistic ESS) proposals.
     """
-    interval = max(1, control.interval // 4)
-    seeds = seed_root.spawn(BRIDGE_LEGS)
+    interval = max(1, interval // 4)
     t = np.linspace(0.0, 1.0, BRIDGE_LEGS + 1)[:, None]
     path = (1.0 - t) * start[None, :] + t * theta_hat[None, :]
-    total = 0.0
-    variance = 0.0
-    current = net
-    for leg in range(BRIDGE_LEGS):
-        th_a, th_b = path[leg], path[leg + 1]
-        ctl = replace(
-            control,
-            burn_in=None if leg == 0 else max(256, 2 * interval),
-            interval=interval,
-            sample_size=BRIDGE_DRAWS,
-            seed=seeds[leg],
-        )
-        sample = simulate(model, th_a, current, ctl)
-        current = sample.final_network
-        x = sample.stats @ (th_b - th_a)
+    total, variance, burn_in = 0.0, 0.0, 0
+    for th_hi, th_lo in zip(path[:0:-1], path[-2::-1]):
+        chain.set_theta(th_hi)
+        chain.run(burn_in)
+        S = chain.sample(BRIDGE_DRAWS, interval)
+        burn_in = interval * math.ceil(BRIDGE_DRAWS / min(map(_effective_sample_size, S.T)))
+        x = S @ (th_lo - th_hi)
         shift = float(x.max())
         r = np.exp(x - shift)
         mean_r = float(r.mean())
         total += shift + math.log(mean_r)
         variance += float(r.var()) / _effective_sample_size(r) / mean_r**2
-    loglik = float(theta_hat @ s_obs) - log_kappa_start - total
+    loglik = float(theta_hat @ s_obs) - log_kappa_start + total
     return loglik, math.sqrt(variance)
 
 

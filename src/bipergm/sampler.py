@@ -45,7 +45,7 @@ class SamplerControl:
 
     burn_in=None resolves to 2**14 proposals per started thousand dyads.
     `seed` is an int or a numpy `SeedSequence`; `mcmcmle` takes an int and
-    runs each chain on a copy of the control seeded by a spawned sequence.
+    spawns from it one seed per anchor's chain and one for the bridge's.
     """
 
     burn_in: int | None = None
@@ -105,7 +105,7 @@ class Chain:
 
     The chain mutates `net` in place and keeps the statistic vector
     incrementally up to date; `audit()` recomputes from scratch and
-    verifies agreement.  Theta is fixed when the chain is built.  Each
+    verifies agreement.  `set_theta` changes theta between calls.  Each
     `run` or `step` updates `accepted`, `proposals` and `last_dyad`, the
     dyad of the last proposal (None before the first).
 
@@ -120,22 +120,37 @@ class Chain:
     """
 
     def __init__(self, net: BipartiteNetwork, model: BoundModel, theta, rng: np.random.Generator):
-        if len(theta) != model.p:
-            raise ValueError(f"theta has {len(theta)} entries for {model.p} statistics")
-        theta = [float(t) for t in theta]
-        if not all(map(math.isfinite, theta)):
-            # a NaN log ratio would accept every proposal
-            raise ValueError(f"theta must be finite, got {theta}")
+        self.model = model
+        self._theta, self._eta = [], []
+        self.set_theta(theta)
         net.check_has_dyads()
         self.net = net
-        self.model = model
         self.stats = [float(s) for s in model.stats(net)]
         uniform = itertools.chain.from_iterable(
             iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
         ).__next__
-        loop = _mh_loop(net, theta, self.stats, model.node, model.dependent_change(), uniform)
+        loop = _mh_loop(net, self._theta, self._eta, self.stats, model.node, model.dependent_change(), uniform)
         self.accepted, self.proposals, self.last_dyad = next(loop)
         self._send = loop.send
+
+    def set_theta(self, theta) -> None:
+        """Run later proposals at `theta`; the network, the running statistics,
+        the counters and the uniform stream carry on.  A theta of the wrong
+        length, or not finite, raises ValueError and changes nothing."""
+        if len(theta) != self.model.p:
+            raise ValueError(f"theta has {len(theta)} entries for {self.model.p} statistics")
+        theta = [float(t) for t in theta]
+        if not all(map(math.isfinite, theta)):
+            # a NaN log ratio would accept every proposal
+            raise ValueError(f"theta must be finite, got {theta}")
+        eta = []  # eta[v]: theta times the pairs of node[v], in model order
+        for pairs in self.model.node:
+            lo = 0.0
+            for j, value in pairs:
+                lo += theta[j] * value
+            eta.append(lo)
+        # in place: the loop holds both lists
+        self._theta[:], self._eta[:] = theta, eta
 
     def step(self) -> bool:
         """One proposal; returns True if the toggle was accepted."""
@@ -177,8 +192,18 @@ class Chain:
         # in place: the loop holds this list
         self.stats[:] = [float(s) for s in fresh]
 
+    def sample(self, size: int, interval: int) -> np.ndarray:
+        """`size` statistic vectors, one after every `interval` proposals,
+        then `audit()`."""
+        rows = np.empty((size, self.model.p))
+        for s in range(size):
+            self.run(interval)
+            rows[s] = self.stats
+        self.audit()
+        return rows
 
-def _mh_loop(net, theta, stats, node, change, uniform):
+
+def _mh_loop(net, theta, eta, stats, node, change, uniform):
     """The only MH loop body: a generator that holds a chain's locals
     between calls.  Each value sent is a number of proposals to make,
     reading `uniform()` in the order the module docstring gives; it yields
@@ -187,17 +212,11 @@ def _mh_loop(net, theta, stats, node, change, uniform):
 
     The dyad-independent terms come from `node`, `BoundModel.node`, and
     the others from `change`, `BoundModel.dependent_change`: a toggle's
-    log-odds is `eta[i] + eta[k]`, `eta[v]` being theta times the pairs of
-    `node[v]` summed in model order, plus theta times the value of each
+    log-odds is `eta[i] + eta[k]` plus theta times the value of each
     (statistic index, value) pair that `change(mask, i, k)` returns, and
     an accepted toggle moves the statistics by those pairs and by
-    `node[i]` and `node[k]`."""
-    eta = []
-    for pairs in node:
-        lo = 0.0
-        for j, value in pairs:
-            lo += theta[j] * value
-        eta.append(lo)
+    `node[i]` and `node[k]`.  `Chain.set_theta` rewrites `theta` and `eta`
+    in place between calls."""
     exp = math.exp
     mask, bit, edge_list, add, remove = net.mask, net._bit, net._edge_list, net._add, net._remove
     n1, n2 = net.n1, net.n2
@@ -272,15 +291,6 @@ def simulate(
     net = net0.copy()
     chain = Chain(net, model, theta, _generator(control.seed))
     chain.run(control.resolved_burn_in(net.dyad_count))
-    rows = np.empty((control.sample_size, model.p))
-    for s in range(control.sample_size):
-        chain.run(control.interval)
-        rows[s] = chain.stats
-    chain.audit()
+    rows = chain.sample(control.sample_size, control.interval)
     rate = chain.accepted / chain.proposals if chain.proposals else 0.0
-    return StatSample(
-        stats=rows,
-        final_network=net,
-        acceptance_rate=rate,
-        proposals=chain.proposals,
-    )
+    return StatSample(stats=rows, final_network=net, acceptance_rate=rate, proposals=chain.proposals)

@@ -3,7 +3,6 @@ import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from bipergm.estimate import (
     wald_p_value,
 )
 from bipergm.io import load_attributes, load_network
+from bipergm.sampler import _generator
 
 import reference as ref
 from conftest import (
@@ -582,7 +582,7 @@ def test_bridge_starts_at_zero_without_a_dyad_independent_mle():
     assert len(degenerate) == 1 and "b2sociality.9" in str(degenerate[0].message)
 
 
-def test_bridge_sd_counts_draws_by_their_autocorrelation(monkeypatch):
+def test_bridge_sd_counts_draws_by_their_autocorrelation():
     # each leg's 1000 draws hold each of 10 independent values for 100 draws
     # in a row: the reported sd must be that of the mean of 10 draws, not of
     # 25 batches, which would understate it by about sqrt(10 / 25)
@@ -590,19 +590,45 @@ def test_bridge_sd_counts_draws_by_their_autocorrelation(monkeypatch):
     blocks = rng.normal(0.0, 3.0, size=(estimate.BRIDGE_LEGS, 10))
     legs = iter(blocks)
 
-    def blocky(model, theta, net0, control):
-        assert control.sample_size == 1000
-        return SimpleNamespace(stats=np.repeat(next(legs), 100)[:, None], final_network=net0)
+    class Blocky:
+        def set_theta(self, theta):
+            pass
 
-    monkeypatch.setattr(estimate, "simulate", blocky)
-    control = small_control(sample_size=1000, seed=0)
-    theta_hat = np.array([0.1 * estimate.BRIDGE_LEGS])  # each leg steps by 0.1
-    _, sd = estimate._bridge_loglik(
-        None, None, theta_hat, np.zeros(1), control, np.random.SeedSequence(0), np.zeros(1), 0.0
-    )
+        def run(self, proposals):
+            pass
+
+        def sample(self, size, interval):
+            assert size == 1000
+            return np.repeat(next(legs), 100)[:, None]
+
+    # the legs run from theta_hat up to 0, each stepping by +0.1
+    theta_hat = np.array([-0.1 * estimate.BRIDGE_LEGS])
+    _, sd = estimate._bridge_loglik(Blocky(), theta_hat, np.zeros(1), 8, np.zeros(1), 0.0)
     r = np.exp(0.1 * blocks)
     block_sd = math.sqrt(float(np.sum(r.var(axis=1, ddof=1) / 10 / r.mean(axis=1) ** 2)))
     assert abs(sd / block_sd - 1.0) <= 0.25
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+def test_bridge_z_scores_at_the_exact_mle_centre_on_zero_with_unit_spread(moderate_net, obs_attrs, which):
+    # 40 bridges on the criterion-7 network and control, each from the exact
+    # MLE on its own seed: z against the exact log-likelihood must centre
+    # near 0 with a spread near 1 if the reported sd is honest
+    spec = parse(f'edges + b1nodematch("group", {which} = 0.5)')
+    oracle = ExactModel(spec, obs_attrs, 3, 3)
+    theta = exact_mle(oracle, moderate_net)
+    exact = exact_loglik(oracle, theta, moderate_net)
+    model = bind(spec, moderate_net, obs_attrs)
+    s_obs = model.stats(moderate_net)
+    start, log_kappa = _dyad_independent_start(model, moderate_net, obs_attrs, s_obs)
+    z = []
+    for seed in range(600, 640):
+        chain = Chain(moderate_net.copy(), model, theta, _generator(seed))
+        chain.run(4096)
+        loglik, sd = estimate._bridge_loglik(chain, theta, s_obs, 8, start, log_kappa)
+        z.append((loglik - exact) / sd)
+    assert abs(np.mean(z)) <= 0.5 and 0.7 <= np.std(z, ddof=1) <= 1.3
 
 
 @pytest.mark.parametrize("fit", ["mcmcmle", "profile"])
@@ -772,7 +798,10 @@ def test_profile_alpha_one_equals_beta_one(obs_net, obs_attrs):
 # began to step toward the hull's edge and a collapsed weight ESS stopped
 # ending a fit: at this short control both fits used to stop on a sample
 # whose weights had collapsed (weight ESS 38.6 and 9.8 of 400, after 1 and
-# 4 misses); they now stop at 319.2 and 394.1 of 400.
+# 4 misses); they now stop at 319.2 and 394.1 of 400.  Both were
+# re-recorded, with the clean-fit digests below, when the bridge began to
+# continue the last anchor's chain from the estimate down to its start:
+# theta and covariance kept their bits, only loglik and loglik_sd moved.
 FROZEN_30X15 = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
@@ -782,8 +811,8 @@ def frozen_30x15():
 
 
 MCMCMLE_DIGESTS = {
-    "alpha": "5f529e8fd1827d9813464f60eba5001319cb53faf4ca77e458c062cc7748e011",
-    "beta": "e2e9c41536bd9c0b6ba168ee12a6ce1074182a3b81e7a234d5ebf50fcf2d8f29",
+    "alpha": "4e237e6ae06311789cb5b1e2df4d9fb45b2e47b1d1abd3d83d3d68d6037b8dd5",
+    "beta": "d9cf0563cac50b5b2678d7de8698291becc5cc40e80104099b09e65a357a766c",
 }
 
 
@@ -828,13 +857,14 @@ def test_seeded_mcmcmle_estimate_keeps_its_digest(which):
 # criterion-8 control: the benchmark's one-point profiles at 0.5 and the
 # linear-end rows of the seed-88 default grids.  Recorded before a hull
 # miss stepped toward the hull's edge and the stop read the weight ESS:
-# neither rule may move them.
+# neither rule may move them.  Re-recorded when the bridge began to
+# continue the last anchor's chain: only loglik and loglik_sd moved.
 CRITERION_8 = SamplerControl(burn_in=8192, interval=48, sample_size=3000, seed=88)
 CLEAN_FIT_DIGESTS = {
-    ("alpha", 0.5): "17e16929711a07d058f282025478b6858006a474296a77202c6fb64f78963c51",
-    ("beta", 0.5): "a722de81fda7ded0d230a8d2272f851fa38b0655d29353d15294638a991fc47b",
-    ("alpha", 1.0): "1cb96512453535c8ce474730452c73e4961254242f2514fb0946bbe3424f107e",
-    ("beta", 1.0): "341df02f12ab245d2c9fa22f06c4e6530f52e4bc12f044e2d2b058f0697992a3",
+    ("alpha", 0.5): "dffe03be4860270c0ff8b35c8a559acd47599bf43742b1a0dbfea7bc2581d12e",
+    ("beta", 0.5): "bb750b5765cfe4d3e76b8ce1858cdde9784b61a0da0501c868f02e74821bdab9",
+    ("alpha", 1.0): "3a8c21539404808bea9e27c5aa51a1964f4bc2f68ee1632970f2e46c3d74bc64",
+    ("beta", 1.0): "7dcdc30457f312b8a201a75f41e6f0ca737033d2edda57e881cde607e118e36b",
 }
 
 

@@ -697,3 +697,73 @@ def test_the_chain_draws_a_block_only_when_it_needs_a_uniform():
     assert rng.calls == 1
     chain.step()
     assert rng.calls == 2
+
+
+# `set_theta` changes only what later proposals run at: the network, the
+# running statistics, the counters and the uniform stream carry on.
+
+
+def test_a_chain_set_to_theta_before_its_first_proposal_is_the_chain_built_there():
+    attrs = _contract_attrs()
+    spec = ModelSpec((
+        ModelTerm(kind="edges"), ALPHA,
+        ModelTerm(kind="b1factor", attribute="group"), ModelTerm(kind="b2sociality"),
+    ))
+    theta = [-1.5, 0.6, -0.3] + [0.05] * 15
+    tallies = []
+    for start in (theta, [0.7, -2.0, 1.1] + [-0.3] * 15):
+        net = _net30(0.2)
+        chain = Chain(net, bind(spec, net, attrs), start, _generator(41))
+        chain.set_theta(theta)
+        tally = []
+        for _ in range(20_000):
+            chain.step()
+            tally.append((chain.accepted, chain.last_dyad))
+        tallies.append((tally, chain.stats, net._edge_list))
+    assert tallies[0] == tallies[1]
+
+
+def test_a_chain_switched_to_another_theta_samples_that_theta():
+    # the criterion-5 2x2 network, run at (1, 1) and then tallied at (0, 0)
+    attrs = make_attrs1(["a", "a"])
+    spec = ModelSpec(
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", alpha=0.5))
+    )
+    exact_model = ExactModel(spec, attrs, 2, 2)
+    net = from_edge_list(2, 2, [])
+    chain = Chain(net, bind(spec, net, attrs), [1.0, 1.0], _generator(43))
+    chain.run(5000)
+    chain.set_theta([0.0, 0.0])
+    draws = 400_000
+    counts = np.zeros(16)
+    code = exact_model.state_index(net)
+    for _ in range(draws):
+        if chain.step():
+            i, k = chain.last_dyad
+            code ^= 1 << ((i - 1) * 2 + (k - 3))
+        counts[code] += 1
+    chain.audit()
+    assert 0.5 * float(np.abs(counts / draws - exact_model.probabilities([0.0, 0.0])).sum()) <= 0.01
+
+
+@pytest.mark.parametrize("bad,message", [
+    ([0.0, 0.5, 1.0], "theta has 3 entries for 2 statistics"),
+    ([math.nan, 0.5], "theta must be finite"),
+], ids=["length", "nan"])
+def test_set_theta_refuses_a_bad_theta_and_changes_nothing(bad, message):
+    chains = []
+    for _ in range(2):
+        net = _net30(0.2)
+        model = bind(ModelSpec((ModelTerm(kind="edges"), ALPHA)), net, _contract_attrs())
+        chains.append(Chain(net, model, [-1.5, 0.6], _generator(47)))
+    refused, kept = chains
+    refused.run(1000)
+    with pytest.raises(ValueError, match=message):
+        refused.set_theta(bad)
+    refused.run(4000)
+    refused.audit()
+    kept.run(5000)
+    kept.audit()
+    assert refused.stats == kept.stats
+    assert (refused.accepted, refused.proposals, refused.last_dyad) == (
+        kept.accepted, kept.proposals, kept.last_dyad)

@@ -57,6 +57,7 @@ from bipergm import (  # noqa: E402
 )
 from bipergm import estimate  # noqa: E402
 from bipergm.io import load_attributes, load_network  # noqa: E402
+from bipergm.sampler import Chain, _generator  # noqa: E402
 
 TEMPLATE = parse('edges + b1nodematch("group")')
 GRID = [g / 10.0 for g in range(11)]
@@ -80,16 +81,18 @@ def moderate_3x3():
 
 
 def bridges(spec, net, attrs, theta, control, seeds) -> list[tuple[float, float]]:
-    """(loglik, loglik_sd) of the bridge to `theta` at each seed."""
+    """(loglik, loglik_sd) of the bridge from `theta` at each seed, on a
+    chain built at `theta` on the observed network and run for
+    `control.burn_in` proposals first."""
     model = bind(spec, net, attrs)
     s_obs = model.stats(net)
     start, log_kappa = estimate._dyad_independent_start(model, net, attrs, s_obs)
-    return [
-        estimate._bridge_loglik(
-            model, net, theta, s_obs, control, np.random.SeedSequence(s), start, log_kappa
-        )
-        for s in seeds
-    ]
+    out = []
+    for s in seeds:
+        chain = Chain(net.copy(), model, theta, _generator(np.random.SeedSequence(s)))
+        chain.run(control.resolved_burn_in(net.dyad_count))
+        out.append(estimate._bridge_loglik(chain, theta, s_obs, control.interval, start, log_kappa))
+    return out
 
 
 def spread_ratio(pairs: list[tuple[float, float]]) -> dict:
