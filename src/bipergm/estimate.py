@@ -366,6 +366,8 @@ def mcmcmle(
     anchor, NaN where its sample does not identify a coefficient (as in
     `mple`); the absolute log-likelihood from the bridge down to the MLE of
     the dyad-independent submodel, on a chain continuing the last anchor's.
+    `diagnostics["proposals"]` counts the MH proposals of the anchors'
+    chains and of the bridge's chain, its first burn-in included.
     `control.seed` must be an int: every chain's seed is spawned from it.
     """
     control = control or SamplerControl()
@@ -390,11 +392,12 @@ def mcmcmle(
     bridge_root = root.spawn(1)[0]
     full = control.sample_size
 
-    hull_failures = 0
+    hull_failures = anchor_proposals = 0
     for a in range(MAX_ANCHORS):
         size = max(200, min(full, int(math.ceil(full * min(1.0, RAMP * 2**a)))))
         ctl = replace(control, sample_size=size, seed=anchor_seeds[a])
         sample = simulate(model, theta, net, ctl)
+        anchor_proposals += sample.proposals
         S = sample.stats
         center = S.mean(axis=0)
         gamma, target = 1.0, s_obs
@@ -453,6 +456,7 @@ def mcmcmle(
         "ess_eff": round(ess_eff, 1),
         "mc_sd": [float(s) for s in mc_sd],
         "sample_size": sample.stats.shape[0],
+        "proposals": {"anchors": anchor_proposals, "bridge": chain.proposals},
         "control": " ".join(
             f"{f.name}={getattr(control, f.name)}" for f in fields(control) if f.name != "seed"
         ),

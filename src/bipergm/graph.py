@@ -4,11 +4,12 @@ Nodes are 1-based integers: mode-1 nodes are 1..n1, mode-2 nodes are
 n1+1..n1+n2.  Edges are only permitted between modes.  The structure keeps
 each node's neighbours only as one int bitmask per node, `mask[node]`
 (`mask[0]` is 0), so that an edge query is one bit and a count of shared
-neighbours is a popcount, plus an indexed edge list so that samplers can
-pick a uniformly random edge in O(1).  `node_bits` is the one place that
-lays out the mask bits; `partners` is the one walk from a mask back to
-nodes, in ascending node order.  Two-paths are counted per centre, as the
-pairs of its partners (`project`, `terms._Nodematch.spectrum`)."""
+neighbours is a popcount, plus an edge list so that samplers can pick a
+uniformly random edge in O(1) and remove it by its position.  `node_bits`
+is the one place that lays out the mask bits; `partners` is the one walk
+from a mask back to nodes, in ascending node order.  Two-paths are counted
+per centre, as the pairs of its partners (`project`,
+`terms._Nodematch.spectrum`)."""
 
 from __future__ import annotations
 
@@ -58,9 +59,11 @@ def partners(mask: int, end: int) -> list[int]:
 
 class BipartiteNetwork:
     """Binary two-mode network on n1 + n2 nodes; hot paths read `mask`
-    directly."""
+    directly.  The edge list holds each edge once, and a removal moves the
+    last edge into the hole; `sampler._mh_loop` edits the masks and the
+    edge list in place."""
 
-    __slots__ = ("n1", "n2", "mask", "_bit", "_edge_list", "_edge_pos")
+    __slots__ = ("n1", "n2", "mask", "_bit", "_edge_list")
 
     def __init__(self, n1: int, n2: int):
         if n1 < 0 or n2 < 0:
@@ -70,7 +73,6 @@ class BipartiteNetwork:
         self.mask: list[int] = [0] * (n1 + n2 + 1)
         self._bit = node_bits(n1, n2)
         self._edge_list: list[tuple[int, int]] = []
-        self._edge_pos: dict[tuple[int, int], int] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -130,7 +132,9 @@ class BipartiteNetwork:
     # -- mutation -----------------------------------------------------------
 
     def toggle(self, i: int, k: int) -> bool:
-        """Flip dyad (i, k) in place; True if the edge is present after."""
+        """Flip dyad (i, k) in place; True if the edge is present after.
+        A removal finds the edge with `list.index`, O(E): only the chain,
+        which removes at the position it drew, needs it faster."""
         self.check_dyad(i, k)
         if self.mask[i] & self._bit[k]:
             self._remove(i, k)
@@ -142,24 +146,22 @@ class BipartiteNetwork:
         mask, bit = self.mask, self._bit
         mask[i] ^= bit[k]
         mask[k] ^= bit[i]
-        self._edge_pos[(i, k)] = len(self._edge_list)
         self._edge_list.append((i, k))
 
     def _remove(self, i: int, k: int) -> None:
-        mask, bit = self.mask, self._bit
+        mask, bit, edges = self.mask, self._bit, self._edge_list
         mask[i] ^= bit[k]
         mask[k] ^= bit[i]
-        pos = self._edge_pos.pop((i, k))
-        last = self._edge_list.pop()
-        if last != (i, k):
-            self._edge_list[pos] = last
-            self._edge_pos[last] = pos
+        # the last edge fills the hole, as in `sampler._mh_loop`
+        pos = edges.index((i, k))
+        last = edges.pop()
+        if pos < len(edges):
+            edges[pos] = last
 
     def copy(self) -> "BipartiteNetwork":
         dup = BipartiteNetwork(self.n1, self.n2)
         dup.mask = list(self.mask)
         dup._edge_list = list(self._edge_list)
-        dup._edge_pos = dict(self._edge_pos)
         return dup
 
     def biadjacency(self) -> np.ndarray:
@@ -170,10 +172,10 @@ class BipartiteNetwork:
         return mat
 
     def check_consistency(self) -> None:
-        """Debug-level audit: the edge index must place each listed edge at its
-        position, and the masks must equal masks rebuilt from the edge list."""
-        if self._edge_pos != {edge: p for p, edge in enumerate(self._edge_list)}:
-            raise AssertionError("edge bookkeeping out of sync")
+        """Debug-level audit: the edge list must hold no edge twice, and the
+        masks must equal masks rebuilt from the edge list."""
+        if len(set(self._edge_list)) != len(self._edge_list):
+            raise AssertionError("the edge list holds an edge twice")
         bit, rebuilt = self._bit, [0] * (self.n + 1)
         for i, k in self._edge_list:
             rebuilt[i] |= bit[k]

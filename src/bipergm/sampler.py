@@ -17,6 +17,9 @@ and the last block is spent, and uses them per proposal in this order:
 
 Changing that order changes every seeded chain, `simulate` sample and fit;
 `tests/test_sampler.py` pins it with fingerprints of seeded chains.
+
+`run`, `step` and `sample` each make one round trip into the one loop
+body, `_mh_loop`, which writes `sample`'s rows itself.
 """
 
 from __future__ import annotations
@@ -106,17 +109,17 @@ class Chain:
     The chain mutates `net` in place and keeps the statistic vector
     incrementally up to date; `audit()` recomputes from scratch and
     verifies agreement.  `set_theta` changes theta between calls.  Each
-    `run` or `step` updates `accepted`, `proposals` and `last_dyad`, the
-    dyad of the last proposal (None before the first).
+    `run`, `step` or `sample` updates `accepted`, `proposals` and
+    `last_dyad`, the dyad of the last proposal (None before the first).
 
     Once the chain is built the network must change only through the
     chain, or the running statistics go stale; `audit()` also checks the
-    network's own bookkeeping, its edge index and its neighbour masks, and
+    network's own bookkeeping, its edge list and its neighbour masks, and
     raises on any part that went stale.
 
-    A chain whose `run` or `step` raised is dead: the exception may have
-    left the network and the statistics out of step, so every later `run`
-    or `step` raises `RuntimeError`.
+    A chain whose `run`, `step` or `sample` raised inside the loop is
+    dead: the exception may have left the network and the statistics out
+    of step, so every later call into the loop raises `RuntimeError`.
     """
 
     def __init__(self, net: BipartiteNetwork, model: BoundModel, theta, rng: np.random.Generator):
@@ -156,7 +159,7 @@ class Chain:
         """One proposal; returns True if the toggle was accepted."""
         before = self.accepted
         try:
-            self.accepted, self.proposals, self.last_dyad = self._send(1)
+            self.accepted, self.proposals, self.last_dyad = self._send((1, (None,)))
         except StopIteration:
             raise RuntimeError(_DEAD_CHAIN) from None
         return self.accepted != before
@@ -164,20 +167,21 @@ class Chain:
     def run(self, proposals: int) -> None:
         """Make `proposals` MH proposals, an int >= 0; any other count is
         refused before the chain moves, so the chain stays alive."""
-        if (isinstance(proposals, bool) or not isinstance(proposals, (int, np.integer))
-                or proposals < 0):
-            raise ValueError(f"proposals must be an int >= 0, got {proposals!r}")
+        self._call(_count("proposals", proposals), (None,))
+
+    def _call(self, interval: int, rows) -> None:
         try:
-            self.accepted, self.proposals, self.last_dyad = self._send(int(proposals))
+            self.accepted, self.proposals, self.last_dyad = self._send((interval, rows))
         except StopIteration:
             raise RuntimeError(_DEAD_CHAIN) from None
 
     def audit(self) -> None:
-        """Check the network's bookkeeping (`check_consistency`), which the
-        recount reads, then recompute statistics and check the running vector
-        agrees to within 1e-8 + 2**-52 * accepted * M, M being the largest
-        |statistic| in the recount or the running vector: the float error of
-        a sum that adds one change vector per accepted toggle."""
+        """Check the network's edge list and masks (`check_consistency`),
+        which the recount reads, then recompute statistics and check the
+        running vector agrees to within 1e-8 + 2**-52 * accepted * M, M
+        being the largest |statistic| in the recount or the running vector:
+        the float error of a sum that adds one change vector per accepted
+        toggle."""
         try:
             self.net.check_consistency()
         except AssertionError as exc:
@@ -194,21 +198,32 @@ class Chain:
 
     def sample(self, size: int, interval: int) -> np.ndarray:
         """`size` statistic vectors, one after every `interval` proposals,
-        then `audit()`."""
-        rows = np.empty((size, self.model.p))
-        for s in range(size):
-            self.run(interval)
-            rows[s] = self.stats
+        drawn in one call into the loop, then `audit()`.  The rows and the
+        chain equal, bit for bit, those of `size` rounds of `run(interval)`
+        that each copy `stats`.  Each count is an int >= 0; any other is
+        refused before the chain moves, so the chain stays alive."""
+        rows = np.empty((_count("size", size), self.model.p))
+        self._call(_count("interval", interval), rows)
         self.audit()
         return rows
 
 
+def _count(name: str, value) -> int:
+    # a float would raise inside the loop and kill the chain, True would run
+    # as 1, and a negative count would move `proposals` back
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    return int(value)
+
+
 def _mh_loop(net, theta, eta, stats, node, change, uniform):
     """The only MH loop body: a generator that holds a chain's locals
-    between calls.  Each value sent is a number of proposals to make,
-    reading `uniform()` in the order the module docstring gives; it yields
-    the running `(accepted, proposals, last_dyad)`.  It holds no reference
-    to its chain, so a dropped chain is freed at once.
+    between calls.  Each value sent is a pair `(interval, rows)`: for each
+    row of `rows` it makes `interval` proposals, reading `uniform()` in the
+    order the module docstring gives, then copies the running statistics
+    into the row unless it is None.  It yields the running `(accepted,
+    proposals, last_dyad)`.  It holds no reference to its chain, so a
+    dropped chain is freed at once.
 
     The dyad-independent terms come from `node`, `BoundModel.node`, and
     the others from `change`, `BoundModel.dependent_change`: a toggle's
@@ -216,67 +231,81 @@ def _mh_loop(net, theta, eta, stats, node, change, uniform):
     (statistic index, value) pair that `change(mask, i, k)` returns, and
     an accepted toggle moves the statistics by those pairs and by
     `node[i]` and `node[k]`.  `Chain.set_theta` rewrites `theta` and `eta`
-    in place between calls."""
+    in place between calls.
+
+    The loop toggles the network itself: it flips the two mask bits, and
+    appends an added edge or removes an edge at the position it drew,
+    moving the last edge into the hole."""
     exp = math.exp
-    mask, bit, edge_list, add, remove = net.mask, net._bit, net._edge_list, net._add, net._remove
+    mask, bit, edge_list = net.mask, net._bit, net._edge_list
+    append, pop = edge_list.append, edge_list.pop
     n1, n2 = net.n1, net.n2
     D, first2 = n1 * n2, n1 + 1
     q = {}  # TNT log proposal ratio for adding at E edges, filled on first use
     accepted = proposals = 0
     last = None
     while True:
-        n = yield accepted, proposals, last
-        for _ in range(n):
-            E = len(edge_list)
-            if 0 < E < D:
-                adding = uniform() >= 0.5
-            else:
-                adding = E == 0
-            if adding:
-                # E < D, so some dyad is empty and the tries end
-                while True:
-                    d = int(uniform() * D)
-                    i = d // n2 + 1
-                    k = first2 + d % n2
-                    if not mask[i] & bit[k]:
-                        break
-            else:
-                i, k = edge_list[int(uniform() * E)]
-                E -= 1  # removing at E undoes adding at E - 1
-            try:
-                log_q = q[E]
-            except KeyError:
-                log_q = q[E] = _tnt_log_q(D, E)
+        n, rows = yield accepted, proposals, last
+        for row in rows:
+            for _ in range(n):
+                E = len(edge_list)
+                if 0 < E < D:
+                    adding = uniform() >= 0.5
+                else:
+                    adding = E == 0
+                if adding:
+                    # E < D, so some dyad is empty and the tries end
+                    while True:
+                        d = int(uniform() * D)
+                        i = d // n2 + 1
+                        k = first2 + d % n2
+                        if not mask[i] & bit[k]:
+                            break
+                else:
+                    pos = int(uniform() * E)
+                    i, k = edge_list[pos]
+                    E -= 1  # removing at E undoes adding at E - 1
+                try:
+                    log_q = q[E]
+                except KeyError:
+                    log_q = q[E] = _tnt_log_q(D, E)
 
-            pairs = change(mask, i, k)
-            lo = eta[i] + eta[k]
-            for j, value in pairs:
-                lo += theta[j] * value
-            log_ratio = lo + log_q if adding else -(lo + log_q)
-
-            if log_ratio < 0.0 and uniform() >= exp(log_ratio):
-                continue
-            if adding:
-                add(i, k)
+                pairs = change(mask, i, k)
+                lo = eta[i] + eta[k]
                 for j, value in pairs:
-                    stats[j] += value
-                for j, value in node[i]:
-                    stats[j] += value
-                for j, value in node[k]:
-                    stats[j] += value
-            else:
-                remove(i, k)
-                for j, value in pairs:
-                    stats[j] -= value
-                for j, value in node[i]:
-                    stats[j] -= value
-                for j, value in node[k]:
-                    stats[j] -= value
-            accepted += 1
+                    lo += theta[j] * value
+                log_ratio = lo + log_q if adding else -(lo + log_q)
 
-        proposals += n
-        if n > 0:
-            last = i, k
+                if log_ratio < 0.0 and uniform() >= exp(log_ratio):
+                    continue
+                mask[i] ^= bit[k]
+                mask[k] ^= bit[i]
+                if adding:
+                    append((i, k))
+                    for j, value in pairs:
+                        stats[j] += value
+                    for j, value in node[i]:
+                        stats[j] += value
+                    for j, value in node[k]:
+                        stats[j] += value
+                else:
+                    # E edges are left once the last one fills the hole at pos
+                    moved = pop()
+                    if pos < E:
+                        edge_list[pos] = moved
+                    for j, value in pairs:
+                        stats[j] -= value
+                    for j, value in node[i]:
+                        stats[j] -= value
+                    for j, value in node[k]:
+                        stats[j] -= value
+                accepted += 1
+
+            proposals += n
+            if n > 0:
+                last = i, k
+            if row is not None:
+                row[:] = stats
 
 
 def simulate(

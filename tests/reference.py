@@ -15,6 +15,20 @@ def edge_set(net) -> set[tuple[int, int]]:
     return set(net.edges())
 
 
+def toggle_in_list(edges: list, edge: tuple[int, int]) -> None:
+    """Toggle `edge` in an edge list in the order the network keeps: an
+    added edge goes last, and the last edge fills a removed edge's place.
+    TNT picks the edge to remove by its place, so a seeded chain depends
+    on this order."""
+    if edge not in edges:
+        edges.append(edge)
+        return
+    pos = edges.index(edge)
+    last = edges.pop()
+    if pos < len(edges):
+        edges[pos] = last
+
+
 def nodematch_alpha(n1, n2, edges, cats, alpha, level=None, keep=None):
     """Half the ordered sum over matching mode-1 pairs of two-path counts
     raised to alpha, with 0**0 = 0."""

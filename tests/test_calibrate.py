@@ -28,13 +28,26 @@ def _check_ratio(row, n):
     assert row["ratio"] == pytest.approx(row["spread"] / row["median_sd"], rel=1e-12)
 
 
+def _check_proposals(counts):
+    assert set(counts) == {"anchors", "bridge"}
+    assert all(isinstance(n, int) and n > 0 for n in counts.values())
+
+
 def test_fixed_theta_and_fits_report_a_ratio_per_exponent_kind(net_attrs):
     fixed = calibrate.fixed_theta(*net_attrs, TINY, 1, range(3))
     fits = calibrate.fits(*net_attrs, TINY, range(3))
     for which in ("alpha", "beta"):
         _check_ratio(fixed[which], 3)
         assert len(fixed[which]["theta"]) == 2
+        _check_proposals(fixed[which]["proposals"])
         _check_ratio(fits[which], 3)
+        # one theta-hat ratio per coefficient, and one count per fit
+        ratios = fits[which]["theta_ratio"]
+        assert list(ratios) == ["edges", "b1nodematch.group"]
+        assert all(math.isfinite(r) and r > 0.0 for r in ratios.values())
+        assert len(fits[which]["proposals"]) == 3
+        for counts in fits[which]["proposals"]:
+            _check_proposals(counts)
 
 
 def test_exact_z_reports_the_bridge_against_the_exact_loglik(net_attrs):
@@ -54,6 +67,7 @@ def test_grids_count_their_rows(net_attrs):
     assert [s["seed"] for s in out["per_seed"]] == [0, 1]
     for s in out["per_seed"]:
         assert {"max_jump_sd", "max_jump_at", "linear_end_gap", "linear_end_gap_sd"} <= set(s)
+        _check_proposals(s["proposals"])
         # only rows that missed are listed, under their grid point
         assert all(n > 0 and row.split("=")[0] in ("alpha", "beta") for row, n in s["hull_misses"].items())
     assert out["max_jump_sd"] == max(s["max_jump_sd"] for s in out["per_seed"])

@@ -830,6 +830,27 @@ def test_seeded_mcmcmle_keeps_its_digest(which):
     assert h.hexdigest() == MCMCMLE_DIGESTS[which]
 
 
+# the proposals of the same seeded fits: a seed fixes them, so they price
+# a fit with no timer noise.  Alpha stops at its 6th anchor and beta at its
+# 11th; each anchor burns in 1024 proposals and then draws 200 or 400 rows
+# at interval 8, so 6 * 1024 + 8 * 1800 and 11 * 1024 + 8 * 3800.
+MCMCMLE_PROPOSALS = {
+    "alpha": {"anchors": 20_544, "bridge": 27_598},
+    "beta": {"anchors": 41_664, "bridge": 29_216},
+}
+
+
+@pytest.mark.parametrize("which", sorted(MCMCMLE_PROPOSALS))
+def test_seeded_mcmcmle_keeps_its_proposal_counts(which):
+    net, attrs = frozen_30x15()
+    spec = ModelSpec(
+        (ModelTerm(kind="edges"), ModelTerm(kind="b1nodematch", attribute="group", **{which: 0.5}))
+    )
+    control = SamplerControl(burn_in=1024, interval=8, sample_size=400, seed=31)
+    fit = mcmcmle(spec, net, attrs, control=control)
+    assert fit.diagnostics["proposals"] == MCMCMLE_PROPOSALS[which]
+
+
 # theta and covariance of the same seeded fits, recorded before the bridge
 # started at the dyad-independent MLE: the bridge runs after the anchors
 # and draws from its own seed branch, so it must not move the estimate

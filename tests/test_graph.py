@@ -7,6 +7,7 @@ from bipergm import AttributeTable, from_edge_list, project
 from bipergm.graph import ColumnTypeError, ModeViolationError
 
 from conftest import FIG2_EDGES
+from reference import toggle_in_list
 
 
 def test_from_edge_list_empty():
@@ -58,12 +59,14 @@ def test_toggle_removes_from_fig2(fig2_net):
 @given(st.lists(st.tuples(st.integers(1, 4), st.integers(5, 8)), max_size=60))
 def test_toggle_matches_set_model(moves):
     net = from_edge_list(4, 4, [])
-    model = set()
+    model, order = set(), []
     for i, k in moves:
         net.toggle(i, k)
         model ^= {(i, k)}
+        toggle_in_list(order, (i, k))
         assert net.has_edge(i, k) == ((i, k) in model)
     assert set(net.edges()) == model
+    assert list(net.edges()) == order
     assert sum(net.mask[i].bit_count() for i in range(1, 5)) == net.edge_count
     assert sum(net.mask[k].bit_count() for k in range(5, 9)) == net.edge_count
     net.check_consistency()

@@ -20,6 +20,7 @@ from bipergm import (
 from bipergm.sampler import UNIFORM_BLOCK, _generator
 
 from conftest import make_attrs1, random_attrs, random_net
+from reference import toggle_in_list
 
 
 def edges_spec():
@@ -480,9 +481,40 @@ def test_audit_catches_an_edge_dropped_behind_the_masks_back():
     chain = Chain(net, bind(spec, net, _contract_attrs()), [-1.5, 0.1], _generator(17))
     chain.run(2000)
     chain.audit()
-    # the last edge leaves the edge index but keeps its mask bits
-    del net._edge_pos[net._edge_list.pop()]
+    # the last edge leaves the edge list but keeps its mask bits
+    net._edge_list.pop()
     with pytest.raises(RuntimeError, match="network bookkeeping drifted: neighbor masks"):
+        chain.audit()
+
+
+def test_every_accepted_toggle_keeps_the_edge_list_in_order():
+    # the loop toggles the network itself; checked after every proposal, a
+    # misplaced edge fails here before a later proposal can read it
+    net = _net30(0.2)
+    chain = Chain(net, bind(edges_spec(), net, Attributes()), [-1.0], _generator(19))
+    order = list(net.edges())
+    at_end = inside = 0
+    for _ in range(3000):
+        if chain.step():
+            if chain.last_dyad in order:
+                at_end += order[-1] == chain.last_dyad
+                inside += order[-1] != chain.last_dyad
+            toggle_in_list(order, chain.last_dyad)
+        assert net._edge_list == order
+        net.check_consistency()
+    # the last edge is removed, which moves no edge, and so are others
+    assert at_end > 0 and inside > 0
+
+
+def test_audit_catches_an_edge_listed_twice():
+    # a listed edge, listed again, rebuilds the same masks
+    net = _net30(0.2)
+    spec = ModelSpec((ModelTerm(kind="edges"), ALPHA))
+    chain = Chain(net, bind(spec, net, _contract_attrs()), [-1.5, 0.1], _generator(18))
+    chain.run(2000)
+    chain.audit()
+    net._edge_list.append(net._edge_list[0])
+    with pytest.raises(RuntimeError, match="network bookkeeping drifted: the edge list holds an edge twice"):
         chain.audit()
 
 
@@ -595,6 +627,78 @@ def test_interleaved_calls_equal_one_run():
     assert (mixed.accepted, mixed.proposals, mixed.last_dyad) == (
         ran.accepted, ran.proposals, ran.last_dyad)
     ran.audit()
+
+
+# `sample` writes its rows inside the loop, in one call; it must give the
+# rows and the chain that rounds of `run` give, each copying `stats`.
+
+_SAMPLE_SPEC = ModelSpec((
+    ModelTerm(kind="edges"), ALPHA,
+    ModelTerm(kind="b2nodematch", attribute="kind", beta=0.5),
+    ModelTerm(kind="b1factor", attribute="group"), ModelTerm(kind="b2sociality"),
+))
+_SAMPLE_THETA = [-1.5, 0.4, 0.3, -0.3] + [0.05] * 15
+
+
+def _sample_twins(seed):
+    chains = []
+    for _ in range(2):
+        net = _net30(0.2)
+        chains.append(Chain(net, bind(_SAMPLE_SPEC, net, _contract_attrs()), _SAMPLE_THETA, _generator(seed)))
+    return chains
+
+
+@pytest.mark.parametrize("size,interval", [(300, 37), (5, 0), (1, 20_000)])
+def test_sample_equals_rounds_of_run(size, interval):
+    sampled, ran = _sample_twins(51)
+    sampled.run(500)
+    ran.run(500)
+    rows = sampled.sample(size, interval)
+    expected = np.empty((size, ran.model.p))
+    for s in range(size):
+        ran.run(interval)
+        expected[s] = ran.stats
+    ran.audit()
+    assert rows.shape == (size, ran.model.p)
+    assert rows.tobytes() == expected.tobytes()
+    assert sampled.stats == ran.stats
+    assert sampled.net._edge_list == ran.net._edge_list
+    assert (sampled.accepted, sampled.proposals, sampled.last_dyad) == (
+        ran.accepted, ran.proposals, ran.last_dyad)
+
+
+def test_a_sample_of_no_rows_leaves_the_chain_as_it_was():
+    sampled, kept = _sample_twins(53)
+    for chain in (sampled, kept):
+        chain.run(1000)
+    rows = sampled.sample(0, 48)
+    assert rows.shape == (0, sampled.model.p)
+    kept.audit()  # `sample` ends with one
+    assert sampled.stats == kept.stats
+    assert sampled.net._edge_list == kept.net._edge_list
+    assert (sampled.accepted, sampled.proposals, sampled.last_dyad) == (
+        kept.accepted, kept.proposals, kept.last_dyad)
+    sampled.run(1000)
+    kept.run(1000)
+    assert sampled.stats == kept.stats
+
+
+@pytest.mark.parametrize("size,interval,name", [
+    (-1, 8, "size"), (1.5, 8, "size"), (True, 8, "size"),
+    (4, -1, "interval"), (4, 1.5, "interval"), (4, True, "interval"),
+], ids=repr)
+def test_sample_refuses_a_count_it_cannot_use(size, interval, name):
+    # a negative size raised numpy's negative-dimensions error, and a float
+    # size a TypeError
+    net = from_edge_list(3, 3, [])
+    chain = Chain(net, bind(edges_spec(), net, Attributes()), [0.0], _generator(0))
+    chain.run(10)
+    before = (chain.accepted, chain.proposals, chain.last_dyad, list(net._edge_list))
+    with pytest.raises(ValueError, match=f"{name} must be an int >= 0"):
+        chain.sample(size, interval)
+    assert (chain.accepted, chain.proposals, chain.last_dyad, list(net._edge_list)) == before
+    assert chain.sample(np.int64(2), np.int64(3)).shape == (2, 1)
+    assert chain.proposals == 16
 
 
 def test_a_chain_that_raised_stays_dead(monkeypatch):

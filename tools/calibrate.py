@@ -10,7 +10,9 @@ It imports the program from this checkout's `src/` and writes
 - `fixed_theta`: at 30x15 (the frozen `perfbench/data` network, the
   criterion-8 control), theta held at the seed-88 one-point profile fit at
   alpha=0.5 and at beta=0.5, bridges at seeds 200 to 223;
-- `fits`: 16 fits at seeds 300 to 315 per exponent;
+- `fits`: 16 fits at seeds 300 to 315 per exponent, with per
+  coefficient the theta-hat ratio, the spread of theta-hat over the
+  median reported `mc_sd`;
 - `exact_z`: on the 3x3 criterion-7 network at the exact MLE, with the
   criterion-7 control, z = (loglik - exact) / loglik_sd over bridge
   seeds 300 to 399;
@@ -21,6 +23,11 @@ It imports the program from this checkout's `src/` and writes
   draws, the largest log-likelihood jump between neighbouring `ok`
   points in units of the sd of that difference, and the alpha=1 minus
   beta=1 gap.
+
+Every fit also reports its MH proposals (`diagnostics["proposals"]`):
+each fit's under `fixed_theta` and `fits`, and each seed's total over its
+`ok` rows under `grids`.  A seed fixes these counts, so they give a fit's
+cost with no timer noise.
 
 "Spread" is the standard deviation over seeds (ddof=1); "ratio" is the
 spread of `loglik` over the median reported `loglik_sd`, 1 when the error
@@ -116,17 +123,26 @@ def fixed_theta(net, attrs, control, fit_seed, bridge_seeds) -> dict:
         point = profile(TEMPLATE, which, [0.5], net, attrs, control=replace(control, seed=fit_seed))[0]
         spec = TEMPLATE.bind_exponent(which, 0.5)
         row = spread_ratio(bridges(spec, net, attrs, point.fit.theta, control, bridge_seeds))
-        out[which] = {"theta": [float(t) for t in point.fit.theta], **row}
+        out[which] = {"theta": [float(t) for t in point.fit.theta],
+                      "proposals": point.fit.diagnostics["proposals"], **row}
     return out
 
 
 def fits(net, attrs, control, seeds) -> dict:
-    """Per exponent kind at 0.5: one `mcmcmle` fit per seed."""
+    """Per exponent kind at 0.5: one `mcmcmle` fit per seed, the spread
+    ratio of its `loglik`, per coefficient the spread of theta-hat over the
+    median `mc_sd`, and each fit's proposals."""
     out = {}
     for which in KINDS:
         spec = TEMPLATE.bind_exponent(which, 0.5)
         done = [mcmcmle(spec, net, attrs, control=replace(control, seed=s)) for s in seeds]
-        out[which] = spread_ratio([(f.loglik, f.loglik_sd) for f in done])
+        spread = np.std([f.theta for f in done], axis=0, ddof=1)
+        median_sd = np.median([f.diagnostics["mc_sd"] for f in done], axis=0)
+        out[which] = {
+            **spread_ratio([(f.loglik, f.loglik_sd) for f in done]),
+            "theta_ratio": dict(zip(done[0].names, (spread / median_sd).tolist())),
+            "proposals": [f.diagnostics["proposals"] for f in done],
+        }
     return out
 
 
@@ -178,6 +194,7 @@ def grids(net, attrs, control, seeds, grid=GRID) -> dict:
             "max_jump_at": worst[1],
             "linear_end_gap": gap,
             "linear_end_gap_sd": None if gap is None else gap / math.hypot(a1.loglik_sd, b1.loglik_sd),
+            "proposals": {part: sum(d["proposals"][part] for _, d in ok) for part in ("anchors", "bridge")},
         })
     jumps = [s["max_jump_sd"] for s in per_seed if s["max_jump_sd"] is not None]
     return {
